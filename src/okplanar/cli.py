@@ -25,6 +25,7 @@ from .bounds import (
 from .cdcl import CdclSolver
 from .drawing import (
     crossing_report,
+    drawing_chords,
     drawing_svg,
     identity_drawing,
     is_closed_drawing,
@@ -50,30 +51,9 @@ from .maximal import (
     verify_level_properties,
 )
 from .mso2 import emit_formula, evaluate_formula
-from .recognition import brute_force_recognize
-from .sat import (
-    TriviallyUnsat,
-    emit_dimacs,
-    encode_closed,
-    encode_outer_planar,
-    encode_outer_quasi,
-    parse_dimacs,
-    sat_recognize,
-)
+from .recognition import brute_force_recognize, canonical_variant, check_k
+from .sat import TriviallyUnsat, emit_dimacs, encode, parse_dimacs, sat_recognize
 from .separator import balanced_separator, check_separation, recursive_decompose
-
-VARIANT_SHORTHANDS = {
-    "planar": "outer-planar",
-    "quasi": "outer-quasi",
-    "outer-planar": "outer-planar",
-    "outer-quasi": "outer-quasi",
-    "outer-quasi-planar": "outer-quasi",
-    "closed-planar": "closed-outer-planar",
-    "closed-quasi": "closed-outer-quasi",
-    "closed-outer-planar": "closed-outer-planar",
-    "closed-outer-quasi": "closed-outer-quasi",
-    "closed-outer-quasi-planar": "closed-outer-quasi",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,23 +66,6 @@ class _Parser(argparse.ArgumentParser):
     def _err(self, message: str) -> int:
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         return 1
-
-
-def _canonical_variant(name: str) -> str:
-    try:
-        return VARIANT_SHORTHANDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown variant {name!r}; choose from "
-            + ", ".join(sorted(set(VARIANT_SHORTHANDS)))
-        ) from None
-
-
-def _check_k(k: int, variant: str) -> None:
-    if variant.endswith("quasi") and k < 2:
-        raise ValueError(f"quasi variants need k >= 2, got {k}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
 
 
 def _input_path(args: argparse.Namespace) -> str:
@@ -162,6 +125,12 @@ def _report_dict(rep) -> dict:
     }
 
 
+def _in_class(*fields: str) -> dict:
+    """An in-class verdict whose result fields stay null until filled in;
+    a not-in-class report keeps them null and names its witness."""
+    return {"in_class": True, "witness_mutual": [], **dict.fromkeys(fields)}
+
+
 def schema_path(command: str) -> Path:
     return Path(__file__).parent / "schemas" / f"{command}.schema.json"
 
@@ -170,12 +139,13 @@ def schema_path(command: str) -> Path:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    variant = _canonical_variant(args.variant)
-    _check_k(args.k, variant)
+    variant = canonical_variant(args.variant)
+    check_k(args.k, variant)
     path = _input_path(args)
     d = read_instance(path).drawing()
     rep = crossing_report(d)
-    closed = is_closed_drawing(d)
+    # a boundary cycle needs n >= 3; only the closed variants insist on one
+    closed = (d.n >= 3 or variant.startswith("closed")) and is_closed_drawing(d)
     if variant.endswith("planar"):
         in_class = rep.max_per_edge <= args.k
     else:
@@ -203,23 +173,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if in_class else 2
 
 
-def _encode_for(g, k: int, variant: str):
-    if variant == "outer-planar":
-        return encode_outer_planar(g, k)
-    if variant == "outer-quasi":
-        return encode_outer_quasi(g, k)
-    return encode_closed(g, k, variant.removeprefix("closed-"))
-
-
 def cmd_recognize(args: argparse.Namespace) -> int:
-    variant = _canonical_variant(args.variant)
-    _check_k(args.k, variant)
+    variant = canonical_variant(args.variant)
+    check_k(args.k, variant)
     path = _input_path(args)
     g = read_instance(path).graph
     emitted = None
     if args.emit_cnf:
         try:
-            cnf, _ = _encode_for(g, args.k, variant)
+            cnf, _ = encode(g, args.k, variant)
             emit_dimacs(cnf, args.emit_cnf)
             emitted = args.emit_cnf
         except TriviallyUnsat:
@@ -260,8 +222,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 def cmd_separator(args: argparse.Namespace) -> int:
     path = _input_path(args)
     d = read_instance(path).drawing()
-    rep = crossing_report(d)
-    eff_k = rep.max_per_edge
+    eff_k = max(drawing_chords(d).counts, default=0)
     common = {
         "n": d.n,
         "m": d.graph.m,
@@ -302,61 +263,33 @@ def cmd_levels(args: argparse.Namespace) -> int:
     path = _input_path(args)
     d = read_instance(path).drawing()
     rep = crossing_report(d)
-    base = {"k": args.k, "n": d.n, "m": d.graph.m}
+    payload = {
+        "k": args.k,
+        "n": d.n,
+        "m": d.graph.m,
+        **_in_class("long_edge", "levels", "verification", "maximal", "svg"),
+    }
     if rep.max_mutual > args.k - 1:
-        _emit(
-            args,
-            "levels",
-            {path},
-            {
-                **base,
-                "in_class": False,
-                "witness_mutual": [list(e) for e in rep.witness_mutual],
-                "long_edge": None,
-                "levels": None,
-                "verification": None,
-                "maximal": None,
-                "svg": None,
-            },
-        )
+        payload.update(in_class=False, witness_mutual=[list(e) for e in rep.witness_mutual])
+        _emit(args, "levels", {path}, payload)
         return 2
     long_edge = find_long_edge(d, args.k)
     if long_edge is None:
-        _emit(
-            args,
-            "levels",
-            {path},
-            {
-                **base,
-                "in_class": True,
-                "witness_mutual": [],
-                "long_edge": None,
-                "levels": None,
-                "verification": None,
-                "maximal": is_maximal(d, args.k),
-                "svg": None,
-            },
+        payload["maximal"] = is_maximal(d, args.k)
+    else:
+        ld = build_levels(d, long_edge, args.k)
+        if args.svg:
+            with open(args.svg, "w") as fh:
+                fh.write(levels_svg(d, ld))
+        verification = verify_level_properties(ld, d)
+        payload.update(
+            long_edge=list(ld.long_edge),
+            levels=ld.to_dict(),
+            verification=verification,
+            maximal=verification["connectivity"]["required"],
+            svg=args.svg,
         )
-        return 0
-    ld = build_levels(d, long_edge, args.k)
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(levels_svg(d, ld))
-    _emit(
-        args,
-        "levels",
-        {path},
-        {
-            **base,
-            "in_class": True,
-            "witness_mutual": [],
-            "long_edge": list(ld.long_edge),
-            "levels": ld.to_dict(),
-            "verification": verify_level_properties(ld, d),
-            "maximal": is_maximal(d, args.k),
-            "svg": args.svg,
-        },
-    )
+    _emit(args, "levels", {path}, payload)
     return 0
 
 
@@ -377,54 +310,36 @@ def cmd_saturate(args: argparse.Namespace) -> int:
             start = {"kind": "empty", "edges": 0, "seed": None}
     else:
         raise ValueError("saturate needs --order FILE or --n N")
+    payload = {
+        "k": args.k,
+        "n": d.n,
+        "start": start,
+        **_in_class("final_edges", "expected_maximal_edges", "matches_formula",
+                    "maximal", "drawing", "drawing_file"),
+    }
     try:
         full = saturate(d, args.k)
     except QuasiPlanarityError as exc:
-        _emit(
-            args,
-            "saturate",
-            inputs,
-            {
-                "k": args.k,
-                "n": d.n,
-                "in_class": False,
-                "witness_mutual": [list(e) for e in exc.witness],
-                "start": start,
-                "final_edges": None,
-                "expected_maximal_edges": None,
-                "matches_formula": None,
-                "maximal": None,
-                "drawing": None,
-                "drawing_file": None,
-            },
-        )
+        payload.update(in_class=False, witness_mutual=[list(e) for e in exc.witness])
+        _emit(args, "saturate", inputs, payload)
         return 2
     expected = maximal_edge_count(d.n, args.k)
     if args.write_drawing:
         with open(args.write_drawing, "w") as fh:
             fh.write(format_drawing(full))
-    _emit(
-        args,
-        "saturate",
-        inputs,
-        {
-            "k": args.k,
-            "n": d.n,
-            "in_class": True,
-            "witness_mutual": [],
-            "start": start,
-            "final_edges": full.graph.m,
-            "expected_maximal_edges": expected,
-            "matches_formula": full.graph.m == expected,
-            "maximal": is_maximal(full, args.k),
-            "drawing": {
-                "n": full.n,
-                "order": list(full.order),
-                "edges": [list(e) for e in full.graph.edges],
-            },
-            "drawing_file": args.write_drawing,
+    payload.update(
+        final_edges=full.graph.m,
+        expected_maximal_edges=expected,
+        matches_formula=full.graph.m == expected,
+        maximal=is_maximal(full, args.k),
+        drawing={
+            "n": full.n,
+            "order": list(full.order),
+            "edges": [list(e) for e in full.graph.edges],
         },
+        drawing_file=args.write_drawing,
     )
+    _emit(args, "saturate", inputs, payload)
     return 0
 
 
@@ -506,7 +421,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_mso2(args: argparse.Namespace) -> int:
-    variant = _canonical_variant(args.variant)
+    variant = canonical_variant(args.variant)
     if not variant.startswith("closed"):
         # formulas quantify over a Hamiltonian boundary, so only the
         # closed classes have one; the open names map to their closures

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Sequence
 
 from .graphs import Graph
 
@@ -63,25 +64,6 @@ def edges_cross(d: ConvexDrawing, e: Edge, f: Edge) -> bool:
     return positions_interleave(p[e[0]], p[e[1]], p[f[0]], p[f[1]])
 
 
-def crossing_pairs(d: ConvexDrawing) -> list[tuple[Edge, Edge]]:
-    """All unordered crossing pairs, each listed once in edge-list order."""
-    edges = d.graph.edges
-    p = d.pos
-    out = []
-    for i in range(len(edges)):
-        u, v = edges[i]
-        a, b = p[u], p[v]
-        if a > b:
-            a, b = b, a
-        for j in range(i + 1, len(edges)):
-            x, y = edges[j]
-            if u == x or u == y or v == x or v == y:
-                continue
-            if (a < p[x] < b) != (a < p[y] < b):
-                out.append((edges[i], edges[j]))
-    return out
-
-
 @dataclass(frozen=True)
 class CrossingReport:
     per_edge: dict[Edge, int]
@@ -98,21 +80,12 @@ def crossing_report(d: ConvexDrawing) -> CrossingReport:
     coloring bound.
     """
     edges = d.graph.edges
-    m = len(edges)
-    per_edge = {e: 0 for e in edges}
-    adj = [0] * m
-    for ei, ej in crossing_pairs(d):
-        per_edge[ei] += 1
-        per_edge[ej] += 1
-    idx = {e: i for i, e in enumerate(edges)}
-    for ei, ej in crossing_pairs(d):
-        adj[idx[ei]] |= 1 << idx[ej]
-        adj[idx[ej]] |= 1 << idx[ei]
-    size, mask = max_clique_bitset(adj)
+    cs = drawing_chords(d)
+    size, mask = max_clique_bitset(cs.crossing_graph())
     witness = tuple(edges[i] for i in _bits(mask))
     return CrossingReport(
-        per_edge=per_edge,
-        max_per_edge=max(per_edge.values(), default=0),
+        per_edge=dict(zip(edges, cs.counts)),
+        max_per_edge=max(cs.counts, default=0),
         max_mutual=size,
         witness_mutual=witness,
     )
@@ -174,7 +147,8 @@ def max_mutual_exhaustive(d: ConvexDrawing) -> int:
     m = len(edges)
     if m > 16:
         raise ValueError("exhaustive oracle limited to m <= 16")
-    crosses = {frozenset(p) for p in crossing_pairs(d)}
+    # the scalar test, so the oracle shares no code with crossing_report
+    crosses = {frozenset(p) for p in combinations(edges, 2) if edges_cross(d, *p)}
     best = 0
     for mask in range(1 << m):
         members = [edges[i] for i in _bits(mask)]
@@ -193,7 +167,7 @@ def max_mutual_exhaustive(d: ConvexDrawing) -> int:
 def is_outer_k_planar_drawing(d: ConvexDrawing, k: int) -> bool:
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return crossing_report(d).max_per_edge <= k
+    return max(drawing_chords(d).counts, default=0) <= k
 
 
 def is_outer_k_quasi_planar_drawing(d: ConvexDrawing, k: int) -> bool:
@@ -214,13 +188,13 @@ def is_closed_drawing(d: ConvexDrawing) -> bool:
 class ChordSet:
     """Growable chord set over circle positions 0..n-1 with fast crosser lookup.
 
-    Edges are indexed by insertion order and live in bitmasks. For a candidate
-    chord (p, q) the crossing edges are those with exactly one endpoint
-    strictly inside the arc p..q, which a prefix-xor over per-position
-    incidence masks yields in two operations; edges at p or q are masked off
-    since shared endpoints never cross. Used by the random generator and the
-    saturation pass, where the same candidate test runs many thousands of
-    times.
+    This is the package's one bulk crossing kernel; positions_interleave is
+    its scalar reference. Edges are indexed by insertion order and live in
+    bitmasks. For a candidate chord (p, q) the crossing edges are those with
+    exactly one endpoint strictly inside the arc p..q, which a prefix-xor
+    over per-position incidence masks yields in two operations; edges at p
+    or q are masked off since shared endpoints never cross. The arc's
+    direction does not matter: a chord crosses (p, q) iff it crosses (q, p).
     """
 
     def __init__(self, n: int):
@@ -231,6 +205,29 @@ class ChordSet:
         self.incident = [0] * n
         # prefix[i] = xor of incident[0..i-1]
         self.prefix = [0] * (n + 1)
+
+    @classmethod
+    def of(cls, n: int, chords: Iterable[tuple[int, int]]) -> ChordSet:
+        """All chords at once, with one prefix-xor pass instead of one per chord."""
+        cs = cls(n)
+        for p, q in chords:
+            bit = 1 << len(cs.chords)
+            cs.chords.append((p, q) if p < q else (q, p))
+            cs.incident[p] |= bit
+            cs.incident[q] |= bit
+        cs.m = len(cs.chords)
+        for i in range(n):
+            cs.prefix[i + 1] = cs.prefix[i] ^ cs.incident[i]
+        cs.counts = [cm.bit_count() for cm in cs.crossing_graph()]
+        return cs
+
+    def crossing_graph(self) -> list[int]:
+        """Crosser mask of every chord: the crossing graph as adjacency masks."""
+        return [self.crossers(p, q) for p, q in self.chords]
+
+    def crossing_chords(self, p: int, q: int) -> list[tuple[int, int]]:
+        """The chords crossing (p, q), in index order."""
+        return [self.chords[i] for i in _bits(self.crossers(p, q))]
 
     def crossers(self, p: int, q: int) -> int:
         if p > q:
@@ -260,27 +257,41 @@ class ChordSet:
         return idx, cm
 
 
+def drawing_chords(d: ConvexDrawing) -> ChordSet:
+    """The drawing's edges as position chords, indexed in edge-list order."""
+    p = d.pos
+    return ChordSet.of(d.n, [(p[u], p[v]) for u, v in d.graph.edges])
+
+
 def drawing_svg(d: ConvexDrawing, size: int = 260) -> str:
     """Render the drawing: vertices on a circle, chords, crossed edges in red."""
+    crossed = dict(zip(d.graph.edges, drawing_chords(d).counts))
+    return circle_svg(d, lambda e: ("#c22" if crossed[e] else "#333", 1.2), size)
+
+
+def circle_svg(
+    d: ConvexDrawing, edge_style: Callable[[Edge], tuple[str, float]], size: int = 260
+) -> str:
+    """Vertices on a circle in drawing order, each edge a chord whose
+    (color, stroke width) comes from edge_style."""
     r = 100.0
     cx = cy = size / 2
     pts = {}
     for i, v in enumerate(d.order):
         ang = 2 * math.pi * i / max(d.n, 1) - math.pi / 2
         pts[v] = (cx + r * math.cos(ang), cy + r * math.sin(ang))
-    rep = crossing_report(d)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="none" stroke="#ddd"/>',
     ]
-    for u, v in d.graph.edges:
-        x1, y1 = pts[u]
-        x2, y2 = pts[v]
-        color = "#c22" if rep.per_edge[(u, v)] > 0 else "#333"
+    for e in d.graph.edges:
+        color, width = edge_style(e)
+        x1, y1 = pts[e[0]]
+        x2, y2 = pts[e[1]]
         lines.append(
             f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-            f'stroke="{color}" stroke-width="1.2"/>'
+            f'stroke="{color}" stroke-width="{width}"/>'
         )
     for v, (x, y) in pts.items():
         lines.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#06c"/>')

@@ -20,6 +20,7 @@ from .drawing import (
     ChordSet,
     ConvexDrawing,
     Edge,
+    circle_svg,
     crossing_report,
     edges_cross,
     make_drawing,
@@ -88,10 +89,8 @@ class _CrossingState:
     """Chord set plus per-chord crosser masks, for incremental clique tests."""
 
     def __init__(self, n: int, chords: Iterable[Edge] = ()):
-        self.cs = ChordSet(n)
-        self.adj: list[int] = []
-        for p, q in chords:
-            self.add(p, q)
+        self.cs = ChordSet.of(n, chords)
+        self.adj = self.cs.crossing_graph()
 
     def add(self, p: int, q: int) -> None:
         idx, cm = self.cs.add(p, q)
@@ -529,37 +528,13 @@ _LEVEL_COLORS = ("#2f9e44", "#9c36b5", "#e8590c", "#1971c2", "#c2255c", "#5f3dc4
 
 def levels_svg(d: ConvexDrawing, ld: LevelDecomposition, size: int = 260) -> str:
     """Render the drawing with the long edge black and each level colored."""
-    r = 100.0
-    cx = cy = size / 2
-    pts = {}
-    for i, v in enumerate(d.order):
-        ang = 2 * math.pi * i / max(d.n, 1) - math.pi / 2
-        pts[v] = (cx + r * math.cos(ang), cy + r * math.sin(ang))
     level_of = {e: i for i, lvl in enumerate(ld.levels) for e in lvl}
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="none" stroke="#ddd"/>',
-    ]
-    for e in d.graph.edges:
+
+    def style(e: Edge) -> tuple[str, float]:
         if e == ld.long_edge:
-            color, width = "#111", 2.0
-        elif e in level_of:
-            color = _LEVEL_COLORS[level_of[e] % len(_LEVEL_COLORS)]
-            width = 1.4
-        else:
-            color, width = "#ccc", 1.0
-        x1, y1 = pts[e[0]]
-        x2, y2 = pts[e[1]]
-        lines.append(
-            f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-            f'stroke="{color}" stroke-width="{width}"/>'
-        )
-    for v, (x, y) in pts.items():
-        lines.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#06c"/>')
-        lines.append(
-            f'<text x="{x:.1f}" y="{y - 6:.1f}" font-size="9" '
-            f'text-anchor="middle">{v}</text>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines)
+            return "#111", 2.0
+        if e in level_of:
+            return _LEVEL_COLORS[level_of[e] % len(_LEVEL_COLORS)], 1.4
+        return "#ccc", 1.0
+
+    return circle_svg(d, style, size)

@@ -19,12 +19,7 @@ from itertools import combinations
 from typing import Callable
 
 from .graphs import Graph
-
-VARIANT_ALIASES = {
-    "closed-outer-planar": "closed-outer-planar",
-    "closed-outer-quasi": "closed-outer-quasi",
-    "closed-outer-quasi-planar": "closed-outer-quasi",
-}
+from .recognition import VARIANTS
 
 SORTS = ("vertex", "edge", "vertex-set", "edge-set")
 
@@ -317,9 +312,9 @@ def emit_formula(k: int, variant: str) -> EmittedFormula:
     variant needs k >= 2 and quantifies k distinct edges, at least one
     pair of which must not cross.
     """
-    canon = VARIANT_ALIASES.get(variant)
-    if canon is None:
-        raise ValueError(f"unknown variant {variant!r}")
+    canon = VARIANTS.get(variant, "")
+    if not canon.startswith("closed"):
+        raise ValueError(f"unknown closed variant {variant!r}")
     if canon == "closed-outer-planar":
         if k < 1:
             raise ValueError(f"closed-outer-planar needs k >= 1, got {k}")

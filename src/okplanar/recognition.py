@@ -3,21 +3,49 @@
 This is the ground-truth oracle the SAT back end is tested against: it
 enumerates circular orders with vertex 0 pinned to position 0 and reflections
 quotiented away (order[1] < order[n-1]), so (n-1)!/2 orders at most, and
-returns the first witness drawing in lexicographic order.
+returns the first witness drawing in lexicographic order. The module also
+owns the variant registry that the command line, the MSO2 emitter and the
+brute force all resolve variant names through.
 """
 from __future__ import annotations
 
-from .drawing import ConvexDrawing, make_drawing, max_clique_bitset
+from .drawing import ChordSet, ConvexDrawing, make_drawing, max_clique_bitset
 from .graphs import Graph
 
-VARIANTS = (
-    "outer-planar",
-    "outer-quasi",
-    "closed-outer-planar",
-    "closed-outer-quasi",
-)
+# every accepted variant name -> its canonical name; the four canonical
+# names map to themselves
+VARIANTS = {
+    "outer-planar": "outer-planar",
+    "outer-quasi": "outer-quasi",
+    "closed-outer-planar": "closed-outer-planar",
+    "closed-outer-quasi": "closed-outer-quasi",
+    "planar": "outer-planar",
+    "quasi": "outer-quasi",
+    "outer-quasi-planar": "outer-quasi",
+    "closed-planar": "closed-outer-planar",
+    "closed-quasi": "closed-outer-quasi",
+    "closed-outer-quasi-planar": "closed-outer-quasi",
+}
 
 DEFAULT_CAP = 11
+
+
+def canonical_variant(name: str) -> str:
+    """The canonical name behind any accepted variant name."""
+    try:
+        return VARIANTS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown variant {name!r}; choose from " + ", ".join(sorted(VARIANTS))
+        ) from None
+
+
+def check_k(k: int, variant: str) -> None:
+    """Reject a k outside the range of a canonical variant."""
+    if variant.endswith("quasi") and k < 2:
+        raise ValueError(f"quasi variants need k >= 2, got {k}")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
 
 
 def brute_force_recognize(
@@ -33,15 +61,10 @@ def brute_force_recognize(
     not monotone along this enumeration. Closed variants additionally walk
     only boundary-adjacent extensions.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    variant = canonical_variant(variant)
+    check_k(k, variant)
     closed = variant.startswith("closed")
     quasi = variant.endswith("quasi")
-    if quasi:
-        if k < 2:
-            raise ValueError("quasi variants need k >= 2")
-    elif k < 0:
-        raise ValueError("k must be nonnegative")
     n = g.n
     if n > cap:
         raise ValueError(f"n={n} exceeds brute-force cap {cap}")
@@ -66,8 +89,10 @@ def brute_force_recognize(
         if i == n:
             if closed and not g.has_edge(order[n - 1], order[0]):
                 return None
-            if quasi and _max_mutual(chords) > k - 1:
-                return None
+            if quasi:
+                crossing = ChordSet.of(n, chords).crossing_graph()
+                if max_clique_bitset(crossing)[0] > k - 1:
+                    return None
             return make_drawing(g, order)
         for v in range(1, n):
             if used[v]:
@@ -119,19 +144,6 @@ def brute_force_recognize(
         return None
 
     return place(1)
-
-
-def _max_mutual(chords: list[tuple[int, int]]) -> int:
-    m = len(chords)
-    adj = [0] * m
-    for i in range(m):
-        a, b = chords[i]
-        for j in range(i + 1, m):
-            c, d = chords[j]
-            if len({a, b, c, d}) == 4 and ((a < c < b) != (a < d < b)):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return max_clique_bitset(adj)[0]
 
 
 def largest_clique_in_class(k: int, cap: int = DEFAULT_CAP) -> int:

@@ -18,11 +18,13 @@ from .cdcl import CdclSolver
 from .drawing import (
     ConvexDrawing,
     CrossingReport,
+    _bits,
     crossing_report,
     is_closed_drawing,
     make_drawing,
 )
 from .graphs import Graph, is_connected
+from .recognition import canonical_variant
 
 Edge = tuple[int, int]
 
@@ -110,17 +112,6 @@ def encode_order_axioms(n: int) -> tuple[CnfFormula, VarMap]:
     return cnf, vm
 
 
-def _disjoint_pairs(edges: tuple[Edge, ...]) -> list[tuple[Edge, Edge]]:
-    out = []
-    for i in range(len(edges)):
-        u, v = edges[i]
-        for j in range(i + 1, len(edges)):
-            p, q = edges[j]
-            if u != p and u != q and v != p and v != q:
-                out.append((edges[i], edges[j]))
-    return out
-
-
 def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap) -> None:
     """One y per endpoint-disjoint edge pair; every interleaving forces it.
 
@@ -130,7 +121,13 @@ def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap) -> None:
     """
     x = vm.order_var
     cnf.comments.append("c block crossing-detect")
-    for e, f in _disjoint_pairs(g.edges):
+    edges = g.edges
+    pairs = [
+        (edges[i], edges[j])
+        for i, mask in enumerate(_disjointness_masks(edges))
+        for j in _bits(mask & ~((1 << (i + 1)) - 1))  # each pair once, i < j
+    ]
+    for e, f in pairs:
         y = vm.new_var()
         vm.cross_var[(e, f)] = y
         u, u2 = e
@@ -183,12 +180,9 @@ def encode_outer_planar(
     cnf, vm = encode_order_axioms(max(g.n, 1))
     encode_crossing_links(g, cnf, vm)
     cnf.comments.append("c block per-edge-crossing-cap")
-    for e in g.edges:
-        lits = [
-            _y_for(vm, e, f)
-            for f in g.edges
-            if f != e and e[0] not in f and e[1] not in f
-        ]
+    edges = g.edges
+    for e, mask in zip(edges, _disjointness_masks(edges)):
+        lits = [_y_for(vm, e, edges[j]) for j in _bits(mask)]
         _seq_counter_le(cnf, vm, lits, k, tag=f"cap{e[0]}-{e[1]}")
     vm.variant, vm.k = "outer-planar", k
     _aux_comments(cnf, vm)
@@ -209,14 +203,13 @@ def encode_outer_quasi(
     cnf, vm = encode_order_axioms(max(g.n, 1))
     encode_crossing_links(g, cnf, vm)
     cnf.comments.append("c block mutual-crossing-cap")
-    count = _count_disjoint_subsets(g.edges, k, clause_cap)
-    if count > clause_cap:
-        raise EncodingTooLarge(
-            f"mutual-crossing clauses exceed cap {clause_cap}: "
-            f"at least {count} size-{k} disjoint edge subsets",
-            count=count,
-        )
-    for subset in _disjoint_subsets(g.edges, k):
+    for count, subset in enumerate(_disjoint_subsets(g.edges, k), 1):
+        if count > clause_cap:
+            raise EncodingTooLarge(
+                f"mutual-crossing clauses exceed cap {clause_cap}: "
+                f"at least {count} size-{k} disjoint edge subsets",
+                count=count,
+            )
         cnf.add([-_y_for(vm, subset[i], subset[j])
                  for i in range(k) for j in range(i + 1, k)])
     vm.variant, vm.k = "outer-quasi", k
@@ -225,15 +218,18 @@ def encode_outer_quasi(
 
 
 def _disjointness_masks(edges: tuple[Edge, ...]) -> list[int]:
-    m = len(edges)
-    masks = [0] * m
-    for i in range(m):
-        u, v = edges[i]
-        for j in range(i + 1, m):
-            p, q = edges[j]
-            if u != p and u != q and v != p and v != q:
-                masks[i] |= 1 << j
-    return masks
+    """Per edge, the mask of the edges sharing no endpoint with it.
+
+    The one edge-disjointness relation of the encodings: it drives the
+    crossing links, the per-edge caps and the k-subset enumeration.
+    """
+    n = 1 + max((v for e in edges for v in e), default=0)
+    touching = [0] * n
+    for i, (u, v) in enumerate(edges):
+        touching[u] |= 1 << i
+        touching[v] |= 1 << i
+    everyone = (1 << len(edges)) - 1
+    return [everyone & ~(touching[u] | touching[v]) for u, v in edges]
 
 
 def _disjoint_subsets(edges: tuple[Edge, ...], k: int):
@@ -256,15 +252,6 @@ def _disjoint_subsets(edges: tuple[Edge, ...], k: int):
     yield from rec(full, [])
 
 
-def _count_disjoint_subsets(edges: tuple[Edge, ...], k: int, cap: int) -> int:
-    count = 0
-    for _ in _disjoint_subsets(edges, k):
-        count += 1
-        if count > cap:
-            return count
-    return count
-
-
 def encode_closed(
     g: Graph,
     k: int,
@@ -278,12 +265,9 @@ def encode_closed(
         raise ValueError("closed variants need n >= 3")
     if not is_connected(g):
         raise TriviallyUnsat("closed drawing impossible: graph is disconnected")
-    if variant == "outer-planar":
-        cnf, vm = encode_outer_planar(g, k, n_limit, allow_large)
-    elif variant == "outer-quasi":
-        cnf, vm = encode_outer_quasi(g, k, n_limit, allow_large, clause_cap)
-    else:
+    if variant.startswith("closed"):
         raise ValueError(f"unknown inner variant {variant!r}")
+    cnf, vm = encode(g, k, variant, n_limit, allow_large, clause_cap)
     n = g.n
     x = vm.order_var
     cnf.comments.append("c block boundary-successor")
@@ -324,6 +308,24 @@ def encode_closed(
         cnf.comments.append(f"c succ {u} {v} {var}")
     vm.variant = "closed-" + variant
     return cnf, vm
+
+
+def encode(
+    g: Graph,
+    k: int,
+    variant: str,
+    n_limit: int = DEFAULT_N_LIMIT,
+    allow_large: bool = False,
+    clause_cap: int = DEFAULT_CLAUSE_CAP,
+) -> tuple[CnfFormula, VarMap]:
+    """The encoding of any variant name; closed ones wrap their open one."""
+    variant = canonical_variant(variant)
+    if variant.startswith("closed-"):
+        inner = variant.removeprefix("closed-")
+        return encode_closed(g, k, inner, n_limit, allow_large, clause_cap)
+    if variant == "outer-planar":
+        return encode_outer_planar(g, k, n_limit, allow_large)
+    return encode_outer_quasi(g, k, n_limit, allow_large, clause_cap)
 
 
 def _check_size(g: Graph, n_limit: int, allow_large: bool) -> None:
@@ -487,17 +489,7 @@ def sat_recognize(
 ) -> tuple[ConvexDrawing, CrossingReport] | None:
     """End-to-end: encode, solve, decode. None means not in the class."""
     try:
-        if variant == "outer-planar":
-            cnf, vm = encode_outer_planar(g, k, n_limit, allow_large)
-        elif variant == "outer-quasi":
-            cnf, vm = encode_outer_quasi(g, k, n_limit, allow_large, clause_cap)
-        elif variant in ("closed-outer-planar", "closed-outer-quasi"):
-            cnf, vm = encode_closed(
-                g, k, variant.removeprefix("closed-"),
-                n_limit, allow_large, clause_cap,
-            )
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+        cnf, vm = encode(g, k, variant, n_limit, allow_large, clause_cap)
     except TriviallyUnsat:
         return None
     model = solve(cnf, solver=solver, timeout_s=timeout_s)

@@ -27,9 +27,8 @@ three invariants and a violation raises instead of returning quietly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .drawing import ConvexDrawing, crossing_report, make_drawing
+from .drawing import ConvexDrawing, drawing_chords, make_drawing
 from .graphs import induced_subgraph
 
 
@@ -58,22 +57,6 @@ def _arc(n: int, i: int, j: int) -> list[int]:
     return list(range(i + 1, n)) + list(range(0, j))
 
 
-def _crossers_of_chord(chords: Sequence[tuple[int, int]], p: int, q: int, n: int):
-    """Chords with exactly one endpoint strictly inside arc p->q (clockwise),
-    sharing no endpoint with (p, q)."""
-    if p < q:
-        inside = lambda t: p < t < q
-    else:
-        inside = lambda t: t > p or t < q
-    out = []
-    for x, y in chords:
-        if x == p or x == q or y == p or y == q:
-            continue
-        if inside(x) != inside(y):
-            out.append((x, y))
-    return out
-
-
 def _cut_sizes(n: int, x: int, y: int) -> tuple[int, int]:
     """(inside, outside) vertex counts of chord {x, y}, x < y positions."""
     inside = y - x - 1
@@ -87,21 +70,17 @@ def balanced_separator(d: ConvexDrawing) -> Separation:
     by the caller.
     """
     n = d.n
-    rep = crossing_report(d)
-    k = rep.max_per_edge
+    cs = drawing_chords(d)
+    k = max(cs.counts, default=0)
     everyone = frozenset(range(n))
     if n <= 2 * k + 3:
         sep = Separation(everyone, everyone, everyone, "trivial-small",
                          {"n": n, "k": k})
         return _validated(d, k, sep)
 
-    order, pos = d.order, d.pos
+    order = d.order
     at = lambda p: order[p]
-    # all edges as position chords (lo, hi)
-    chords = []
-    for u, v in d.graph.edges:
-        a, b = pos[u], pos[v]
-        chords.append((a, b) if a < b else (b, a))
+    chords = cs.chords  # all edges as position chords (lo, hi)
 
     # 1. single cutting edge. The window top is capped at n-3 so the far
     # side keeps at least one vertex and recursion always makes progress.
@@ -110,7 +89,7 @@ def balanced_separator(d: ConvexDrawing) -> Separation:
     for (u, v), (p, q) in zip(d.graph.edges, chords):
         c_in, c_out = _cut_sizes(n, p, q)
         if lo_w <= c_in <= hi_w or lo_w <= c_out <= hi_w:
-            crossers = _crossers_of_chord(chords, p, q, n)
+            crossers = cs.crossing_chords(p, q)
             cover = {at(x) if p < x < q else at(y) for x, y in crossers}
             s = frozenset({u, v} | cover)
             a_set = frozenset(at(t) for t in _arc(n, p, q)) | s
@@ -122,14 +101,15 @@ def balanced_separator(d: ConvexDrawing) -> Separation:
     # 2. halving line ab: a at position 0, b at position floor(n/2)
     h = n // 2
     a_v, b_v = at(0), at(h)
-    crossers = _crossers_of_chord(chords, 0, h, n)
+    line = cs.crossers(0, h)
+    crossers = cs.crossing_chords(0, h)
     # (lpos, rpos): endpoint on b..a side (pos > h), endpoint on a..b side
     lr = [(max(x, y), min(x, y)) for x, y in crossers]
 
     def line_separation(v1: int, v2: int, p1: int, p2: int, tag: str, wit: dict,
                         cover_inside_first_arc: bool) -> Separation:
         """Separate along chord (p1, p2); A-exclusive is arc p1->p2."""
-        cr = _crossers_of_chord(chords, p1, p2, n)
+        cr = cs.crossing_chords(p1, p2)
         arc1 = set(_arc(n, p1, p2))
         cover = set()
         for x, y in cr:
@@ -142,17 +122,9 @@ def balanced_separator(d: ConvexDrawing) -> Separation:
         wit = dict(wit, line=[v1, v2], crossers=len(cr))
         return Separation(a_set, b_set, s, tag, wit)
 
-    all_mutual = True
-    for i in range(len(lr)):
-        for j in range(i + 1, len(lr)):
-            x1, y1 = lr[i]
-            x2, y2 = lr[j]
-            if len({x1, y1, x2, y2}) < 4 or not ((y1 < y2 < x1) != (y1 < x2 < x1)):
-                all_mutual = False
-                break
-        if not all_mutual:
-            break
-    if all_mutual:
+    # every crosser of ab crosses all the others
+    if all((line & ~cs.crossers(p, q)) == 1 << i
+           for i, (p, q) in enumerate(chords) if line >> i & 1):
         # covers: the endpoint on the b..a side of each crossing edge
         cover = {at(x) for x, y in lr}
         s = frozenset({a_v, b_v} | cover)
@@ -234,7 +206,7 @@ def balanced_separator(d: ConvexDrawing) -> Separation:
         cover = set()
         for f in (f_bot, f_top):
             lo, hi = min(f), max(f)
-            for x, y in _crossers_of_chord(chords, lo, hi, n):
+            for x, y in cs.crossing_chords(lo, hi):
                 cover.add(at(x) if lo < x < hi else at(y))
         s = frozenset({at(p_bl), at(p_blp), at(p_ar), at(p_arp)} | cover)
         alpha = _arc(n, p_arp, p_ar)

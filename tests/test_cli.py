@@ -118,6 +118,16 @@ def test_check_closed_needs_boundary(capsys, tmp_path):
     assert code == 2 and not doc["closed"] and not doc["in_class"]
     code, _ = run(capsys, "check", "--k", "0", "--variant", "planar", str(path))
     assert code == 0
+    # below three vertices there is no boundary cycle: open variants still
+    # get a verdict, closed ones fail as recognize does
+    two = tmp_path / "edge2.txt"
+    two.write_text(format_graph(build_graph(2, [(0, 1)])))
+    code, out = run(capsys, "check", "--k", "0", "--variant", "planar", str(two))
+    doc = validated(out, "check")
+    assert code == 0 and not doc["closed"] and doc["in_class"]
+    assert main(["check", "--k", "0", "--variant", "closed-planar", str(two)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "closed drawings need n >= 3" in captured.err
 
 
 def test_check_svg_and_out(capsys, tmp_path, k5):

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from okplanar.drawing import (
     ChordSet,
-    crossing_pairs,
     crossing_report,
+    drawing_chords,
     drawing_svg,
     edges_cross,
     identity_drawing,
@@ -52,13 +53,29 @@ def test_cross_rejects_non_edges():
 
 
 def test_cross_symmetric():
+    # shuffled orders give edges whose clockwise arc from the lower vertex id
+    # wraps past position 0; every bit of the kernel's crosser masks, read
+    # from either arc of the chord, must equal the scalar test
     rng = random.Random(11)
+    wrapped = 0
     for _ in range(40):
         d = random_drawing(rng, rng.randrange(4, 9), 10)
-        for e in d.graph.edges:
-            for f in d.graph.edges:
+        edges = d.graph.edges
+        cs = drawing_chords(d)
+        graph = cs.crossing_graph()
+        for i, e in enumerate(edges):
+            p, q = d.pos[e[0]], d.pos[e[1]]
+            wrapped += p > q
+            masks = (graph[i], cs.crossers(p, q), cs.crossers(q, p))
+            for j, f in enumerate(edges):
+                crosses = e != f and edges_cross(d, e, f)
                 if e != f:
-                    assert edges_cross(d, e, f) == edges_cross(d, f, e)
+                    assert crosses == edges_cross(d, f, e)
+                assert all(bool(cm >> j & 1) == crosses for cm in masks), (d, e, f)
+            assert cs.counts[i] == sum(
+                edges_cross(d, e, f) for f in edges if f != e
+            )
+    assert wrapped > 0
 
 
 def test_report_k4():
@@ -108,7 +125,8 @@ def test_count_sum_matches_pairs():
     for _ in range(30):
         d = random_drawing(rng, rng.randrange(3, 10), 12)
         rep = crossing_report(d)
-        assert sum(rep.per_edge.values()) == 2 * len(crossing_pairs(d))
+        pairs = combinations(d.graph.edges, 2)
+        assert sum(rep.per_edge.values()) == 2 * sum(edges_cross(d, *p) for p in pairs)
 
 
 def test_complete_graph_counts_formula():

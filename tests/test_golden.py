@@ -52,6 +52,10 @@ CASES = [
                        "--svg", "check-dense20.svg"], 2),
     ("check-okp30", ["check", "inputs/okp30.txt", "--k", "2", "--variant", "planar",
                      "--svg", "check-okp30.svg"], 0),
+    # n < 3: open variants report closed false, closed ones are an error
+    ("check-edge2-planar", ["check", "inputs/edge2.txt", "--k", "0", "--variant", "planar"], 0),
+    ("check-edge2-closed-planar",
+     ["check", "inputs/edge2.txt", "--k", "0", "--variant", "closed-planar"], 1),
     # recognize: both engines on every canonical variant, YES and NO
     ("recognize-sat-planar-k4", ["recognize", "inputs/k4.txt", "--k", "1", "--variant", "planar"], 0),
     ("recognize-brute-planar-k4",

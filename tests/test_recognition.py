@@ -105,14 +105,15 @@ def test_complete_graph_order_independence():
     # cannot depend on enumeration order
     import itertools
 
-    from okplanar.drawing import crossing_pairs, make_drawing
+    from okplanar.drawing import edges_cross, make_drawing
 
     def check(n, order):
         d = make_drawing(complete(n), order)
         per = {e: 0 for e in d.graph.edges}
-        for e, f in crossing_pairs(d):
-            per[e] += 1
-            per[f] += 1
+        for e, f in itertools.combinations(d.graph.edges, 2):
+            if edges_cross(d, e, f):
+                per[e] += 1
+                per[f] += 1
         for (u, v), cnt in per.items():
             a, b = sorted((d.pos[u], d.pos[v]))
             l = b - a - 1
