@@ -52,7 +52,8 @@ from .maximal import (
 )
 from .mso2 import emit_formula, evaluate_formula
 from .recognition import brute_force_recognize, canonical_variant, check_k
-from .sat import TriviallyUnsat, emit_dimacs, encode, parse_dimacs, sat_recognize
+from .sat import TriviallyUnsat, decode_model, emit_dimacs, encode, parse_dimacs
+from .sat import sat_recognize, solve
 from .separator import balanced_separator, check_separation, recursive_decompose
 
 
@@ -178,17 +179,21 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     check_k(args.k, variant)
     path = _input_path(args)
     g = read_instance(path).graph
-    emitted = None
+    emitted = encoded = None
     if args.emit_cnf:
         try:
-            cnf, _ = encode(g, args.k, variant)
-            emit_dimacs(cnf, args.emit_cnf)
+            encoded = encode(g, args.k, variant)
+            emit_dimacs(encoded[0], args.emit_cnf)
             emitted = args.emit_cnf
         except TriviallyUnsat:
-            emitted = None
+            pass
     if args.engine == "brute":
         d = brute_force_recognize(g, args.k, variant)
         found = (d, crossing_report(d)) if d is not None else None
+    elif args.emit_cnf:
+        # solve the encoding just written rather than build it again
+        model = encoded and solve(encoded[0], solver=args.solver, timeout_s=args.timeout)
+        found = None if model is None else decode_model(model, encoded[1], g)
     else:
         found = sat_recognize(
             g, args.k, variant, solver=args.solver, timeout_s=args.timeout

@@ -3,13 +3,18 @@
 A drawing here is a graph together with one clockwise circular order of all
 vertices on a circle; edges are straight chords. Two chords cross iff their
 endpoint pairs interleave along the circle, so everything is order-theoretic
-and exact: no coordinates, no floating point.
+and exact: no coordinates, no floating point. The crossing kernel is
+polynomial: per-chord crossers are bitmask operations, and the largest
+pairwise-crossing edge set, a maximum clique of the crossing (circle) graph,
+is a longest-increasing-subsequence search over cut points.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Graph
@@ -75,13 +80,12 @@ class CrossingReport:
 def crossing_report(d: ConvexDrawing) -> CrossingReport:
     """Per-edge crossing counts plus the largest pairwise-crossing edge set.
 
-    max_mutual is exact: a maximum clique in the crossing graph (vertices are
-    edges, adjacency is crossing), found by branch and bound with a greedy
-    coloring bound.
+    max_mutual is exact (see ChordSet.max_mutual); among the largest sets the
+    witness is the one with the greatest edge-index mask.
     """
     edges = d.graph.edges
     cs = drawing_chords(d)
-    size, mask = max_clique_bitset(cs.crossing_graph())
+    size, mask = cs.max_mutual()
     witness = tuple(edges[i] for i in _bits(mask))
     return CrossingReport(
         per_edge=dict(zip(edges, cs.counts)),
@@ -98,47 +102,23 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def max_clique_bitset(adj: list[int]) -> tuple[int, int]:
-    """Maximum clique of a graph given as per-vertex neighbor bitmasks.
+def _longest_chain(pairs: Iterable[tuple[int, int]]) -> int:
+    """Longest run of pairs strictly increasing in both coordinates.
 
-    Returns (size, vertex mask). Branch and bound: candidates are greedily
-    colored, color classes bound the achievable clique size, branching runs
-    from the highest color down so the bound prunes whole suffixes.
+    Patience sort: ties in the first coordinate are sorted by the second
+    descending, so a strictly increasing subsequence of second coordinates
+    never takes two of them.
     """
-    n = len(adj)
-    best_size, best_mask = 0, 0
-
-    def color_order(cand: int) -> list[tuple[int, int]]:
-        out = []
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                bit = 1 << v
-                avail &= ~(adj[v] | bit)
-                rest &= ~bit
-                out.append((v, color))
-        return out
-
-    def expand(cand: int, cur_mask: int, cur_size: int) -> None:
-        nonlocal best_size, best_mask
-        if not cand:
-            if cur_size > best_size:
-                best_size, best_mask = cur_size, cur_mask
-            return
-        order = color_order(cand)
-        for v, c in reversed(order):
-            if cur_size + c <= best_size:
-                return
-            bit = 1 << v
-            expand(cand & adj[v], cur_mask | bit, cur_size + 1)
-            cand &= ~bit
-
-    expand((1 << n) - 1 if n else 0, 0, 0)
-    return best_size, best_mask
+    ordered = sorted(pairs, key=itemgetter(1), reverse=True)
+    ordered.sort(key=itemgetter(0))  # stable, so ties keep the descending order
+    tails: list[int] = []
+    for _, y in ordered:
+        i = bisect_left(tails, y)
+        if i == len(tails):
+            tails.append(y)
+        else:
+            tails[i] = y
+    return len(tails)
 
 
 def max_mutual_exhaustive(d: ConvexDrawing) -> int:
@@ -174,7 +154,7 @@ def is_outer_k_quasi_planar_drawing(d: ConvexDrawing, k: int) -> bool:
     # k = 2 is the degenerate boundary (no two crossing edges at all)
     if k < 2:
         raise ValueError("quasi-planarity needs k >= 2")
-    return crossing_report(d).max_mutual <= k - 1
+    return drawing_chords(d).mutual_size() <= k - 1
 
 
 def is_closed_drawing(d: ConvexDrawing) -> bool:
@@ -235,6 +215,66 @@ class ChordSet:
         inside = self.prefix[q] ^ self.prefix[p + 1]
         return inside & ~(self.incident[p] | self.incident[q])
 
+    def mutual_through(self, p: int, q: int, mask: int) -> int:
+        """Largest pairwise-crossing family among the chords of mask that
+        cross (p, q).
+
+        Each such chord has one end x strictly inside p..q and its other end
+        y outside, counted on from q. Two of them cross iff their (x, y)
+        pairs increase together, so a family is a chain of those pairs.
+        """
+        if p > q:
+            p, q = q, p
+        pairs = []
+        for i in _bits(mask & self.crossers(p, q)):
+            a, b = self.chords[i]
+            x, y = (a, b) if p < a < q else (b, a)
+            pairs.append((x, (y - q) % self.n))
+        return _longest_chain(pairs)
+
+    def mutual_size(self) -> int:
+        """Size of the largest pairwise-crossing family.
+
+        Such a family, sorted by left end, has a_1 < ... < a_t < b_1 < ... <
+        b_t: it spans one cut and is a chain of (a, b) among the chords
+        spanning that cut, prefix[c] for the cut before position c. A chord
+        in a family of best + 1 crosses at least best others, so chords
+        crossed fewer times are skipped. A cut where no kept chord starts at
+        c - 1 spans a subset of the cut before it and is skipped too.
+        """
+        best = 0
+        keep = (1 << self.m) - 1
+        for c in range(1, self.n):
+            span = self.prefix[c] & keep
+            if span.bit_count() <= best or not span & self.incident[c - 1]:
+                continue
+            size = _longest_chain(self.chords[i] for i in _bits(span))
+            if size > best:
+                best = size
+                keep = sum(1 << i for i, cnt in enumerate(self.counts) if cnt >= best)
+        return best
+
+    def max_mutual(self) -> tuple[int, int]:
+        """(size, index mask) of the largest pairwise-crossing family; among
+        the largest, the one with the greatest mask.
+
+        Greedy from the highest index down: chord i joins when the chosen
+        chords, i and the best family among the remaining common crossers
+        still reach the size.
+        """
+        size = self.mutual_size()
+        cand = sum(1 << i for i, cnt in enumerate(self.counts) if cnt >= size - 1)
+        chosen, count = 0, 0
+        while cand and count < size:
+            i = cand.bit_length() - 1
+            cand ^= 1 << i
+            p, q = self.chords[i]
+            if count + 1 + self.mutual_through(p, q, cand) >= size:
+                chosen |= 1 << i
+                count += 1
+                cand &= self.crossers(p, q)
+        return size, chosen
+
     def add(self, p: int, q: int) -> tuple[int, int]:
         """Insert chord (p, q); returns (new index, crosser mask)."""
         if p > q:
@@ -245,11 +285,8 @@ class ChordSet:
         self.m += 1
         self.chords.append((p, q))
         self.counts.append(cm.bit_count())
-        rest = cm
-        while rest:
-            j = (rest & -rest).bit_length() - 1
+        for j in _bits(cm):
             self.counts[j] += 1
-            rest &= rest - 1
         self.incident[p] |= bit
         self.incident[q] |= bit
         for i in range(p + 1, q + 1):

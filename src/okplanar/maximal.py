@@ -22,9 +22,9 @@ from .drawing import (
     Edge,
     circle_svg,
     crossing_report,
+    drawing_chords,
     edges_cross,
     make_drawing,
-    max_clique_bitset,
 )
 from .graphs import build_graph
 
@@ -77,54 +77,11 @@ def frame_edges(n: int, k: int) -> frozenset[Edge]:
     return frozenset(out)
 
 
-def _chords(d: ConvexDrawing) -> list[Edge]:
-    out = []
-    for u, v in d.graph.edges:
-        p, q = d.pos[u], d.pos[v]
-        out.append((p, q) if p < q else (q, p))
-    return out
-
-
-class _CrossingState:
-    """Chord set plus per-chord crosser masks, for incremental clique tests."""
-
-    def __init__(self, n: int, chords: Iterable[Edge] = ()):
-        self.cs = ChordSet.of(n, chords)
-        self.adj = self.cs.crossing_graph()
-
-    def add(self, p: int, q: int) -> None:
-        idx, cm = self.cs.add(p, q)
-        self.adj.append(cm)
-        rest = cm
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            self.adj[j] |= 1 << idx
-            rest &= rest - 1
-
-    def blocked(self, p: int, q: int, k: int) -> bool:
-        """Would chord (p, q) complete k pairwise crossing edges?
-
-        True exactly when k-1 of its crossers pairwise cross each other.
-        """
-        cm = self.cs.crossers(p, q)
-        if cm.bit_count() < k - 1:
-            return False
-        members = []
-        rest = cm
-        while rest:
-            members.append((rest & -rest).bit_length() - 1)
-            rest &= rest - 1
-        where = {g: i for i, g in enumerate(members)}
-        sub = []
-        for g in members:
-            inter = self.adj[g] & cm
-            mask = 0
-            while inter:
-                mask |= 1 << where[(inter & -inter).bit_length() - 1]
-                inter &= inter - 1
-            sub.append(mask)
-        size, _ = max_clique_bitset(sub)
-        return size >= k - 1
+def _blocked(cs: ChordSet, p: int, q: int, k: int) -> bool:
+    """Would chord (p, q) complete k pairwise crossing edges? True exactly
+    when k-1 of its crossers pairwise cross each other."""
+    cm = cs.crossers(p, q)
+    return cm.bit_count() >= k - 1 and cs.mutual_through(p, q, cm) >= k - 1
 
 
 def saturate(d: ConvexDrawing, k: int) -> ConvexDrawing:
@@ -144,8 +101,8 @@ def saturate(d: ConvexDrawing, k: int) -> ConvexDrawing:
             witness=rep.witness_mutual,
         )
     n = d.n
-    present = set(_chords(d))
-    state = _CrossingState(n, present)
+    cs = drawing_chords(d)
+    present = set(cs.chords)
     cands = []
     for p in range(n):
         for q in range(p + 1, n):
@@ -154,8 +111,8 @@ def saturate(d: ConvexDrawing, k: int) -> ConvexDrawing:
     cands.sort()
     added: list[Edge] = []
     for _, p, q in cands:
-        if not state.blocked(p, q, k):
-            state.add(p, q)
+        if not _blocked(cs, p, q, k):
+            cs.add(p, q)
             added.append((p, q))
     if not added:
         return d
@@ -173,13 +130,13 @@ def is_maximal(d: ConvexDrawing, k: int) -> bool:
     """
     if k < 2:
         raise ValueError(f"quasi-planarity needs k >= 2, got {k}")
-    if crossing_report(d).max_mutual > k - 1:
+    cs = drawing_chords(d)
+    if cs.mutual_size() > k - 1:
         return False
-    present = set(_chords(d))
-    state = _CrossingState(d.n, present)
+    present = set(cs.chords)
     for p in range(d.n):
         for q in range(p + 1, d.n):
-            if (p, q) not in present and not state.blocked(p, q, k):
+            if (p, q) not in present and not _blocked(cs, p, q, k):
                 return False
     return True
 

@@ -9,7 +9,7 @@ brute force all resolve variant names through.
 """
 from __future__ import annotations
 
-from .drawing import ChordSet, ConvexDrawing, make_drawing, max_clique_bitset
+from .drawing import ChordSet, ConvexDrawing, make_drawing
 from .graphs import Graph
 
 # every accepted variant name -> its canonical name; the four canonical
@@ -89,10 +89,8 @@ def brute_force_recognize(
         if i == n:
             if closed and not g.has_edge(order[n - 1], order[0]):
                 return None
-            if quasi:
-                crossing = ChordSet.of(n, chords).crossing_graph()
-                if max_clique_bitset(crossing)[0] > k - 1:
-                    return None
+            if quasi and ChordSet.of(n, chords).mutual_size() > k - 1:
+                return None
             return make_drawing(g, order)
         for v in range(1, n):
             if used[v]:

@@ -182,6 +182,28 @@ def test_recognize_emit_cnf(capsys, tmp_path):
     assert code == 10  # the emitted encoding is satisfiable, like the verdict
 
 
+def test_recognize_emit_cnf_encodes_once(capsys, tmp_path, k5, monkeypatch):
+    # the SAT engine solves the encoding it wrote to the DIMACS file
+    import okplanar.cli
+    import okplanar.sat
+
+    calls = []
+    real = okplanar.sat.encode
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(okplanar.sat, "encode", counting)
+    monkeypatch.setattr(okplanar.cli, "encode", counting)
+    for k, want in ((3, 0), (2, 2)):
+        calls.clear()
+        code, out = run(capsys, "recognize", "--k", str(k), "--variant", "quasi",
+                        "--engine", "sat", "--emit-cnf", str(tmp_path / "enc.cnf"), k5)
+        assert code == want and validated(out, "recognize")["emitted_cnf"]
+        assert len(calls) == 1
+
+
 def test_recognize_solver_flag(capsys, tmp_path, k5):
     script = tmp_path / "extsolver"
     script.write_text(f"#!/bin/sh\nexec {sys.executable} -m okplanar.cli solve-cnf \"$1\"\n")

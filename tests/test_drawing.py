@@ -17,7 +17,6 @@ from okplanar.drawing import (
     is_outer_k_planar_drawing,
     is_outer_k_quasi_planar_drawing,
     make_drawing,
-    max_clique_bitset,
     max_mutual_exhaustive,
 )
 from okplanar.graphs import build_graph
@@ -37,6 +36,59 @@ def random_drawing(rng, n, m):
     order = list(range(n))
     rng.shuffle(order)
     return make_drawing(build_graph(n, edges), order)
+
+
+def max_clique_bitset(adj: list[int]) -> tuple[int, int]:
+    """Maximum clique of a graph given as per-vertex neighbor bitmasks.
+
+    Test oracle for the polynomial max-mutual search. Returns (size, vertex
+    mask). Branch and bound: candidates are greedily colored, color classes
+    bound the achievable clique size, branching runs from the highest color
+    down so the bound prunes whole suffixes.
+    """
+    best_size, best_mask = 0, 0
+
+    def color_order(cand: int) -> list[tuple[int, int]]:
+        out = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                bit = 1 << v
+                avail &= ~(adj[v] | bit)
+                rest &= ~bit
+                out.append((v, color))
+        return out
+
+    def expand(cand: int, cur_mask: int, cur_size: int) -> None:
+        nonlocal best_size, best_mask
+        if not cand:
+            if cur_size > best_size:
+                best_size, best_mask = cur_size, cur_mask
+            return
+        for v, c in reversed(color_order(cand)):
+            if cur_size + c <= best_size:
+                return
+            bit = 1 << v
+            expand(cand & adj[v], cur_mask | bit, cur_size + 1)
+            cand &= ~bit
+
+    expand((1 << len(adj)) - 1, 0, 0)
+    return best_size, best_mask
+
+
+def scalar_crossing_graph(d):
+    """Crossing graph as per-edge neighbor masks, from the scalar test alone."""
+    edges = d.graph.edges
+    adj = [0] * len(edges)
+    for i, j in combinations(range(len(edges)), 2):
+        if edges_cross(d, edges[i], edges[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
 
 
 def test_cross_basic():
@@ -169,6 +221,51 @@ def test_max_clique_empty():
     assert max_clique_bitset([]) == (0, 0)
     size, mask = max_clique_bitset([0, 0])
     assert size == 1 and mask.bit_count() == 1
+
+
+def test_max_mutual_vs_clique_oracle():
+    # beyond the exhaustive oracle's m <= 16: sparse and dense drawings up to
+    # n = 45 against branch and bound on the scalar crossing graph, for the
+    # whole drawing and for the crossers of random chords
+    rng = random.Random(83)
+    for trial in range(60):
+        n = rng.randrange(8, 46)
+        density = rng.choice((0.05, 0.1, 0.2, 0.3))
+        d = random_drawing(rng, n, int(density * n * (n - 1) / 2))
+        adj = scalar_crossing_graph(d)
+        assert crossing_report(d).max_mutual == max_clique_bitset(adj)[0], trial
+        cs = drawing_chords(d)
+        for _ in range(5):
+            p, q = rng.sample(range(n), 2)
+            cm = cs.crossers(p, q)
+            members = [i for i in range(len(adj)) if cm >> i & 1]
+            sub = [
+                sum(1 << b for b, j in enumerate(members) if adj[i] >> j & 1)
+                for i in members
+            ]
+            assert cs.mutual_through(p, q, cm) == max_clique_bitset(sub)[0], (trial, p, q)
+
+
+def test_witness_is_greatest_largest_family():
+    # among all largest pairwise-crossing edge sets, the witness is the one
+    # whose edge-index mask is greatest (highest-index edge compared first)
+    rng = random.Random(89)
+    for _ in range(300):
+        d = random_drawing(rng, rng.randrange(4, 11), rng.randrange(1, 15))
+        adj = scalar_crossing_graph(d)
+        m = len(adj)
+        clique = [True] * (1 << m)
+        best = (0, 0)
+        for mask in range(1, 1 << m):
+            top = mask.bit_length() - 1
+            rest = mask ^ (1 << top)
+            clique[mask] = clique[rest] and adj[top] & rest == rest
+            if clique[mask]:
+                best = max(best, (mask.bit_count(), mask))
+        rep = crossing_report(d)
+        index = {e: i for i, e in enumerate(d.graph.edges)}
+        assert rep.max_mutual == best[0]
+        assert sum(1 << index[e] for e in rep.witness_mutual) == best[1], d
 
 
 def test_outer_k_planar_checker():
