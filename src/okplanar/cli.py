@@ -180,24 +180,20 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     path = _input_path(args)
     g = read_instance(path).graph
     emitted = encoded = None
-    if args.emit_cnf:
+    if args.emit_cnf or args.engine == "sat":
         try:
             encoded = encode(g, args.k, variant)
-            emit_dimacs(encoded[0], args.emit_cnf)
-            emitted = args.emit_cnf
         except TriviallyUnsat:
             pass
+    if args.emit_cnf and encoded is not None:
+        emit_dimacs(encoded[0], args.emit_cnf)
+        emitted = args.emit_cnf
     if args.engine == "brute":
         d = brute_force_recognize(g, args.k, variant)
         found = (d, crossing_report(d)) if d is not None else None
-    elif args.emit_cnf:
-        # solve the encoding just written rather than build it again
+    else:
         model = encoded and solve(encoded[0], solver=args.solver, timeout_s=args.timeout)
         found = None if model is None else decode_model(model, encoded[1], g)
-    else:
-        found = sat_recognize(
-            g, args.k, variant, solver=args.solver, timeout_s=args.timeout
-        )
     witness = None
     if found is not None:
         d, rep = found

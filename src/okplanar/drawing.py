@@ -14,7 +14,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Graph
@@ -105,12 +104,10 @@ def _bits(mask: int) -> Iterable[int]:
 def _longest_chain(pairs: Iterable[tuple[int, int]]) -> int:
     """Longest run of pairs strictly increasing in both coordinates.
 
-    Patience sort: ties in the first coordinate are sorted by the second
-    descending, so a strictly increasing subsequence of second coordinates
-    never takes two of them.
+    Patience sort: ties in the first coordinate come second-descending, so
+    a strictly increasing run of second coordinates never takes two of them.
     """
-    ordered = sorted(pairs, key=itemgetter(1), reverse=True)
-    ordered.sort(key=itemgetter(0))  # stable, so ties keep the descending order
+    ordered = sorted(pairs, key=lambda t: (t[0], -t[1]))
     tails: list[int] = []
     for _, y in ordered:
         i = bisect_left(tails, y)
