@@ -10,6 +10,7 @@ membership is certified by construction.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,26 +49,31 @@ def degeneracy(g: Graph) -> DegeneracyResult:
     """Exact degeneracy by repeated minimum-degree removal.
 
     Ties break to the smallest vertex id, so the elimination order is a
-    function of the graph alone. Greedy coloring along the reverse order
+    function of the graph alone. A lazy heap of (live degree, vertex) finds
+    each minimum in O(log n): a decrement pushes a fresh entry, and since
+    degrees only fall, a vertex's freshest entry pops before its stale ones,
+    which are skipped as removed. Greedy coloring along the reverse order
     uses at most degeneracy+1 colors: each vertex meets at most that many
     already colored neighbors.
     """
     n = g.n
     live = [g.degree(v) for v in range(n)]
+    heap = [(d, v) for v, d in enumerate(live)]
+    heapq.heapify(heap)
     removed = [False] * n
     order: list[int] = []
     worst = 0
-    for _ in range(n):
-        v = min(
-            (x for x in range(n) if not removed[x]),
-            key=lambda x: (live[x], x),
-        )
-        worst = max(worst, live[v])
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v]:
+            continue
+        worst = max(worst, d)
         removed[v] = True
         order.append(v)
         for u in g.adj[v]:
             if not removed[u]:
                 live[u] -= 1
+                heapq.heappush(heap, (live[u], u))
     color = [-1] * n
     for v in reversed(order):
         used = {color[u] for u in g.adj[v] if color[u] >= 0}

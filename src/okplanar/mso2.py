@@ -8,7 +8,9 @@ sets and edge sets plus the four relations =, membership, subset and
 incidence. This module emits those formulas fully expanded, parses and
 pretty-prints the S-expression rendering, lints the primitive vocabulary,
 renders a LaTeX-like form, and evaluates formulas on tiny graphs by
-exhaustive enumeration of all assignments.
+enumerating assignments: element quantifiers run over every vertex or
+edge, and set quantifiers over only the sets their own guard conjuncts
+allow (see _Compiled._set_quantifier).
 
 The S-expression grammar is documented in docs/formulas.md.
 """
@@ -219,7 +221,7 @@ def _crossing(estar: str, e: str, ei: str):
     interleaving means, and the two arc assignments are the only splits.
     """
     pin_c = _fa("vertex", "x", _all(_if(_inc(e, "x"), _in("x", "C")), _if(_in("x", "C"), _inc(e, "x"))))
-    # A away from C first: prunes the set scan before connectivity runs
+    # a guard of A: the evaluator enumerates only subsets of V minus C
     a_avoids_c = _fa("vertex", "y", _if(_in("y", "A"), _no(_in("y", "C"))))
     no_boundary_edge_between = _no(
         _ex(
@@ -611,24 +613,50 @@ def _shape_key(node, rename: dict) -> tuple:
     return (head,) + tuple(_shape_key(c, rename) for c in node[1:])
 
 
+def _conjuncts(node) -> list:
+    """The conjuncts of node, with nested ands flattened."""
+    if node[0] != "and":
+        return [node]
+    return [c for child in node[1:] for c in _conjuncts(child)]
+
+
+def _reads_bit(node, s: str, x) -> bool:
+    """True when node reads set s only as (in x s) for the x bound outside
+    it, so for a fixed x its truth depends on one bit of s. Inner binders
+    of s hide it; inner binders of x make every later (in x s) foreign."""
+    head = node[0]
+    if head in _QUANT:
+        if node[2] == s:
+            return True
+        return _reads_bit(node[3], s, None if node[2] == x else x)
+    if head in _RELS:
+        return node == ("in", x, s) or s not in node[1:]
+    return all(_reads_bit(c, s, x) for c in node[1:])
+
+
+def _conj(cs: tuple) -> Callable:
+    def ev_and(env, cs=cs):
+        for c in cs:
+            if not c(env):
+                return False
+        return True
+
+    return ev_and
+
+
 class _Compiled:
     """Compiles an AST into nested closures over one shared environment.
 
     Vertices are 0..n-1; edges are indexed into g.edges; sets are bitmasks.
     Set-sorted quantifier nodes memoize on the values of their free
-    variables, keyed structurally so identical subformulas share a table.
+    variables, keyed structurally so identical subformulas share a table,
+    and enumerate only the sets their guards allow (see _set_quantifier).
     """
 
     def __init__(self, g: Graph):
-        self.n = g.n
-        self.m = g.m
         self.inc_mask = [1 << u | 1 << v for u, v in g.edges]
-        self.domains = {
-            "vertex": range(g.n),
-            "edge": range(g.m),
-            "vertex-set": range(1 << g.n),
-            "edge-set": range(1 << g.m),
-        }
+        self.domains = {"vertex": range(g.n), "edge": range(g.m)}
+        self.full = {"vertex-set": (1 << g.n) - 1, "edge-set": (1 << g.m) - 1}
         self.nslots = 0
         self.free_cache: dict = {}
         self.memo: dict = {}
@@ -638,34 +666,95 @@ class _Compiled:
         env = [0] * self.nslots
         return lambda: fn(env)
 
+    def _slot(self) -> int:
+        self.nslots += 1
+        return self.nslots - 1
+
+    def _set_quantifier(self, node, scope: dict) -> Callable:
+        """exists S φ or forall S φ over a set sort.
+
+        The guards are the conjuncts, nested ands flattened, of φ for
+        exists and of H for forall S (implies H ψ):
+        - (subseteq S T), T bound outside, gives S ⊆ T;
+        - (forall x χ), x of S's element sort and χ reading S only as
+          (in x S), is tried per element x with x out of S and in S. The
+          outcomes force x out of S, into S, or leave it free.
+        Every set outside the resulting interval lo ⊆ S ⊆ hi falsifies a
+        guard, so only the sets in it are visited, and the guards are not
+        re-evaluated on them.
+        """
+        head, sort, s, body = node
+        slot = self._slot()
+        inner = {**scope, s: slot}
+        want = head == "exists"
+        hyp, then = body, None
+        if not want:
+            hyp, then = (body[1], body[2]) if body[0] == "implies" else (None, body)
+        uppers, bits, rest = [], [], []
+        for c in _conjuncts(hyp) if hyp else ():
+            if c[0] == "subseteq" and c[1] == s and c[2] != s and c[2] in scope:
+                uppers.append(scope[c[2]])
+            elif c[0] == "forall" and c[1] == _ELEM_OF[sort] and c[2] != s and _reads_bit(c[3], s, c[2]):
+                xs = self._slot()
+                bits.append((xs, self.domains[c[1]], self._build(c[3], {**inner, c[2]: xs})))
+            else:
+                rest.append(self._build(c, inner))
+        test = _conj(tuple(rest))
+        if then is not None:
+            test = lambda env, h=test, t=self._build(then, inner): not h(env) or t(env)
+        full = self.full[sort]
+        free = sorted(_free_names(node, self.free_cache))
+        key_slots = [scope[x] for x in free]
+        skey = repr(_shape_key(node, {x: f"%{i}" for i, x in enumerate(free)}))
+        memo = self.memo
+
+        def scan(env):
+            lo, hi = 0, full
+            for t in uppers:
+                hi &= env[t]
+            for xs, dom, chi in bits:
+                for v in dom:
+                    env[xs] = v
+                    bit = 1 << v
+                    env[slot] = 0
+                    out_ok = chi(env)
+                    env[slot] = bit
+                    if not chi(env):
+                        if not out_ok:
+                            return not want
+                        hi &= ~bit
+                    elif not out_ok:
+                        lo |= bit
+            if lo & ~hi:
+                return not want
+            span = hi & ~lo
+            sub = 0
+            while True:
+                env[slot] = lo | sub
+                if test(env) == want:
+                    return want
+                if sub == span:
+                    return not want
+                sub = (sub - span) & span  # next submask of span, ascending
+
+        def ev(env):
+            key = (skey,) + tuple(env[t] for t in key_slots)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = scan(env)
+            return hit
+
+        return ev
+
     def _build(self, node, scope: dict) -> Callable:
         head = node[0]
         if head in _QUANT:
-            slot = self.nslots
-            self.nslots += 1
+            if node[1] in self.full:
+                return self._set_quantifier(node, scope)
+            slot = self._slot()
             body = self._build(node[3], {**scope, node[2]: slot})
             dom = self.domains[node[1]]
             want = head == "exists"
-            if node[1] in _ELEM_OF:  # set sort: memoize on free-variable values
-                free = sorted(_free_names(node, self.free_cache))
-                key_slots = [scope[x] for x in free]
-                skey = repr(_shape_key(node, {x: f"%{i}" for i, x in enumerate(free)}))
-                memo = self.memo
-
-                def ev(env, slot=slot, dom=dom, body=body, want=want, ks=key_slots, skey=skey, memo=memo):
-                    key = (skey,) + tuple(env[s] for s in ks)
-                    hit = memo.get(key)
-                    if hit is None:
-                        hit = not want
-                        for val in dom:
-                            env[slot] = val
-                            if body(env) == want:
-                                hit = want
-                                break
-                        memo[key] = hit
-                    return hit
-
-                return ev
 
             def ev(env, slot=slot, dom=dom, body=body, want=want):
                 for val in dom:
@@ -676,15 +765,7 @@ class _Compiled:
 
             return ev
         if head == "and":
-            cs = tuple(self._build(c, scope) for c in node[1:])
-
-            def ev_and(env, cs=cs):
-                for c in cs:
-                    if not c(env):
-                        return False
-                return True
-
-            return ev_and
+            return _conj(tuple(self._build(c, scope) for c in node[1:]))
         if head == "or":
             cs = tuple(self._build(c, scope) for c in node[1:])
 
@@ -716,10 +797,14 @@ class _Compiled:
 
 
 def evaluate_formula(formula, g: Graph) -> bool:
-    """Evaluate a closed formula on g by exhaustive enumeration.
+    """Evaluate a closed formula on g by enumeration.
 
-    Doubly exponential; refuses models beyond n <= 7, m <= 10. The only
-    purpose is certifying that emitted text means what it should.
+    A set quantifier visits only the sets between the bounds its guard
+    conjuncts give, (subseteq S T) and element foralls that read one bit
+    of S; this is exact for any formula, not only emitted ones. Still
+    exponential, so the caps are unchanged: models beyond n <= 7, m <= 10
+    are refused. The only purpose is certifying that emitted text means
+    what it should.
     """
     ast = formula.ast if isinstance(formula, EmittedFormula) else formula
     if g.n > EVAL_MAX_N:

@@ -302,3 +302,30 @@ def test_formula_evaluator_matches_recognition():
     assert checked == 615
     print(f"PASS formula fidelity: {checked} evaluations agree "
           f"in {time.monotonic() - t0:.1f}s")
+
+
+def test_formula_evaluator_matches_recognition_on_seven_vertices():
+    """Every connected 7-vertex atlas graph with 6 to 8 edges: paths,
+    trees and sparse cycles, where the spanning-cycle block is sharpest."""
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    corpus = []
+    for G in graph_atlas_g():
+        if G.number_of_nodes() == 7 and 6 <= G.number_of_edges() <= 8 and nx.is_connected(G):
+            corpus.append(build_graph(7, [tuple(e) for e in G.edges()]))
+    assert len(corpus) == 111
+    combos = ([("closed-outer-planar", k) for k in (1, 2, 3)]
+              + [("closed-outer-quasi", k) for k in (2, 3)])
+    formulas = {(v, k): emit_formula(k, v) for v, k in combos}
+    t0 = time.monotonic()
+    checked = 0
+    for g in corpus:
+        for variant, k in combos:
+            logical = evaluate_formula(formulas[(variant, k)], g)
+            search = brute_force_recognize(g, k, variant) is not None
+            assert logical == search, (sorted(g.edges), variant, k)
+            checked += 1
+    assert checked == 555
+    print(f"PASS formula fidelity, n = 7: {checked} evaluations agree "
+          f"in {time.monotonic() - t0:.1f}s")

@@ -143,3 +143,33 @@ def test_clique_threshold_matches_formula():
     # vertices; the acceptance suite extends this to k = 6
     for k in range(4):
         assert largest_clique_in_class(k) == math.isqrt(4 * k + 1) + 2
+
+
+def min_scan_order(g) -> tuple[int, tuple[int, ...]]:
+    """The original O(n^2) peeling: scan every live vertex for the minimum
+    (live degree, id). Oracle for the heap in degeneracy()."""
+    live = [g.degree(v) for v in range(g.n)]
+    removed = [False] * g.n
+    order = []
+    worst = 0
+    for _ in range(g.n):
+        v = min((x for x in range(g.n) if not removed[x]), key=lambda x: (live[x], x))
+        worst = max(worst, live[v])
+        removed[v] = True
+        order.append(v)
+        for u in g.adj[v]:
+            if not removed[u]:
+                live[u] -= 1
+    return worst, tuple(order)
+
+
+def test_heap_peeling_matches_min_scan():
+    rng = random.Random(6021)
+    graphs = [random_outer_k_planar(480, 3, 1).graph]
+    for _ in range(60):
+        n = rng.randrange(0, 40)
+        p = rng.choice((0.05, 0.2, 0.5, 0.9))
+        graphs.append(build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]))
+    for g in graphs:
+        res = degeneracy(g)
+        assert (res.degeneracy, res.order) == min_scan_order(g), (g.n, g.edges)

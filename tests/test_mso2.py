@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -18,7 +19,7 @@ from okplanar import (
 )
 from okplanar.generators import complete
 from okplanar.graphs import Graph, build_graph
-from okplanar.mso2 import _hamiltonian
+from okplanar.mso2 import SORTS, _conjuncts, _hamiltonian, _reads_bit
 from okplanar.recognition import brute_force_recognize
 
 
@@ -212,3 +213,175 @@ def test_cycle_is_closed_for_every_variant():
         g = cycle(n)
         for variant, k in COMBOS:
             assert sanity_check_semantics(g, k, variant)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against a naive evaluator
+# ---------------------------------------------------------------------------
+
+SET_SORTS = ("vertex-set", "edge-set")
+NAME_POOL = {"vertex": ("x", "y"), "edge": ("e", "f"), "vertex-set": ("S", "T"), "edge-set": ("F", "G")}
+ELEM_OF = {"vertex-set": "vertex", "edge-set": "edge"}
+
+
+def naive_eval(node, g: Graph, env: dict) -> bool:
+    """Reference semantics: every quantifier over its whole domain, sets as
+    frozensets, no memo and no guards."""
+    head = node[0]
+    if head in ("forall", "exists"):
+        _, sort, name, body = node
+        elems = range(g.n) if sort.startswith("vertex") else range(g.m)
+        dom = elems
+        if sort in SET_SORTS:
+            dom = [frozenset(c) for r in range(len(elems) + 1) for c in combinations(elems, r)]
+        hits = (naive_eval(body, g, {**env, name: val}) for val in dom)
+        return any(hits) if head == "exists" else all(hits)
+    if head in ("and", "or"):
+        hits = (naive_eval(c, g, env) for c in node[1:])
+        return all(hits) if head == "and" else any(hits)
+    if head == "not":
+        return not naive_eval(node[1], g, env)
+    if head == "implies":
+        return not naive_eval(node[1], g, env) or naive_eval(node[2], g, env)
+    a, b = env[node[1]], env[node[2]]
+    if head == "=":
+        return a == b
+    if head == "in":
+        return a in b
+    if head == "subseteq":
+        return a <= b
+    return b in g.edges[a]
+
+
+def random_atom(rng: random.Random, scope: dict):
+    atoms = []
+    for a, sa in scope.items():
+        for b, sb in scope.items():
+            if sa == sb:
+                atoms.append(("subseteq" if sa in SET_SORTS else "=", a, b))
+            elif ELEM_OF.get(sb) == sa:
+                atoms += [("in", a, b)] * 2
+            elif (sa, sb) == ("edge", "vertex"):
+                atoms.append(("I", a, b))
+    return rng.choice(atoms)
+
+
+def random_formula(rng: random.Random, scope: dict, depth: int):
+    """A well-sorted formula whose free names all lie in scope. Set
+    quantifiers often get guard-shaped bodies; the small name pools make
+    shadowing common."""
+    r = rng.random()
+    if scope and (depth == 0 or r < 0.2):
+        return random_atom(rng, scope)
+    if not scope or r < 0.6:
+        sort = rng.choice(SORTS)
+        name = rng.choice(NAME_POOL[sort])
+        head = rng.choice(("forall", "exists"))
+        inner = {**scope, name: sort}
+        if sort in SET_SORTS and rng.random() < 0.7:
+            return (head, sort, name, guarded_body(rng, head, sort, name, inner, depth - 1))
+        return (head, sort, name, random_formula(rng, inner, depth - 1))
+    if r < 0.7:
+        return ("not", random_formula(rng, scope, depth - 1))
+    if r < 0.8:
+        return ("implies", random_formula(rng, scope, depth - 1), random_formula(rng, scope, depth - 1))
+    head = rng.choice(("and", "or"))
+    return (head,) + tuple(random_formula(rng, scope, depth - 1) for _ in range(rng.randint(2, 3)))
+
+
+def guarded_body(rng: random.Random, head: str, sort: str, s: str, scope: dict, depth: int):
+    """exists: (and …); forall: (implies (and …) …). The conjuncts mix
+    subseteq bounds, element foralls over s's element sort (guards or
+    not), their negations and free-form parts, sometimes nested one and
+    deeper."""
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if kind < 0.3:
+            same = [t for t, st in scope.items() if st == sort]
+            parts.append(("subseteq", s, rng.choice(same)))
+        elif kind < 0.75:
+            parts.append(element_forall(rng, ELEM_OF[sort], s, scope, max(depth - 1, 0)))
+        elif kind < 0.85:
+            parts.append(("not", element_forall(rng, ELEM_OF[sort], s, scope, max(depth - 1, 0))))
+        else:
+            parts.append(random_formula(rng, scope, max(depth - 1, 0)))
+    if len(parts) > 2 and rng.random() < 0.5:
+        parts = [parts[0], ("and",) + tuple(parts[1:])]
+    hyp = ("and",) + tuple(parts) if len(parts) > 1 else parts[0]
+    if head == "exists":
+        return hyp
+    return ("implies", hyp, random_formula(rng, scope, max(depth - 1, 0)))
+
+
+def element_forall(rng: random.Random, elem: str, s: str, scope: dict, depth: int):
+    """(forall x χ) with χ often reading s as (in x s), or as (in y s)
+    under an inner binder of y, which may rebind x itself."""
+    x = rng.choice(NAME_POOL[elem])
+    inner = {**scope, x: elem}
+    chi = random_formula(rng, inner, depth)
+    r = rng.random()
+    if r < 0.7:
+        y = x
+        if r < 0.35:
+            y = rng.choice(NAME_POOL[elem])
+            inner = {**inner, y: elem}
+        chi = (rng.choice(("and", "or", "implies")), ("in", y, s), random_formula(rng, inner, depth))
+        if r < 0.35:
+            chi = (rng.choice(("forall", "exists")), elem, y, chi)
+    return ("forall", elem, x, chi)
+
+
+def subterms(node):
+    yield node
+    if node[0] in ("forall", "exists"):
+        yield from subterms(node[3])
+    elif node[0] not in ("=", "in", "subseteq", "I"):
+        for c in node[1:]:
+            yield from subterms(c)
+
+
+def formula_features(node, scope: dict, out: set) -> set:
+    """Add to out a tag for each guard-related shape node contains."""
+    head = node[0]
+    if head in ("forall", "exists"):
+        _, sort, name, body = node
+        if sort in SET_SORTS:
+            if scope.get(name) == sort:
+                out.add("shadowed set")
+            if head == "forall" and body[0] == "implies":
+                out.add("forall implies")
+            hyp = body if head == "exists" else body[1] if body[0] == "implies" else None
+            for c in _conjuncts(hyp) if hyp else ():
+                if c[0] == "subseteq" and c[1] == name:
+                    out.add("subseteq guard")
+                if c[0] == "forall" and c[1] == ELEM_OF[sort] and c[2] != name:
+                    if _reads_bit(c[3], name, c[2]):
+                        out.add("bit guard")
+                    elif any(n[0] == "in" and n[2] == name and n[1] != c[2] for n in subterms(c[3])):
+                        out.add("foreign (in y S)")
+                    elif any(q[0] in ("forall", "exists") and q[2] == c[2] and ("in", c[2], name) in subterms(q[3])
+                             for q in subterms(c[3])):
+                        out.add("shadowed element")
+        formula_features(body, {**scope, name: sort}, out)
+    elif head not in ("=", "in", "subseteq", "I"):
+        if head == "and" and any(c[0] == "and" for c in node[1:]):
+            out.add("nested and")
+        for c in node[1:]:
+            formula_features(c, scope, out)
+    return out
+
+
+def test_evaluator_matches_naive_on_random_formulas():
+    rng = random.Random(4242)
+    seen: set = set()
+    for trial in range(600):
+        f = random_formula(rng, {}, 5)
+        assert lint_formula(f) == [], f
+        formula_features(f, {}, seen)
+        for n in range(1, 5):
+            pool = list(combinations(range(n), 2))
+            g = build_graph(n, rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+            assert evaluate_formula(f, g) == naive_eval(f, g, {}), (trial, g.n, g.edges, to_sexpr(f))
+    assert seen >= {"shadowed set", "forall implies", "subseteq guard", "bit guard",
+                    "foreign (in y S)", "shadowed element", "nested and"}, seen
