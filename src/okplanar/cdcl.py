@@ -244,9 +244,3 @@ class CdclSolver:
                     return [self._ext(2 * v + (0 if self.value[v] == 1 else 1)) for v in range(self.nv)]
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, None)
-
-
-def solve_clauses(
-    num_vars: int, clauses: list[list[int]], timeout_s: float | None = None
-) -> list[int] | None:
-    return CdclSolver(num_vars, clauses).solve(timeout_s=timeout_s)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Graph
@@ -116,29 +115,6 @@ def _longest_chain(pairs: Iterable[tuple[int, int]]) -> int:
         else:
             tails[i] = y
     return len(tails)
-
-
-def max_mutual_exhaustive(d: ConvexDrawing) -> int:
-    """Largest pairwise-crossing set by subset enumeration. Oracle, m <= 16."""
-    edges = d.graph.edges
-    m = len(edges)
-    if m > 16:
-        raise ValueError("exhaustive oracle limited to m <= 16")
-    # the scalar test, so the oracle shares no code with crossing_report
-    crosses = {frozenset(p) for p in combinations(edges, 2) if edges_cross(d, *p)}
-    best = 0
-    for mask in range(1 << m):
-        members = [edges[i] for i in _bits(mask)]
-        if len(members) <= best:
-            continue
-        ok = all(
-            frozenset((members[i], members[j])) in crosses
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        )
-        if ok:
-            best = len(members)
-    return best
 
 
 def is_outer_k_planar_drawing(d: ConvexDrawing, k: int) -> bool:

@@ -100,12 +100,6 @@ def format_drawing(d: ConvexDrawing) -> str:
     return format_graph(d.graph) + "order\n" + " ".join(str(v) for v in d.order) + "\n"
 
 
-def write_instance(path: str, obj: Graph | ConvexDrawing) -> None:
-    text = format_drawing(obj) if isinstance(obj, ConvexDrawing) else format_graph(obj)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

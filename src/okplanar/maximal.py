@@ -8,6 +8,11 @@ one side of a long chord for one fresh vertex per level yields a smaller
 maximal drawing. saturate() reaches a maximal drawing greedily,
 maximal_edge_count() gives the edge count every maximal drawing lands on, and
 replacement_split() performs the two-sided reduction with full bookkeeping.
+
+Every crossing question goes to the chord kernel (drawing.ChordSet). Levels
+must be crossing-free, so a pairwise-crossing family takes at most one edge
+per level; property P2 (one crossing edge from each lower level) is then a
+polynomial max-mutual search, not a search over one-edge-per-level tuples.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from .drawing import (
     ChordSet,
     ConvexDrawing,
     Edge,
+    _bits,
     circle_svg,
     crossing_report,
     drawing_chords,
-    edges_cross,
     make_drawing,
 )
 from .graphs import build_graph
@@ -94,14 +99,14 @@ def saturate(d: ConvexDrawing, k: int) -> ConvexDrawing:
     """
     if k < 2:
         raise ValueError(f"quasi-planarity needs k >= 2, got {k}")
-    rep = crossing_report(d)
-    if rep.max_mutual > k - 1:
+    cs = drawing_chords(d)
+    if cs.mutual_size() > k - 1:
+        rep = crossing_report(d)  # only to name the witness
         raise QuasiPlanarityError(
             f"{rep.max_mutual} mutually crossing edges exceed the allowed {k - 1}",
             witness=rep.witness_mutual,
         )
     n = d.n
-    cs = drawing_chords(d)
     present = set(cs.chords)
     cands = []
     for p in range(n):
@@ -217,134 +222,115 @@ def build_levels(d: ConvexDrawing, long_edge: Edge, k: int) -> LevelDecompositio
     right = tuple(d.order[(pa - s) % n] for s in range(1, n - span))
     if len(left) < k - 1 or len(right) < k - 1:
         raise ValueError(f"({u}, {v}) is not long for k={k}")
-    on_left = {x: i + 1 for i, x in enumerate(left)}
-    on_right = {x: i + 1 for i, x in enumerate(right)}
-    remaining: set[Edge] = set()
-    for x, y in d.graph.edges:
-        if (x in on_left and y in on_right) or (x in on_right and y in on_left):
-            remaining.add((x, y))
+    edges = d.graph.edges
+    cs = drawing_chords(d)
+    remaining = cs.crossers(pa, pb)
     levels: list[tuple[Edge, ...]] = []
     for _ in range(k - 2):
         if not remaining:
             break
         cur: list[Edge] = []
+        level = 0
         for vj in left:
-            mine = [e for e in remaining if vj in e]
-            mine.sort(key=lambda e: on_right[e[0] if e[1] == vj else e[1]])
-            for e in mine:
-                if not any(edges_cross(d, e, f) for f in cur):
-                    cur.append(e)
-                    remaining.discard(e)
+            pj = d.pos[vj]
+            # far ends in right-side order: counterclockwise from a
+            far = lambda i: (pa + pj - sum(cs.chords[i])) % n
+            for i in sorted(_bits(remaining & cs.incident[pj]), key=far):
+                if not cs.crossers(*cs.chords[i]) & level:
+                    level |= 1 << i
+                    cur.append(edges[i])
+        remaining &= ~level
         levels.append(tuple(cur))
     if remaining:
         raise QuasiPlanarityError(
             f"crossing edges left over after {k - 2} levels; the drawing "
             f"cannot be outer {k}-quasi-planar",
-            witness=tuple(sorted(remaining)),
+            witness=tuple(edges[i] for i in _bits(remaining)),  # edges are sorted
         )
-    l_sets = tuple(
-        frozenset(x for e in lvl for x in e if x in on_left) for lvl in levels
-    )
-    r_sets = tuple(
-        frozenset(x for e in lvl for x in e if x in on_right) for lvl in levels
-    )
+    on_left, on_right = set(left), set(right)
     return LevelDecomposition(
-        long_edge=(a, b),
-        k=k,
-        levels=tuple(levels),
-        left=left,
-        right=right,
-        l_sets=l_sets,
-        r_sets=r_sets,
+        long_edge=(a, b), k=k, levels=tuple(levels), left=left, right=right,
+        l_sets=tuple(frozenset(x for e in lvl for x in e if x in on_left) for lvl in levels),
+        r_sets=tuple(frozenset(x for e in lvl for x in e if x in on_right) for lvl in levels),
     )
 
 
 def verify_level_properties(ld: LevelDecomposition, d: ConvexDrawing) -> dict:
     """Check the two cross-level properties and per-level connectivity.
 
-    P1: when an edge of an earlier level crosses an edge of a later one, it
-    crosses from above, i.e. strictly smaller left index and strictly larger
-    right index. P2: every edge of level i extends downward to i pairwise
-    crossing edges, one from each earlier level. Connectivity of each level
-    is only demanded when the drawing is maximal; below that the guarantee
-    does not hold and the per-level results are informational. Failures are
-    report content, not exceptions.
+    Each level must be a crossing-free set of edges crossing the long edge;
+    other input is malformed and raises ValueError. P1: when an edge of an earlier
+    level crosses an edge of a later one, it crosses from above, i.e.
+    strictly smaller left index and strictly larger right index. P2: every
+    edge e of level i extends downward to i pairwise crossing edges, one
+    from each earlier level. A crossing-free level gives at most one edge to
+    any pairwise-crossing family, so this holds exactly when the edges of
+    levels below i that cross e contain i-1 pairwise crossing ones: one
+    max-mutual search through e on the chord kernel. Connectivity of each
+    level is only demanded when the drawing is maximal; below that the
+    guarantee does not hold and the per-level results are informational.
+    Failures are report content, not exceptions.
     """
-    on_left = {x: i + 1 for i, x in enumerate(ld.left)}
-    on_right = {x: i + 1 for i, x in enumerate(ld.right)}
+    cs = drawing_chords(d)
+    index = {e: i for i, e in enumerate(d.graph.edges)}
+    through = cs.crossers(*(d.pos[x] for x in ld.long_edge))
+    hit: dict[Edge, int] = {}  # crosser mask of each leveled edge
+    masks: list[int] = []  # edge mask of each level
+    for i, lvl in enumerate(ld.levels, 1):
+        mask = 0
+        for e in lvl:
+            if e not in index or not through >> index[e] & 1:
+                raise ValueError(f"{e} is not an edge crossing the long edge")
+            hit[e] = cs.crossers(*cs.chords[index[e]])
+            if hit[e] & mask:
+                raise ValueError(f"level {i} holds two crossing edges")
+            mask |= 1 << index[e]
+        masks.append(mask)
 
-    def indices(e: Edge) -> tuple[int, int]:
-        x, y = e
-        if x in on_left:
-            return on_left[x], on_right[y]
-        return on_left[y], on_right[x]
+    # a crossing pair shares no end, so f crosses e from above exactly when
+    # f's left end comes first: before[x] holds the edges at earlier left ends
+    before: dict[int, int] = {}
+    upto = 0
+    for x in ld.left:
+        before[x] = upto
+        upto |= cs.incident[d.pos[x]]
 
-    p1_witness = None
-    for y in range(1, ld.t):
-        for x in range(y):
-            for e in ld.levels[y]:
-                ie, je = indices(e)
-                for f in ld.levels[x]:
-                    if edges_cross(d, e, f):
-                        kf, lf = indices(f)
-                        if not (ie > kf and je < lf):
-                            p1_witness = {
-                                "upper": list(e),
-                                "lower": list(f),
-                                "levels": [y + 1, x + 1],
-                            }
-                            break
-                if p1_witness:
-                    break
-            if p1_witness:
-                break
-        if p1_witness:
-            break
+    def p1_violation() -> dict | None:
+        for y in range(1, ld.t):
+            for x in range(y):
+                for e in ld.levels[y]:
+                    wrong = hit[e] & masks[x] & ~before.get(e[0], before.get(e[1]))
+                    if wrong:
+                        f = next(f for f in ld.levels[x] if wrong >> index[f] & 1)
+                        return {"upper": list(e), "lower": list(f), "levels": [y + 1, x + 1]}
+        return None
 
-    failed: set[tuple[int, tuple[Edge, ...]]] = set()
+    def p2_violation() -> dict | None:
+        below = 0
+        for i, (lvl, mask) in enumerate(zip(ld.levels, masks), 1):
+            for e in lvl:
+                if cs.mutual_through(*cs.chords[index[e]], below) < i - 1:
+                    return {"edge": list(e), "level": i}
+            below |= mask
+        return None
 
-    def extend_down(j: int, chosen: tuple[Edge, ...]) -> bool:
-        # one edge from each of levels j..1, pairwise crossing with chosen
-        if j == 0:
-            return True
-        key = (j, chosen)
-        if key in failed:
-            return False
-        for f in ld.levels[j - 1]:
-            if all(edges_cross(d, f, g) for g in chosen):
-                if extend_down(j - 1, tuple(sorted(chosen + (f,)))):
-                    return True
-        failed.add(key)
-        return False
-
-    p2_witness = None
-    for i in range(1, ld.t + 1):
-        for e in ld.levels[i - 1]:
-            if not extend_down(i - 1, (e,)):
-                p2_witness = {"edge": list(e), "level": i}
-                break
-        if p2_witness:
-            break
+    p1_witness = p1_violation()
+    p2_witness = p2_violation()
 
     connected: list[bool] = []
     for lvl in ld.levels:
-        verts = {x for e in lvl for x in e}
-        if not verts:
-            connected.append(True)
-            continue
-        adj: dict[int, list[int]] = {x: [] for x in verts}
+        adj: dict[int, set[int]] = {}
         for x, y in lvl:
-            adj[x].append(y)
-            adj[y].append(x)
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
+            adj.setdefault(x, set()).add(y)
+            adj.setdefault(y, set()).add(x)
+        seen: set[int] = set()
+        stack = list(adj)[:1]
         while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        connected.append(len(seen) == len(verts))
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack.extend(adj[x])
+        connected.append(len(seen) == len(adj))
 
     required = is_maximal(d, ld.k)
     conn_pass = all(connected) if required else None

@@ -122,18 +122,18 @@ def balanced_separator(d: ConvexDrawing) -> Separation:
         wit = dict(wit, line=[v1, v2], crossers=len(cr))
         return Separation(a_set, b_set, s, tag, wit)
 
+    def along_ab(tag: str, wit: dict) -> Separation:
+        """Separate along ab itself; A-exclusive is the arc a->b."""
+        # covers: the endpoint on the b..a side of each crossing edge
+        s = frozenset({a_v, b_v} | {at(x) for x, y in lr})
+        right = frozenset(at(t) for t in range(1, h))
+        sep = Separation(right | s, (everyone - right) | s, s, tag, wit)
+        return _validated(d, k, sep)
+
     # every crosser of ab crosses all the others
     if all((line & ~cs.crossers(p, q)) == 1 << i
            for i, (p, q) in enumerate(chords) if line >> i & 1):
-        # covers: the endpoint on the b..a side of each crossing edge
-        cover = {at(x) for x, y in lr}
-        s = frozenset({a_v, b_v} | cover)
-        right = frozenset(at(t) for t in range(1, h))
-        sep = Separation(
-            right | s, (everyone - right) | s, s, "mutually-crossing",
-            {"a": a_v, "b": b_v, "crossers": len(lr)},
-        )
-        return _validated(d, k, sep)
+        return along_ab("mutually-crossing", {"a": a_v, "b": b_v, "crossers": len(lr)})
 
     # 3. boundary scans. b_l: first position clockwise from b carrying a
     # crossing edge; among its edges take the one with the smallest b-side
@@ -151,14 +151,7 @@ def balanced_separator(d: ConvexDrawing) -> Separation:
     }
 
     if f_bot == f_top:
-        cover = {at(x) for x, y in lr}
-        s = frozenset({a_v, b_v} | cover)
-        right = frozenset(at(t) for t in range(1, h))
-        sep = Separation(
-            right | s, (everyone - right) | s, s, "single-crossing-edge",
-            dict(base_wit, crossers=len(lr)),
-        )
-        return _validated(d, k, sep)
+        return along_ab("single-crossing-edge", dict(base_wit, crossers=len(lr)))
 
     bottom = lambda e: e[0] - e[1] - 1          # vertices on the b side
     top = lambda e: n - 2 - (e[0] - e[1] - 1)   # vertices on the a side

@@ -1,11 +1,14 @@
 """Crossing predicate, crossing reports, class checkers, ChordSet."""
 from __future__ import annotations
 
+import ast
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import okplanar
 from okplanar.drawing import (
     ChordSet,
     crossing_report,
@@ -17,7 +20,6 @@ from okplanar.drawing import (
     is_outer_k_planar_drawing,
     is_outer_k_quasi_planar_drawing,
     make_drawing,
-    max_mutual_exhaustive,
 )
 from okplanar.graphs import build_graph
 
@@ -80,6 +82,24 @@ def max_clique_bitset(adj: list[int]) -> tuple[int, int]:
     return best_size, best_mask
 
 
+def max_mutual_exhaustive(d) -> int:
+    """Largest pairwise-crossing set by subset enumeration. Oracle, m <= 16."""
+    edges = d.graph.edges
+    m = len(edges)
+    if m > 16:
+        raise ValueError("exhaustive oracle limited to m <= 16")
+    # the scalar test, so the oracle shares no code with crossing_report
+    crosses = {frozenset(p) for p in combinations(edges, 2) if edges_cross(d, *p)}
+    best = 0
+    for mask in range(1 << m):
+        members = [edges[i] for i in range(m) if mask >> i & 1]
+        if len(members) <= best:
+            continue
+        if all(frozenset(p) in crosses for p in combinations(members, 2)):
+            best = len(members)
+    return best
+
+
 def scalar_crossing_graph(d):
     """Crossing graph as per-edge neighbor masks, from the scalar test alone."""
     edges = d.graph.edges
@@ -89,6 +109,22 @@ def scalar_crossing_graph(d):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return adj
+
+
+def test_only_drawing_calls_the_scalar_crossing_test():
+    # the other modules ask the chord kernel; edges_cross stays its scalar
+    # reference
+    callers = []
+    for path in sorted(Path(okplanar.__file__).parent.glob("*.py")):
+        if path.name == "drawing.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "edges_cross":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
 
 
 def test_cross_basic():

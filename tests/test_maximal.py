@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -45,6 +47,97 @@ LEVEL_TWO = [(2, 9), (3, 9), (3, 8), (4, 8), (4, 7)]
 
 def two_level_fixture():
     return identity_drawing(build_graph(10, [(0, 5)] + LEVEL_ONE + LEVEL_TWO))
+
+
+def long_edges(d, k):
+    """Edges with at least k-1 vertices strictly on each side."""
+    out = []
+    for u, v in d.graph.edges:
+        inside = abs(d.pos[u] - d.pos[v]) - 1
+        if inside >= k - 1 and d.n - 2 - inside >= k - 1:
+            out.append((u, v))
+    return out
+
+
+def reordered(ld, perm):
+    """The same levels listed in the order perm."""
+    return replace(
+        ld,
+        levels=tuple(ld.levels[i] for i in perm),
+        l_sets=tuple(ld.l_sets[i] for i in perm),
+        r_sets=tuple(ld.r_sets[i] for i in perm),
+    )
+
+
+def scalar_levels(d, long_edge, k):
+    """build_levels' sweep on the scalar crossing test: (levels, leftover)."""
+    a, b = sorted(long_edge)
+    pa, n = d.pos[a], d.n
+    span = (d.pos[b] - pa) % n
+    left = [d.order[(pa + s) % n] for s in range(1, span)]
+    right = {d.order[(pa - s) % n]: s for s in range(1, n - span)}
+    remaining = {e for e in d.graph.edges if edges_cross(d, e, (a, b))}
+    levels = []
+    for _ in range(k - 2):
+        if not remaining:
+            break
+        cur = []
+        for vj in left:
+            mine = sorted(
+                (e for e in remaining if vj in e), key=lambda e: right[e[0] + e[1] - vj]
+            )
+            for e in mine:
+                if not any(edges_cross(d, e, f) for f in cur):
+                    cur.append(e)
+                    remaining.discard(e)
+        levels.append(tuple(cur))
+    return tuple(levels), tuple(sorted(remaining))
+
+
+def scalar_witnesses(ld, d):
+    """(P1 witness, P2 witness) from the scalar crossing test; P2 searches
+    one-edge-per-level tuples downward, memoising the dead ends."""
+    on_left = {x: i for i, x in enumerate(ld.left)}
+    on_right = {x: i for i, x in enumerate(ld.right)}
+
+    def indices(e):
+        x, y = e
+        return (on_left[x], on_right[y]) if x in on_left else (on_left[y], on_right[x])
+
+    def p1():
+        for y in range(1, ld.t):
+            for x in range(y):
+                for e in ld.levels[y]:
+                    ie, je = indices(e)
+                    for f in ld.levels[x]:
+                        kf, lf = indices(f)
+                        if edges_cross(d, e, f) and not (ie > kf and je < lf):
+                            return {"upper": list(e), "lower": list(f), "levels": [y + 1, x + 1]}
+        return None
+
+    failed = set()
+
+    def extend_down(j, chosen):
+        # one edge from each of levels j..1, pairwise crossing with chosen
+        if j == 0:
+            return True
+        if (j, chosen) in failed:
+            return False
+        for f in ld.levels[j - 1]:
+            if all(edges_cross(d, f, g) for g in chosen):
+                if extend_down(j - 1, tuple(sorted(chosen + (f,)))):
+                    return True
+        failed.add((j, chosen))
+        return False
+
+    def p2():
+        for i, lvl in enumerate(ld.levels, 1):
+            for e in lvl:
+                if not extend_down(i - 1, (e,)):
+                    return {"edge": list(e), "level": i}
+        return None
+
+    return p1(), p2()
 
 
 def test_maximal_edge_count_examples():
@@ -260,6 +353,56 @@ def test_verify_reports_disconnected_level_without_failing():
     assert report["connectivity"]["levels"] == [False]
     assert report["p1"]["pass"] and report["p2"]["pass"]
     assert report["pass"]
+
+
+def test_levels_match_scalar_oracle():
+    # saturated, edge-dropped and out-of-class drawings; each level set is
+    # verified as built and in a shuffled order
+    rng = random.Random(101)
+    p1_fails = p2_fails = rejected = 0
+    for trial in range(150):
+        n = rng.randrange(8, 25)
+        k = rng.randrange(2, 7)
+        if trial % 3 == 2:
+            d = random_outer_k_planar(n, rng.randrange(k - 1, k + 3), trial)
+        else:
+            d = saturate(random_outer_k_planar(n, k - 2, trial), k)
+            if trial % 3 == 1:
+                drop = set(rng.sample(d.graph.edges, rng.randrange(1, 6)))
+                kept = [e for e in d.graph.edges if e not in drop]
+                d = make_drawing(build_graph(n, kept), d.order)
+        candidates = long_edges(d, k)
+        for e in rng.sample(candidates, min(2, len(candidates))):
+            levels, leftover = scalar_levels(d, e, k)
+            if leftover:
+                with pytest.raises(QuasiPlanarityError) as err:
+                    build_levels(d, e, k)
+                assert err.value.witness == leftover, (trial, e)
+                rejected += 1
+                continue
+            ld = build_levels(d, e, k)
+            assert ld.levels == levels, (trial, e)
+            for perm in (range(ld.t), rng.sample(range(ld.t), ld.t)):
+                shown = reordered(ld, perm)
+                report = verify_level_properties(shown, d)
+                p1, p2 = scalar_witnesses(shown, d)
+                assert report["p1"]["witness"] == p1, (trial, e, perm)
+                assert report["p2"]["witness"] == p2, (trial, e, perm)
+                p1_fails += p1 is not None
+                p2_fails += p2 is not None
+    assert p1_fails and p2_fails and rejected, (p1_fails, p2_fails, rejected)
+
+
+def test_verify_rejects_malformed_levels():
+    d = two_level_fixture()
+    ld = build_levels(d, (0, 5), 4)
+    merged = replace(ld, levels=(ld.levels[0] + ld.levels[1],))
+    with pytest.raises(ValueError, match="crossing edges"):
+        verify_level_properties(merged, d)
+    for stray in ((0, 5), (1, 2)):  # the long edge itself; not an edge
+        bad = replace(ld, levels=(ld.levels[0] + (stray,), ld.levels[1]))
+        with pytest.raises(ValueError, match="not an edge crossing"):
+            verify_level_properties(bad, d)
 
 
 def test_verify_flags_misordered_levels():
