@@ -202,15 +202,15 @@ class CdclSolver:
         """Model as a list of signed DIMACS literals, or None for UNSAT."""
         if not self.ok:
             return None
-        deadline = time.monotonic() + timeout_s if timeout_s else None
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
         for lit in self.units:
             if not self._enqueue(lit, None):
                 return None
         if self._propagate() is not None:
             return None
-        conflicts = 0
+        conflicts = 0  # running total; restarts do not reset it
         restart_idx = 0
-        budget = 64 * _luby(restart_idx)
+        next_restart = 64 * _luby(restart_idx)
         while True:
             confl = self._propagate()
             if confl is not None:
@@ -231,12 +231,11 @@ class CdclSolver:
                     self.watches[learnt[1]].append(idx)
                     self._enqueue(learnt[0], idx)
                 self.act_inc /= 0.95
-                if conflicts % 256 == 0 and deadline and time.monotonic() > deadline:
-                    raise SolverTimeout(f"embedded solver: {conflicts} conflicts")
-                if conflicts >= budget:
-                    conflicts = 0
+                if deadline is not None and time.monotonic() > deadline:
+                    raise SolverTimeout(f"embedded solver timed out after {conflicts} conflicts")
+                if conflicts >= next_restart:
                     restart_idx += 1
-                    budget = 64 * _luby(restart_idx)
+                    next_restart = conflicts + 64 * _luby(restart_idx)
                     self._backtrack(0)
             else:
                 lit = self._decide()

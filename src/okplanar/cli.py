@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .bounds import (
 )
 from .cdcl import CdclSolver
 from .drawing import (
+    class_violation,
     crossing_report,
     drawing_chords,
     drawing_svg,
@@ -51,9 +53,8 @@ from .maximal import (
     verify_level_properties,
 )
 from .mso2 import emit_formula, evaluate_formula
-from .recognition import brute_force_recognize, canonical_variant, check_k
-from .sat import TriviallyUnsat, decode_model, emit_dimacs, encode, parse_dimacs
-from .sat import sat_recognize, solve
+from .recognition import canonical_variant, check_k
+from .sat import ENGINES, parse_dimacs, recognize
 from .separator import balanced_separator, check_separation, recursive_decompose
 
 
@@ -78,6 +79,14 @@ def _input_path(args: argparse.Namespace) -> str:
     if not path:
         raise ValueError("an input file is required (positional, --drawing, or --graph)")
     return path
+
+
+def _seconds(text: str) -> float:
+    """A positive, finite number of seconds (a --timeout value)."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text!r}")
+    return value
 
 
 def _add_input(sp: argparse.ArgumentParser) -> None:
@@ -147,12 +156,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     rep = crossing_report(d)
     # a boundary cycle needs n >= 3; only the closed variants insist on one
     closed = (d.n >= 3 or variant.startswith("closed")) and is_closed_drawing(d)
-    if variant.endswith("planar"):
-        in_class = rep.max_per_edge <= args.k
-    else:
-        in_class = rep.max_mutual <= args.k - 1
-    if variant.startswith("closed"):
-        in_class = in_class and closed
+    in_class = class_violation(d, rep, args.k, variant) is None
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(drawing_svg(d))
@@ -176,24 +180,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_recognize(args: argparse.Namespace) -> int:
     variant = canonical_variant(args.variant)
-    check_k(args.k, variant)
     path = _input_path(args)
     g = read_instance(path).graph
-    emitted = encoded = None
-    if args.emit_cnf or args.engine == "sat":
-        try:
-            encoded = encode(g, args.k, variant)
-        except TriviallyUnsat:
-            pass
-    if args.emit_cnf and encoded is not None:
-        emit_dimacs(encoded[0], args.emit_cnf)
-        emitted = args.emit_cnf
-    if args.engine == "brute":
-        d = brute_force_recognize(g, args.k, variant)
-        found = (d, crossing_report(d)) if d is not None else None
-    else:
-        model = encoded and solve(encoded[0], solver=args.solver, timeout_s=args.timeout)
-        found = None if model is None else decode_model(model, encoded[1], g)
+    found, emitted = recognize(g, args.k, variant, args.engine, args.solver,
+                               args.timeout, args.emit_cnf)
     witness = None
     if found is not None:
         d, rep = found
@@ -270,7 +260,7 @@ def cmd_levels(args: argparse.Namespace) -> int:
         "m": d.graph.m,
         **_in_class("long_edge", "levels", "verification", "maximal", "svg"),
     }
-    if rep.max_mutual > args.k - 1:
+    if class_violation(d, rep, args.k, "outer-quasi") is not None:
         payload.update(in_class=False, witness_mutual=[list(e) for e in rep.witness_mutual])
         _emit(args, "levels", {path}, payload)
         return 2
@@ -464,9 +454,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
     ok = True
     for name, make, expect, sensitive in _PROP_ROWS:
         g = make()
-        found = sat_recognize(
-            g, 3, "outer-quasi", solver=args.solver, timeout_s=args.timeout
-        )
+        found = recognize(g, 3, "outer-quasi", solver=args.solver, timeout_s=args.timeout).found
         got = found is not None
         hit = got == expect
         if not sensitive and not hit:
@@ -525,9 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--variant", required=True)
-    sp.add_argument("--engine", choices=("sat", "brute"), default="sat")
+    sp.add_argument("--engine", choices=ENGINES, default="sat")
     sp.add_argument("--solver", help="external DIMACS solver executable")
-    sp.add_argument("--timeout", type=float, default=None)
+    sp.add_argument("--timeout", type=_seconds, default=None)
     sp.add_argument("--emit-cnf", help="also write the encoding as DIMACS")
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_recognize)
@@ -592,13 +580,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("repro", help="re-run the recorded experiments")
     sp.add_argument("what", choices=("props",))
     sp.add_argument("--solver")
-    sp.add_argument("--timeout", type=float, default=None)
+    sp.add_argument("--timeout", type=_seconds, default=None)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_repro)
 
     sp = sub.add_parser("solve-cnf", help="solve a DIMACS CNF file")
     sp.add_argument("path")
-    sp.add_argument("--timeout", type=float, default=None)
+    sp.add_argument("--timeout", type=_seconds, default=None)
     sp.set_defaults(fn=cmd_solve_cnf)
 
     return ap

@@ -138,6 +138,22 @@ def is_closed_drawing(d: ConvexDrawing) -> bool:
     return all(d.graph.has_edge(o[i], o[(i + 1) % d.n]) for i in range(d.n))
 
 
+def class_violation(d: ConvexDrawing, rep: CrossingReport, k: int, variant: str) -> str | None:
+    """Why d (crossing report rep) is outside the canonical variant's class
+    at k, or None. The one membership rule: closed needs a Hamiltonian
+    boundary, quasi fewer than k mutually crossing edges, planar at most k
+    crossings per edge."""
+    if variant.startswith("closed") and not is_closed_drawing(d):
+        return "is not closed: boundary gap"
+    if variant.endswith("quasi"):
+        if rep.max_mutual > k - 1:
+            return f"has {rep.max_mutual} mutually crossing edges: {rep.witness_mutual}"
+    elif rep.max_per_edge > k:
+        worst = max(rep.per_edge, key=rep.per_edge.get)
+        return f"crosses edge {worst} {rep.per_edge[worst]} > {k} times"
+    return None
+
+
 class ChordSet:
     """Growable chord set over circle positions 0..n-1 with fast crosser lookup.
 

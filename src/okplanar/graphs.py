@@ -87,21 +87,3 @@ def is_connected(g: Graph) -> bool:
                 stack.append(w)
     return len(seen) == g.n
 
-
-def min_degree_vertex(g: Graph) -> tuple[int, int]:
-    """(vertex, degree) of lowest degree, smallest id on ties. Needs n >= 1."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    v = min(range(g.n), key=lambda u: (len(g.adj[u]), u))
-    return v, len(g.adj[v])
-
-
-def complement_chords(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """All vertex pairs of 0..n-1 not present in `edges`, sorted."""
-    present = {(min(u, v), max(u, v)) for u, v in edges}
-    return [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in present
-    ]

@@ -1,4 +1,4 @@
-"""CNF encodings of convex-drawing classes over linear-order variables.
+"""CNF encodings of convex-drawing classes, and recognize for both engines.
 
 A satisfying assignment of the order variables x_{u,v} ("u before v") is a
 linear order of the vertices; reading it as the clockwise circular order
@@ -13,23 +13,27 @@ import os
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cdcl import CdclSolver
 from .drawing import (
     ConvexDrawing,
     CrossingReport,
     _bits,
+    class_violation,
     crossing_report,
-    is_closed_drawing,
     make_drawing,
 )
 from .graphs import Graph, is_connected
-from .recognition import canonical_variant
+from .recognition import brute_force_recognize, canonical_variant, check_k
 
 Edge = tuple[int, int]
 
-DEFAULT_N_LIMIT = 80
-DEFAULT_CLAUSE_CAP = 2_000_000
+# size guards: order axioms grow cubically in n; the quasi cap counts clauses
+N_LIMIT = 80
+CLAUSE_CAP = 2_000_000
+
+ENGINES = ("sat", "brute")
 
 ENV_SOLVER = "OKP_SAT_SOLVER"
 
@@ -170,13 +174,11 @@ def _y_for(vm: VarMap, e: Edge, f: Edge) -> int:
     return vm.cross_var[(f, e)]
 
 
-def encode_outer_planar(
-    g: Graph, k: int, n_limit: int = DEFAULT_N_LIMIT, allow_large: bool = False
-) -> tuple[CnfFormula, VarMap]:
+def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     """SAT iff some circular order crosses every edge at most k times."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    _check_size(g, n_limit, allow_large)
+    _check_size(g)
     cnf, vm = encode_order_axioms(max(g.n, 1))
     encode_crossing_links(g, cnf, vm)
     cnf.comments.append("c block per-edge-crossing-cap")
@@ -189,24 +191,18 @@ def encode_outer_planar(
     return cnf, vm
 
 
-def encode_outer_quasi(
-    g: Graph,
-    k: int,
-    n_limit: int = DEFAULT_N_LIMIT,
-    allow_large: bool = False,
-    clause_cap: int = DEFAULT_CLAUSE_CAP,
-) -> tuple[CnfFormula, VarMap]:
+def encode_outer_quasi(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     """SAT iff some circular order has no k pairwise-crossing edges."""
     if k < 2:
         raise ValueError("quasi variants need k >= 2")
-    _check_size(g, n_limit, allow_large)
+    _check_size(g)
     cnf, vm = encode_order_axioms(max(g.n, 1))
     encode_crossing_links(g, cnf, vm)
     cnf.comments.append("c block mutual-crossing-cap")
     for count, subset in enumerate(_disjoint_subsets(g.edges, k), 1):
-        if count > clause_cap:
+        if count > CLAUSE_CAP:
             raise EncodingTooLarge(
-                f"mutual-crossing clauses exceed cap {clause_cap}: "
+                f"mutual-crossing clauses exceed cap {CLAUSE_CAP}: "
                 f"at least {count} size-{k} disjoint edge subsets",
                 count=count,
             )
@@ -252,14 +248,7 @@ def _disjoint_subsets(edges: tuple[Edge, ...], k: int):
     yield from rec(full, [])
 
 
-def encode_closed(
-    g: Graph,
-    k: int,
-    variant: str,
-    n_limit: int = DEFAULT_N_LIMIT,
-    allow_large: bool = False,
-    clause_cap: int = DEFAULT_CLAUSE_CAP,
-) -> tuple[CnfFormula, VarMap]:
+def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
     """Inner encoding plus a Hamiltonian boundary via successor variables."""
     if g.n < 3:
         raise ValueError("closed variants need n >= 3")
@@ -267,7 +256,7 @@ def encode_closed(
         raise TriviallyUnsat("closed drawing impossible: graph is disconnected")
     if variant.startswith("closed"):
         raise ValueError(f"unknown inner variant {variant!r}")
-    cnf, vm = encode(g, k, variant, n_limit, allow_large, clause_cap)
+    cnf, vm = encode(g, k, variant)
     n = g.n
     x = vm.order_var
     cnf.comments.append("c block boundary-successor")
@@ -310,31 +299,19 @@ def encode_closed(
     return cnf, vm
 
 
-def encode(
-    g: Graph,
-    k: int,
-    variant: str,
-    n_limit: int = DEFAULT_N_LIMIT,
-    allow_large: bool = False,
-    clause_cap: int = DEFAULT_CLAUSE_CAP,
-) -> tuple[CnfFormula, VarMap]:
+def encode(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
     """The encoding of any variant name; closed ones wrap their open one."""
     variant = canonical_variant(variant)
     if variant.startswith("closed-"):
-        inner = variant.removeprefix("closed-")
-        return encode_closed(g, k, inner, n_limit, allow_large, clause_cap)
+        return encode_closed(g, k, variant.removeprefix("closed-"))
     if variant == "outer-planar":
-        return encode_outer_planar(g, k, n_limit, allow_large)
-    return encode_outer_quasi(g, k, n_limit, allow_large, clause_cap)
+        return encode_outer_planar(g, k)
+    return encode_outer_quasi(g, k)
 
 
-def _check_size(g: Graph, n_limit: int, allow_large: bool) -> None:
-    if g.n > n_limit and not allow_large:
-        raise EncodingTooLarge(
-            f"n={g.n} exceeds the default limit {n_limit} "
-            f"(cubic clause growth); pass allow_large to override",
-            count=g.n,
-        )
+def _check_size(g: Graph) -> None:
+    if g.n > N_LIMIT:
+        raise EncodingTooLarge(f"n={g.n} exceeds the limit {N_LIMIT}", count=g.n)
 
 
 def _aux_comments(cnf: CnfFormula, vm: VarMap) -> None:
@@ -440,8 +417,6 @@ def decode_model(
     """
     true_vars = {l for l in model if l > 0}
     n = g.n
-    if n == 0:
-        return make_drawing(g, []), crossing_report(make_drawing(g, []))
     before = {u: 0 for u in range(n)}
     for (u, v), var in vm.order_var.items():
         if var in true_vars:
@@ -455,44 +430,46 @@ def decode_model(
                 raise ValueError("model violates transitivity of the order")
     d = make_drawing(g, ranked)
     rep = crossing_report(d)
-    variant, k = vm.variant, vm.k
-    if variant is None:
-        return d, rep
-    if variant.startswith("closed"):
-        if not is_closed_drawing(d):
-            raise ValueError("decoded drawing is not closed: boundary gap")
-    if variant.endswith("quasi"):
-        if rep.max_mutual > k - 1:
-            raise ValueError(
-                f"decoded drawing has {rep.max_mutual} mutually crossing edges: "
-                f"{rep.witness_mutual}"
-            )
-    else:
-        if rep.max_per_edge > k:
-            worst = max(rep.per_edge, key=rep.per_edge.get)
-            raise ValueError(
-                f"decoded drawing crosses edge {worst} "
-                f"{rep.per_edge[worst]} > {k} times"
-            )
+    if vm.variant is not None:
+        violation = class_violation(d, rep, vm.k, vm.variant)
+        if violation is not None:
+            raise ValueError(f"decoded drawing {violation}")
     return d, rep
 
 
-def sat_recognize(
-    g: Graph,
-    k: int,
-    variant: str,
-    solver: str | None = None,
-    timeout_s: float | None = None,
-    n_limit: int = DEFAULT_N_LIMIT,
-    allow_large: bool = False,
-    clause_cap: int = DEFAULT_CLAUSE_CAP,
-) -> tuple[ConvexDrawing, CrossingReport] | None:
-    """End-to-end: encode, solve, decode. None means not in the class."""
-    try:
-        cnf, vm = encode(g, k, variant, n_limit, allow_large, clause_cap)
-    except TriviallyUnsat:
-        return None
-    model = solve(cnf, solver=solver, timeout_s=timeout_s)
-    if model is None:
-        return None
-    return decode_model(model, vm, g)
+class Recognition(NamedTuple):
+    """found: (witness drawing, its crossing report), None if not in class.
+    emitted_cnf: the DIMACS path written, None if none was."""
+
+    found: tuple[ConvexDrawing, CrossingReport] | None
+    emitted_cnf: str | None
+
+
+def recognize(g: Graph, k: int, variant: str, engine: str = "sat", solver: str | None = None,
+              timeout_s: float | None = None, emit_cnf: str | None = None) -> Recognition:
+    """Is there a circular order whose drawing is in the class?
+
+    The sat engine encodes, solves (timeout_s bounds the solve only) and
+    decodes; the brute engine enumerates orders. The encoding is built once,
+    only when the sat engine runs or emit_cnf names a DIMACS file to write.
+    """
+    variant = canonical_variant(variant)
+    check_k(k, variant)
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
+    encoded = emitted = None
+    if engine == "sat" or emit_cnf:
+        try:
+            encoded = encode(g, k, variant)
+        except TriviallyUnsat:
+            pass
+    if emit_cnf and encoded is not None:
+        emit_dimacs(encoded[0], emit_cnf)
+        emitted = emit_cnf
+    if engine == "brute":
+        d = brute_force_recognize(g, k, variant)
+        return Recognition(None if d is None else (d, crossing_report(d)), emitted)
+    # test for None: an encoding with no variables has the empty model []
+    model = None if encoded is None else solve(encoded[0], solver=solver, timeout_s=timeout_s)
+    found = None if model is None else decode_model(model, encoded[1], g)
+    return Recognition(found, emitted)

@@ -35,7 +35,7 @@ from okplanar.maximal import (
 )
 from okplanar.mso2 import emit_formula, evaluate_formula
 from okplanar.recognition import brute_force_recognize, largest_clique_in_class
-from okplanar.sat import sat_recognize
+from okplanar.sat import recognize
 
 # lazily built shared corpora, with the build time charged to the budget
 # of whichever claim touches them first
@@ -269,7 +269,7 @@ def test_sat_and_brute_verdicts_agree():
     for g in graphs:
         for variant, k in combos:
             brute = brute_force_recognize(g, k, variant) is not None
-            via_sat = sat_recognize(g, k, variant) is not None
+            via_sat = recognize(g, k, variant).found is not None
             assert brute == via_sat, (g.n, sorted(g.edges), variant, k)
             checked += 1
     assert checked == 2400

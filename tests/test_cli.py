@@ -184,7 +184,6 @@ def test_recognize_emit_cnf(capsys, tmp_path):
 
 def test_recognize_emit_cnf_encodes_once(capsys, tmp_path, k5, monkeypatch):
     # the SAT engine solves the encoding it wrote to the DIMACS file
-    import okplanar.cli
     import okplanar.sat
 
     calls = []
@@ -195,13 +194,48 @@ def test_recognize_emit_cnf_encodes_once(capsys, tmp_path, k5, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(okplanar.sat, "encode", counting)
-    monkeypatch.setattr(okplanar.cli, "encode", counting)
     for k, want in ((3, 0), (2, 2)):
         calls.clear()
         code, out = run(capsys, "recognize", "--k", str(k), "--variant", "quasi",
                         "--engine", "sat", "--emit-cnf", str(tmp_path / "enc.cnf"), k5)
         assert code == want and validated(out, "recognize")["emitted_cnf"]
         assert len(calls) == 1
+
+
+def test_recognize_brute_emits_the_sat_encoding(capsys, tmp_path, k5, monkeypatch):
+    import okplanar.sat
+
+    # every encoding starts with the order axioms: count encodings there
+    built = []
+    real = okplanar.sat.encode_order_axioms
+
+    def counting(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(okplanar.sat, "encode_order_axioms", counting)
+    for variant in ("quasi", "closed-planar"):
+        written = []
+        for engine in ("sat", "brute"):
+            cnf = tmp_path / f"{engine}.cnf"
+            code, out = run(capsys, "recognize", "--k", "3", "--variant", variant,
+                            "--engine", engine, "--emit-cnf", str(cnf), k5)
+            assert validated(out, "recognize")["emitted_cnf"] == str(cnf)
+            written.append(cnf.read_bytes())
+        assert written[0] == written[1], variant
+    built.clear()
+    code, out = run(capsys, "recognize", "--k", "3", "--variant", "quasi",
+                    "--engine", "brute", k5)
+    assert code == 0 and validated(out, "recognize")["emitted_cnf"] is None
+    assert built == []  # brute force without --emit-cnf builds no encoding
+    # a disconnected graph has no closed drawing by inspection: nothing to emit
+    disconnected = tmp_path / "disconnected.txt"
+    disconnected.write_text(format_graph(build_graph(5, [(0, 1), (2, 3)])))
+    cnf = tmp_path / "disconnected.cnf"
+    code, out = run(capsys, "recognize", "--k", "1", "--variant", "closed-planar",
+                    "--engine", "brute", "--emit-cnf", str(cnf), str(disconnected))
+    doc = validated(out, "recognize")
+    assert code == 2 and doc["emitted_cnf"] is None and not cnf.exists()
 
 
 def test_recognize_solver_flag(capsys, tmp_path, k5):
@@ -353,6 +387,21 @@ def test_usage_errors_exit_one(capsys, k5):
     for argv in cases:
         assert main(argv) == 1, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", ["recognize", "repro", "solve-cnf"])
+def test_timeout_must_be_positive(capsys, tmp_path, k5, command, value):
+    cnf = tmp_path / "one.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    argv = {
+        "recognize": ["recognize", "--k", "3", "--variant", "quasi", k5],
+        "repro": ["repro", "props"],
+        "solve-cnf": ["solve-cnf", str(cnf)],
+    }[command]
+    assert main(argv + ["--timeout", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--timeout" in captured.err
 
 
 def test_help_exits_zero(capsys):

@@ -7,10 +7,8 @@ import pytest
 
 from okplanar.graphs import (
     build_graph,
-    complement_chords,
     induced_subgraph,
     is_connected,
-    min_degree_vertex,
 )
 
 
@@ -90,24 +88,7 @@ def test_induced_rejects_bad_ids():
         induced_subgraph(g, [0, 0])
 
 
-def test_min_degree():
-    k5 = build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-    assert min_degree_vertex(k5) == (0, 4)
-    star = build_graph(5, [(0, i) for i in range(1, 5)])
-    assert min_degree_vertex(star) == (1, 1)
-    path = build_graph(3, [(0, 1), (1, 2)])
-    assert min_degree_vertex(path) == (0, 1)
-    with pytest.raises(ValueError):
-        min_degree_vertex(build_graph(0, []))
-
-
 def test_connectivity():
     assert is_connected(build_graph(1, []))
     assert is_connected(build_graph(3, [(0, 1), (1, 2)]))
     assert not is_connected(build_graph(3, [(0, 1)]))
-
-
-def test_complement_chords():
-    c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    assert complement_chords(4, c4) == [(0, 2), (1, 3)]
-    assert complement_chords(2, [(0, 1)]) == []

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from okplanar import cdcl, sat
+from okplanar.cdcl import CdclSolver, SolverTimeout
 from okplanar.drawing import (
     is_closed_drawing,
     is_outer_k_planar_drawing,
@@ -23,13 +25,14 @@ from okplanar.sat import (
     decode_model,
     dimacs_text,
     emit_dimacs,
+    encode,
     encode_closed,
     encode_crossing_links,
     encode_order_axioms,
     encode_outer_planar,
     encode_outer_quasi,
     parse_dimacs,
-    sat_recognize,
+    recognize,
     solve,
 )
 
@@ -87,32 +90,34 @@ def test_crossing_link_counts():
 
 
 def test_outer_planar_verdicts():
-    assert sat_recognize(complete(4), 1, "outer-planar") is not None
-    assert sat_recognize(complete(4), 0, "outer-planar") is None
-    assert sat_recognize(complete(5), 2, "outer-planar") is not None
-    assert sat_recognize(complete(5), 1, "outer-planar") is None
+    assert recognize(complete(4), 1, "outer-planar").found is not None
+    assert recognize(complete(4), 0, "outer-planar").found is None
+    assert recognize(complete(5), 2, "outer-planar").found is not None
+    assert recognize(complete(5), 1, "outer-planar").found is None
     for n in range(3, 9):
-        assert sat_recognize(cycle(n), 0, "outer-planar") is not None
+        assert recognize(cycle(n), 0, "outer-planar").found is not None
     with pytest.raises(ValueError):
         encode_outer_planar(complete(3), -1)
+    with pytest.raises(ValueError, match="unknown engine"):
+        recognize(complete(3), 1, "outer-planar", engine="exhaustive")
 
 
 def test_outer_quasi_verdicts():
-    assert sat_recognize(complete(5), 3, "outer-quasi") is not None
-    assert sat_recognize(complete(6), 3, "outer-quasi") is None
-    assert sat_recognize(complete_bipartite(4, 4), 3, "outer-quasi") is not None
-    assert sat_recognize(complete_bipartite(3, 5), 3, "outer-quasi") is None
+    assert recognize(complete(5), 3, "outer-quasi").found is not None
+    assert recognize(complete(6), 3, "outer-quasi").found is None
+    assert recognize(complete_bipartite(4, 4), 3, "outer-quasi").found is not None
+    assert recognize(complete_bipartite(3, 5), 3, "outer-quasi").found is None
     with pytest.raises(ValueError):
         encode_outer_quasi(complete(3), 1)
 
 
 def test_closed_verdicts():
-    assert sat_recognize(cycle(6), 0, "closed-outer-planar") is not None
-    assert sat_recognize(complete(4), 0, "closed-outer-planar") is None
-    assert sat_recognize(complete(4), 1, "closed-outer-planar") is not None
+    assert recognize(cycle(6), 0, "closed-outer-planar").found is not None
+    assert recognize(complete(4), 0, "closed-outer-planar").found is None
+    assert recognize(complete(4), 1, "closed-outer-planar").found is not None
     p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     for k in (0, 2, 4):
-        assert sat_recognize(p4, k, "closed-outer-planar") is None
+        assert recognize(p4, k, "closed-outer-planar").found is None
 
 
 def test_closed_rejections():
@@ -121,8 +126,8 @@ def test_closed_rejections():
     disconnected = build_graph(5, [(0, 1), (2, 3)])
     with pytest.raises(TriviallyUnsat):
         encode_closed(disconnected, 1, "outer-planar")
-    # the wrapper maps the short-circuit to a not-in-class verdict
-    assert sat_recognize(disconnected, 1, "closed-outer-planar") is None
+    # recognize maps the short-circuit to a not-in-class verdict
+    assert recognize(disconnected, 1, "closed-outer-planar").found is None
 
 
 def test_decoded_models_pass_checkers():
@@ -130,7 +135,7 @@ def test_decoded_models_pass_checkers():
     for _ in range(12):
         g = random_graph(rng, rng.randrange(4, 7), 10)
         for variant, k in [("outer-planar", 1), ("outer-quasi", 3)]:
-            r = sat_recognize(g, k, variant)
+            r = recognize(g, k, variant).found
             if r is None:
                 continue
             d, rep = r
@@ -159,7 +164,7 @@ def test_oracle_agreement():
             ("closed-outer-quasi", (2, 3)),
         ]:
             for k in ks:
-                sat_r = sat_recognize(g, k, variant)
+                sat_r = recognize(g, k, variant).found
                 brute_r = brute_force_recognize(g, k, variant)
                 assert (sat_r is None) == (brute_r is None), (g.edges, variant, k)
 
@@ -170,25 +175,27 @@ def test_unsat_monotone_in_k():
         g = random_graph(rng, rng.randrange(4, 7), 12)
         prev_sat = None
         for k in range(3, -1, -1):
-            r = sat_recognize(g, k, "outer-planar")
+            r = recognize(g, k, "outer-planar").found
             if prev_sat is False:
                 assert r is None  # UNSAT at k+1 forces UNSAT at k
             prev_sat = r is not None
 
 
-def test_clause_cap_rejection():
+def test_clause_cap_rejection(monkeypatch):
+    monkeypatch.setattr(sat, "CLAUSE_CAP", 10)
     g = complete(9)
     with pytest.raises(EncodingTooLarge) as e:
-        encode_outer_quasi(g, 3, clause_cap=10)
+        encode_outer_quasi(g, 3)
     assert e.value.count > 10
 
 
-def test_n_limit_guardrail():
-    g = build_graph(81, [(0, 1)])
+def test_n_limit_guardrail(monkeypatch):
     with pytest.raises(EncodingTooLarge):
-        encode_outer_planar(g, 1)
-    cnf, vm = encode_outer_planar(g, 1, allow_large=True)
-    assert cnf.num_vars >= 81 * 80
+        encode_outer_planar(build_graph(sat.N_LIMIT + 1, [(0, 1)]), 1)
+    monkeypatch.setattr(sat, "N_LIMIT", 5)
+    with pytest.raises(EncodingTooLarge):
+        recognize(cycle(6), 0, "closed-outer-planar")
+    assert recognize(cycle(5), 0, "closed-outer-planar").found is not None
 
 
 def test_dimacs_round_trip(tmp_path):
@@ -215,6 +222,46 @@ def test_dimacs_trivial_formulas():
     assert dimacs_text(f) == "p cnf 1 1\n1 0\n"
 
 
+def test_decode_rejects_drawing_outside_the_class():
+    # a well-formed order whose drawing breaks each rule of the class
+    for g, variant, k, order, why in (
+        (complete(4), "outer-planar", 0, (0, 1, 2, 3), "crosses edge"),
+        (complete(4), "outer-quasi", 2, (0, 1, 2, 3), "mutually crossing"),
+        (cycle(4), "closed-outer-planar", 4, (0, 2, 1, 3), "not closed"),
+    ):
+        cnf, vm = encode(g, k, variant)
+        rank = {v: i for i, v in enumerate(order)}
+        model = [var if rank[u] < rank[v] else -var for (u, v), var in vm.order_var.items()]
+        with pytest.raises(ValueError, match=why):
+            decode_model(model, vm, g)
+
+
+def pigeonhole(pigeons, holes):
+    var = lambda p, h: p * holes + h + 1
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    clauses += [[-var(p, h), -var(q, h)]
+                for h in range(holes)
+                for p in range(pigeons) for q in range(p + 1, pigeons)]
+    return pigeons * holes, clauses
+
+
+def test_solver_deadline_counts_conflicts_across_restarts(monkeypatch):
+    # the clock is read once at the start and once per conflict; it passes
+    # the deadline at conflict 100, after the first restart (64 conflicts)
+    readings = []
+
+    def clock():
+        readings.append(None)
+        return 0.0 if len(readings) <= 100 else 1.0
+
+    monkeypatch.setattr(cdcl.time, "monotonic", clock)
+    nv, clauses = pigeonhole(6, 5)  # about 170 conflicts to refute
+    with pytest.raises(SolverTimeout, match="after 100 conflicts"):
+        CdclSolver(nv, clauses).solve(timeout_s=0.5)
+    monkeypatch.undo()
+    assert CdclSolver(nv, clauses).solve() is None
+
+
 def test_external_solver_subprocess(tmp_path):
     # fake external solver: the package CLI's own solve-cnf command
     script = tmp_path / "extsolver"
@@ -222,9 +269,9 @@ def test_external_solver_subprocess(tmp_path):
         f"#!/bin/sh\nexec {sys.executable} -m okplanar.cli solve-cnf \"$1\"\n"
     )
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    r = sat_recognize(complete(5), 3, "outer-quasi", solver=str(script))
+    r = recognize(complete(5), 3, "outer-quasi", solver=str(script)).found
     assert r is not None
-    assert sat_recognize(complete(6), 3, "outer-quasi", solver=str(script)) is None
+    assert recognize(complete(6), 3, "outer-quasi", solver=str(script)).found is None
 
 
 def test_external_solver_env_var(tmp_path, monkeypatch):
@@ -234,7 +281,7 @@ def test_external_solver_env_var(tmp_path, monkeypatch):
     )
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
     monkeypatch.setenv("OKP_SAT_SOLVER", str(script))
-    assert sat_recognize(complete(4), 1, "outer-planar") is not None
+    assert recognize(complete(4), 1, "outer-planar").found is not None
 
 
 def test_external_solver_crash_reported(tmp_path):
