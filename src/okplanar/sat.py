@@ -63,6 +63,10 @@ class VarMap:
     variant: str | None = None
     k: int | None = None
 
+    def before(self, u: int, v: int) -> int:
+        """The literal "u before v"; only the pair u < v owns a variable."""
+        return self.order_var[(u, v)] if u < v else -self.order_var[(v, u)]
+
     def new_var(self) -> int:
         self.num_vars += 1
         return self.num_vars
@@ -86,30 +90,32 @@ class CnfFormula:
 
 
 def encode_order_axioms(n: int) -> tuple[CnfFormula, VarMap]:
-    """Linear-order variables with transitivity, antisymmetry, vertex 0 first."""
+    """One variable per pair u < v; no cyclic triple; 0 first, 1 before 2.
+
+    Every assignment is a tournament, and a tournament without 3-cycles is
+    a linear order. Reflection keeps 0 first and swaps 1 with 2, so the unit
+    x_{1,2} keeps one order of each mirror pair and loses no drawing.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     vm = VarMap(n=n)
     cnf = CnfFormula(num_vars=0)
     for u in range(n):
-        for v in range(n):
-            if u != v:
-                vm.order_var[(u, v)] = vm.new_var()
+        for v in range(u + 1, n):
+            vm.order_var[(u, v)] = vm.new_var()
     x = vm.order_var
     cnf.comments.append("c block order-transitivity")
     for u in range(n):
-        for v in range(n):
-            for w in range(n):
-                if u != v and v != w and u != w:
-                    cnf.add([-x[(u, v)], -x[(v, w)], x[(u, w)]])
-    cnf.comments.append("c block order-antisymmetry")
-    for u in range(n):
         for v in range(u + 1, n):
-            cnf.add([x[(u, v)], x[(v, u)]])
-            cnf.add([-x[(u, v)], -x[(v, u)]])
+            for w in range(v + 1, n):
+                cnf.add([-x[(u, v)], -x[(v, w)], x[(u, w)]])
+                cnf.add([x[(u, v)], x[(v, w)], -x[(u, w)]])
     cnf.comments.append("c block anchor-vertex-0-first")
     for v in range(1, n):
         cnf.add([x[(0, v)]])
+    if n >= 3:
+        cnf.comments.append("c block reflection-1-before-2")
+        cnf.add([x[(1, 2)]])
     cnf.num_vars = vm.num_vars
     for (u, v), var in x.items():
         cnf.comments.append(f"c ord {u} {v} {var}")
@@ -123,7 +129,7 @@ def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap) -> None:
     8 alternating arrangements of the four endpoints; any single orientation
     alone would let mirrored crossings slip through undetected.
     """
-    x = vm.order_var
+    x = vm.before
     cnf.comments.append("c block crossing-detect")
     edges = g.edges
     pairs = [
@@ -138,8 +144,8 @@ def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap) -> None:
         v, v2 = f
         for a, c in ((u, u2), (u2, u)):
             for b, d in ((v, v2), (v2, v)):
-                cnf.add([-x[(a, b)], -x[(b, c)], -x[(c, d)], y])
-                cnf.add([-x[(b, a)], -x[(a, d)], -x[(d, c)], y])
+                cnf.add([-x(a, b), -x(b, c), -x(c, d), y])
+                cnf.add([-x(b, a), -x(a, d), -x(d, c), y])
     cnf.num_vars = vm.num_vars
     for (e, f), var in vm.cross_var.items():
         cnf.comments.append(f"c cross {e[0]} {e[1]} {f[0]} {f[1]} {var}")
@@ -258,40 +264,23 @@ def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
         raise ValueError(f"unknown inner variant {variant!r}")
     cnf, vm = encode(g, k, variant)
     n = g.n
-    x = vm.order_var
+    x = vm.before
     cnf.comments.append("c block boundary-successor")
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                vm.succ_var[(u, v)] = vm.new_var()
+    # s_{u,v} on each directed edge: v follows u, or u is last when v = 0.
+    # Each vertex needs one, and the order fixes who follows whom, so every
+    # boundary step is an edge without at-most-one or predecessor clauses.
+    for u, v in g.edges:
+        vm.succ_var[(u, v)] = vm.new_var()
+        vm.succ_var[(v, u)] = vm.new_var()
     s = vm.succ_var
     for u in range(n):
-        for v in range(u + 1, n):
-            if not g.has_edge(u, v):
-                cnf.add([-s[(u, v)]])
-                cnf.add([-s[(v, u)]])
-    for u in range(n):
-        cnf.add([s[(u, v)] for v in range(n) if v != u])  # some successor
-        cnf.add([s[(v, u)] for v in range(n) if v != u])  # some predecessor
-        for v in range(n):
-            for w in range(v + 1, n):
-                if v != u and w != u:
-                    cnf.add([-s[(u, v)], -s[(u, w)]])
-                    cnf.add([-s[(v, u)], -s[(w, u)]])
-    # successor = next in the linear order; wrap successor returns to vertex 0
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if v == 0:
-                for w in range(n):
-                    if w != u and w != 0:
-                        cnf.add([-s[(u, 0)], x[(w, u)]])
-            else:
-                cnf.add([-s[(u, v)], x[(u, v)]])
-                for w in range(n):
-                    if w != u and w != v:
-                        cnf.add([-s[(u, v)], -x[(u, w)], -x[(w, v)]])
+        cnf.add([s[(u, v)] for v in sorted(g.adj[u])])
+    for (u, v), var in s.items():
+        if v:
+            cnf.add([-var, x(u, v)])
+        for w in range(n):
+            if w != u and w != v:  # nothing between u and v; nothing after u
+                cnf.add([-var, -x(u, w), -x(w, v)] if v else [-var, x(w, u)])
     cnf.num_vars = vm.num_vars
     for (u, v), var in s.items():
         cnf.comments.append(f"c succ {u} {v} {var}")
@@ -396,7 +385,7 @@ def solve(
             for line in out.splitlines():
                 if line.startswith("v"):
                     model += [int(t) for t in line[1:].split() if int(t) != 0]
-            if not model:
+            if not model and f.num_vars > 0:
                 raise SolverError("solver reported SAT but gave no v-lines")
             return model
         raise SolverError(
@@ -412,22 +401,20 @@ def decode_model(
 ) -> tuple[ConvexDrawing, CrossingReport]:
     """Order the vertices by the x-relation and re-verify the property.
 
+    The pair variables make every model a tournament, and distinct scores
+    make it a linear order (Landau): they are then 0..n-1, the top scorer
+    precedes all others, and the rest is again such a tournament.
     The re-verification runs the actual drawing checkers, so an encoder bug
     cannot smuggle a bad witness through.
     """
     true_vars = {l for l in model if l > 0}
     n = g.n
-    before = {u: 0 for u in range(n)}
+    wins = [0] * n
     for (u, v), var in vm.order_var.items():
-        if var in true_vars:
-            before[u] += 1
-    ranked = sorted(range(n), key=lambda u: -before[u])
-    if len({before[u] for u in range(n)}) != n:
+        wins[u if var in true_vars else v] += 1
+    if len(set(wins)) != n:
         raise ValueError("model violates the order axioms: tied rank counts")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if vm.order_var[(ranked[i], ranked[j])] not in true_vars:
-                raise ValueError("model violates transitivity of the order")
+    ranked = sorted(range(n), key=lambda u: -wins[u])
     d = make_drawing(g, ranked)
     rep = crossing_report(d)
     if vm.variant is not None:

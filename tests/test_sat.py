@@ -5,6 +5,8 @@ import os
 import random
 import stat
 import sys
+from itertools import permutations, product
+from math import comb
 
 import pytest
 
@@ -14,6 +16,7 @@ from okplanar.drawing import (
     is_closed_drawing,
     is_outer_k_planar_drawing,
     is_outer_k_quasi_planar_drawing,
+    make_drawing,
 )
 from okplanar.generators import complete, complete_bipartite
 from okplanar.graphs import build_graph
@@ -47,32 +50,38 @@ def random_graph(rng, n, max_m):
 
 
 def test_order_axiom_counts():
-    for n in range(1, 6):
+    for n in range(1, 7):
         cnf, vm = encode_order_axioms(n)
-        assert cnf.num_vars == n * (n - 1)
-        trans = n * (n - 1) * (n - 2)
-        equiv = n * (n - 1)  # two clauses per unordered pair
-        units = n - 1
-        assert len(cnf.clauses) == trans + equiv + units
+        assert cnf.num_vars == comb(n, 2)
+        # two 3-cycles per triple, vertex 0 first, and 1 before 2 from n = 3 on
+        assert len(cnf.clauses) == 2 * comb(n, 3) + (n - 1) + (n >= 3)
     with pytest.raises(ValueError):
         encode_order_axioms(0)
 
 
-def test_order_axioms_single_model_is_permutation():
-    cnf, vm = encode_order_axioms(4)
-    model = solve(cnf)
-    assert model is not None
-    true_vars = {l for l in model if l > 0}
-    # vertex 0 first
-    for v in range(1, 4):
-        assert vm.order_var[(0, v)] in true_vars
-    # antisymmetry
-    for u in range(4):
-        for v in range(4):
-            if u != v:
-                assert (vm.order_var[(u, v)] in true_vars) != (
-                    vm.order_var[(v, u)] in true_vars
-                )
+def order_units(vm, order):
+    rank = {v: i for i, v in enumerate(order)}
+    return [var if rank[u] < rank[v] else -var for (u, v), var in vm.order_var.items()]
+
+
+def reflection_classes(n):
+    """The orders with vertex 0 first and vertex 1 before vertex 2."""
+    for rest in permutations(range(1, n)):
+        if n < 3 or rest.index(1) < rest.index(2):
+            yield (0,) + rest
+
+
+def test_order_axioms_models_are_the_reflection_classes():
+    # exhaustive: the satisfying assignments are exactly these orders
+    for n, expected in zip(range(1, 6), (1, 1, 1, 3, 12)):
+        cnf, vm = encode_order_axioms(n)
+        models = []
+        for bits in product((False, True), repeat=cnf.num_vars):
+            if all(any(bits[abs(l) - 1] == (l > 0) for l in c) for c in cnf.clauses):
+                models.append([v if bits[v - 1] else -v for v in range(1, len(bits) + 1)])
+        orders = list(reflection_classes(n))
+        assert len(models) == len(orders) == expected
+        assert sorted(models) == sorted(order_units(vm, o) for o in orders)
 
 
 def test_crossing_link_counts():
@@ -230,10 +239,42 @@ def test_decode_rejects_drawing_outside_the_class():
         (cycle(4), "closed-outer-planar", 4, (0, 2, 1, 3), "not closed"),
     ):
         cnf, vm = encode(g, k, variant)
-        rank = {v: i for i, v in enumerate(order)}
-        model = [var if rank[u] < rank[v] else -var for (u, v), var in vm.order_var.items()]
         with pytest.raises(ValueError, match=why):
+            decode_model(order_units(vm, order), vm, g)
+
+
+def test_decode_rejects_a_cyclic_triple():
+    # a 3-cycle ties scores, the one way a tournament fails to be an order
+    for n in (3, 5):
+        g = cycle(n)
+        _, vm = encode_outer_planar(g, n)
+        model = order_units(vm, range(n))
+        model[vm.order_var[(0, 2)] - 1] *= -1  # 0 before 1 before 2 before 0
+        with pytest.raises(ValueError, match="tied rank counts"):
             decode_model(model, vm, g)
+
+
+def connected_graph(rng, n):
+    edges = {(rng.randrange(v), v) for v in range(1, n)}  # a random spanning tree
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7}
+    return build_graph(n, sorted(edges))
+
+
+def test_boundary_block_matches_is_closed_drawing():
+    # k = m makes the crossing cap vacuous, so only the boundary block decides
+    rng = random.Random(404)
+    orders = closed = 0
+    for n in range(3, 7):
+        for _ in range(10):
+            g = connected_graph(rng, n)
+            cnf, vm = encode_closed(g, len(g.edges), "outer-planar")
+            for order in reflection_classes(n):
+                units = [[l] for l in order_units(vm, order)]
+                sat_ok = CdclSolver(cnf.num_vars, cnf.clauses + units).solve() is not None
+                assert sat_ok == is_closed_drawing(make_drawing(g, order)), (g.edges, order)
+                orders += 1
+                closed += sat_ok
+    assert (orders, closed) == (760, 253)
 
 
 def pigeonhole(pigeons, holes):
@@ -262,25 +303,35 @@ def test_solver_deadline_counts_conflicts_across_restarts(monkeypatch):
     assert CdclSolver(nv, clauses).solve() is None
 
 
-def test_external_solver_subprocess(tmp_path):
-    # fake external solver: the package CLI's own solve-cnf command
+def solve_cnf_script(tmp_path):
+    """A fake external solver: the package CLI's own solve-cnf command."""
     script = tmp_path / "extsolver"
     script.write_text(
         f"#!/bin/sh\nexec {sys.executable} -m okplanar.cli solve-cnf \"$1\"\n"
     )
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    r = recognize(complete(5), 3, "outer-quasi", solver=str(script)).found
+    return str(script)
+
+
+def test_external_solver_subprocess(tmp_path):
+    script = solve_cnf_script(tmp_path)
+    r = recognize(complete(5), 3, "outer-quasi", solver=script).found
     assert r is not None
-    assert recognize(complete(6), 3, "outer-quasi", solver=str(script)).found is None
+    assert recognize(complete(6), 3, "outer-quasi", solver=script).found is None
+
+
+def test_external_solver_on_an_encoding_without_variables(tmp_path):
+    # one vertex: 0 variables, and the solver's model is the bare "v 0"
+    script = solve_cnf_script(tmp_path)
+    g = build_graph(1, [])
+    for variant, k in (("outer-planar", 0), ("outer-quasi", 2)):
+        embedded = recognize(g, k, variant).found
+        assert embedded is not None
+        assert recognize(g, k, variant, solver=script).found == embedded
 
 
 def test_external_solver_env_var(tmp_path, monkeypatch):
-    script = tmp_path / "extsolver"
-    script.write_text(
-        f"#!/bin/sh\nexec {sys.executable} -m okplanar.cli solve-cnf \"$1\"\n"
-    )
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    monkeypatch.setenv("OKP_SAT_SOLVER", str(script))
+    monkeypatch.setenv("OKP_SAT_SOLVER", solve_cnf_script(tmp_path))
     assert recognize(complete(4), 1, "outer-planar").found is not None
 
 
