@@ -5,6 +5,7 @@ import os
 import random
 import stat
 import sys
+from hashlib import sha256
 from itertools import permutations, product
 from math import comb
 
@@ -18,7 +19,7 @@ from okplanar.drawing import (
     is_outer_k_quasi_planar_drawing,
     make_drawing,
 )
-from okplanar.generators import complete, complete_bipartite
+from okplanar.generators import complete, complete_bipartite, planar_3tree_levels
 from okplanar.graphs import build_graph
 from okplanar.recognition import brute_force_recognize
 from okplanar.sat import (
@@ -301,6 +302,58 @@ def test_solver_deadline_counts_conflicts_across_restarts(monkeypatch):
         CdclSolver(nv, clauses).solve(timeout_s=0.5)
     monkeypatch.undo()
     assert CdclSolver(nv, clauses).solve() is None
+
+
+def pinned_encodings():
+    """60 seeded encodings, n = 5..11, all four variants, then 3tree-3."""
+    rng = random.Random(3)
+    variants = ("outer-planar", "outer-quasi", "closed-outer-planar", "closed-outer-quasi")
+    for i in range(60):
+        variant = variants[i % 4]
+        n = 5 + (i // 4) % 7
+        p = rng.uniform(0.4, 0.9)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}  # connected
+        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+        k = rng.randint(1, 3) if variant.endswith("planar") else rng.randint(2, 4)
+        yield encode(build_graph(n, sorted(edges)), k, variant)[0]
+    yield encode(planar_3tree_levels(3), 3, "outer-quasi")[0]
+
+
+# (first 16 hex digits of the model's SHA-256 or None for UNSAT, final
+# len(solver.clauses)); a faster solver must still walk the same search
+PINNED_TRAJECTORIES = [
+    ('376cd4b084d42690', 68), ('68f0870932dd5473', 140), ('8c5d41153e11a606', 255),
+    (None, 125), ('b7b3e9a926127d2a', 314), ('097946ec61a1b16c', 232),
+    ('b4a2dd23f3e249ce', 531), (None, 385), (None, 1132),
+    (None, 398), (None, 1466), (None, 1193),
+    (None, 1913), (None, 1344), (None, 2742),
+    ('07e5a96fcfecf744', 804), (None, 2346), (None, 1320),
+    (None, 2370), (None, 4228), (None, 6876),
+    ('bb94f1c89db505c5', 3232), (None, 6404), (None, 6800),
+    (None, 9596), (None, 3938), (None, 16911),
+    ('6d2bf8b543c716f0', 8860), (None, 173), ('68f0870932dd5473', 140),
+    ('aaba081155aebe43', 176), ('51dff4c9034b0aed', 118), (None, 441),
+    ('850299ab23765042', 352), (None, 545), ('91c14ba31ca7d3f2', 493),
+    (None, 1525), ('c0cb166d514445c5', 479), (None, 2098),
+    ('45ad18fb04d038df', 1163), (None, 3404), (None, 1240),
+    (None, 2270), ('94d3154d46ac9fef', 1388), (None, 2876),
+    ('1f7373e7637f10c0', 2028), (None, 6288), (None, 2163),
+    (None, 9927), (None, 4794), (None, 5593),
+    ('b8ee0ec2111dcd04', 2112), (None, 5380), ('6439003c370a4440', 2738),
+    (None, 9156), (None, 20212), ('a6f0c16af3a2f09e', 129),
+    (None, 116), ('5bc9ea08c384cd3d', 190), ('e290d5afd57caf0d', 190),
+    ('6d4a8b52f5371890', 10020),
+]
+
+
+def test_embedded_solver_trajectory_is_pinned():
+    got = []
+    for cnf in pinned_encodings():
+        solver = CdclSolver(cnf.num_vars, cnf.clauses)
+        model = solver.solve()
+        digest = None if model is None else sha256(" ".join(map(str, model)).encode()).hexdigest()[:16]
+        got.append((digest, len(solver.clauses)))
+    assert got == PINNED_TRAJECTORIES
 
 
 def solve_cnf_script(tmp_path):
