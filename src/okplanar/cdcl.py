@@ -2,14 +2,17 @@
 
 Used whenever no external DIMACS solver is configured. Implements the
 standard kit: two watched literals, first-UIP learning, VSIDS branching with
-exponential decay, phase saving, Luby restarts. Input and output speak DIMACS
-conventions (1-based signed literals); internally literals are 2*var (+) and
-2*var+1 (-) over 0-based variables.
+exponential decay, phase saving, Luby restarts. Literals are DIMACS signed
+integers throughout. Arrays indexed by literal have 2n + 1 slots: literal x
+sits at slot x and -x wraps to slot 2n + 1 - x, so a literal and its
+negation never share a slot. Arrays indexed by variable have n + 1 slots;
+slot 0 of both kinds is unused.
 """
 from __future__ import annotations
 
 import time
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from itertools import chain
 
 
 class SolverTimeout(Exception):
@@ -31,171 +34,172 @@ def _luby(x: int) -> int:
 
 class CdclSolver:
     def __init__(self, num_vars: int, clauses: list[list[int]]):
-        for c in clauses:  # tolerate headers that undercount
-            for x in c:
-                num_vars = max(num_vars, abs(x))
+        # tolerate headers that undercount
+        num_vars = max(num_vars, max(map(abs, chain.from_iterable(clauses)), default=0))
         self.nv = num_vars
         self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * num_vars)]
-        self.value = [-1] * num_vars  # -1 unassigned / 0 false / 1 true
-        self.level = [0] * num_vars
-        self.reason: list[int | None] = [None] * num_vars
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
+        self.lval = [-1] * (2 * num_vars + 1)  # -1 unassigned / 0 false / 1 true
+        self.level = [0] * (num_vars + 1)
+        self.reason: list[list[int] | None] = [None] * (num_vars + 1)
         self.trail: list[int] = []  # assigned literals in order
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.activity = [0.0] * num_vars
+        self.activity = [0.0] * (num_vars + 1)
         self.act_inc = 1.0
-        self.phase = [False] * num_vars
-        self.heap: list[tuple[float, int]] = []
+        self.phase = [False] * (num_vars + 1)
+        self.seen = [False] * (num_vars + 1)
+        # at most one live entry per variable: the one whose key matches
+        # heap_act[v]; older entries are stale and skipped when popped
+        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, num_vars + 1)]
+        self.heap_act = [0.0] * (num_vars + 1)  # -1.0: v has no live entry
         self.ok = True
         self.units: list[int] = []
+        watches, store = self.watches, self.clauses
         for c in clauses:
-            self._add_clause([self._lit(x) for x in c])
-        for v in range(num_vars):
-            heappush(self.heap, (0.0, v))
+            if 0 in c:
+                raise ValueError(f"literal 0 in clause {c}")
+            if len(set(map(abs, c))) < len(c):  # a variable repeats
+                c = list(dict.fromkeys(c))  # merge repeated literals
+                if len(set(map(abs, c))) < len(c):
+                    continue  # x or -x: always true
+            if len(c) < 2:
+                if c:
+                    self.units.append(c[0])
+                else:
+                    self.ok = False
+                continue
+            c = list(c)
+            watches[c[0]].append(c)
+            watches[c[1]].append(c)
+            store.append(c)
 
-    @staticmethod
-    def _lit(x: int) -> int:
-        v = abs(x) - 1
-        return 2 * v + (1 if x < 0 else 0)
-
-    @staticmethod
-    def _ext(lit: int) -> int:
-        return (lit // 2 + 1) * (-1 if lit & 1 else 1)
-
-    def _lit_value(self, lit: int) -> int:
-        v = self.value[lit >> 1]
-        if v < 0:
-            return -1
-        return v ^ (lit & 1)
-
-    def _add_clause(self, lits: list[int]) -> None:
-        # dedupe; drop tautologies
-        seen = set()
-        out = []
-        for l in lits:
-            if l ^ 1 in seen:
-                return
-            if l not in seen:
-                seen.add(l)
-                out.append(l)
-        if not out:
-            self.ok = False
-            return
-        if len(out) == 1:
-            self.units.append(out[0])
-            return
-        idx = len(self.clauses)
-        self.clauses.append(out)
-        self.watches[out[0]].append(idx)
-        self.watches[out[1]].append(idx)
-
-    def _enqueue(self, lit: int, reason: int | None) -> bool:
-        v = lit >> 1
-        val = self._lit_value(lit)
+    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
+        val = self.lval[lit]
         if val == 0:
             return False
-        if val == -1:
-            self.value[v] = 0 if (lit & 1) else 1
-            self.level[v] = len(self.trail_lim)
-            self.reason[v] = reason
+        if val < 0:
+            self.lval[lit] = 1
+            self.lval[-lit] = 0
+            self.level[abs(lit)] = len(self.trail_lim)
+            self.reason[abs(lit)] = reason
             self.trail.append(lit)
         return True
 
-    def _propagate(self) -> int | None:
-        """Returns a conflicting clause index or None."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = lit ^ 1
-            ws = self.watches[falsified]
-            i = 0
-            while i < len(ws):
-                ci = ws[i]
-                c = self.clauses[ci]
-                # ensure falsified is c[1]
-                if c[0] == falsified:
-                    c[0], c[1] = c[1], c[0]
-                if self._lit_value(c[0]) == 1:
+    def _propagate(self) -> list[int] | None:
+        """Returns a conflicting clause or None."""
+        trail, watches, lval = self.trail, self.watches, self.lval
+        level, reason, lvl = self.level, self.reason, len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            ws = watches[falsified]
+            i, end = 0, len(ws)  # ws[end:] holds moved watches until the del
+            while i < end:
+                c = ws[i]
+                first = c[0]
+                if first == falsified:  # keep the falsified watch at c[1]
+                    first = c[0] = c[1]
+                    c[1] = falsified
+                val = lval[first]
+                if val == 1:
                     i += 1
                     continue
-                moved = False
                 for j in range(2, len(c)):
-                    if self._lit_value(c[j]) != 0:
-                        c[1], c[j] = c[j], c[1]
-                        self.watches[c[1]].append(ci)
-                        ws[i] = ws[-1]
-                        ws.pop()
-                        moved = True
+                    lit = c[j]
+                    if lval[lit]:  # true or unassigned: watch it instead
+                        c[1], c[j] = lit, falsified
+                        watches[lit].append(c)
+                        end -= 1
+                        ws[i] = ws[end]
                         break
-                if moved:
-                    continue
-                if not self._enqueue(c[0], ci):
-                    return ci
-                i += 1
+                else:
+                    if val == 0:
+                        del ws[end:]
+                        self.qhead = qhead
+                        return c
+                    lval[first] = 1
+                    lval[-first] = 0
+                    level[abs(first)] = lvl
+                    reason[abs(first)] = c
+                    trail.append(first)
+                    i += 1
+            del ws[end:]
+        self.qhead = qhead
         return None
 
-    def _bump(self, v: int) -> None:
-        self.activity[v] += self.act_inc
-        if self.activity[v] > 1e100:
-            for u in range(self.nv):
-                self.activity[u] *= 1e-100
-            self.act_inc *= 1e-100
-        heappush(self.heap, (-self.activity[v], v))
+    def _rescale(self) -> None:
+        """Scale activities by 1e-100 and rebuild the heap at the new scale."""
+        act, lval = self.activity, self.lval
+        act[:] = [a * 1e-100 for a in act]
+        self.act_inc *= 1e-100
+        self.heap_act[:] = [act[v] if v and lval[v] < 0 else -1.0 for v in range(self.nv + 1)]
+        self.heap[:] = [(-a, v) for v, a in enumerate(self.heap_act) if a >= 0.0]
+        heapify(self.heap)
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP conflict clause and its backjump level."""
+        seen, level, act, trail = self.seen, self.level, self.activity, self.trail
         learnt = [0]  # slot 0 for the asserting literal
-        seen = [False] * self.nv
         counter = 0
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         cur_level = len(self.trail_lim)
-        reason_lits: list[int] = list(self.clauses[confl])
+        reason_lits = confl
         while True:
             for l in reason_lits:
-                v = l >> 1
-                if not seen[v] and self.level[v] > 0:
+                v = abs(l)
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
-                    if self.level[v] == cur_level:
+                    act[v] += self.act_inc  # VSIDS bump; v is assigned, so no heap push
+                    if act[v] > 1e100:
+                        self._rescale()
+                    if level[v] == cur_level:
                         counter += 1
                     else:
                         learnt.append(l)
-            while not seen[self.trail[idx] >> 1]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            lit = self.trail[idx]
+            lit = trail[idx]
             idx -= 1
-            seen[lit >> 1] = False
+            seen[abs(lit)] = False
             counter -= 1
             if counter == 0:
                 break
-            reason_lits = [x for x in self.clauses[self.reason[lit >> 1]] if x != lit]
-        learnt[0] = lit ^ 1
+            # the propagated literal heads its reason clause
+            reason_lits = self.reason[abs(lit)][1:]
+        learnt[0] = -lit
+        for l in learnt[1:]:  # the current level's marks are cleared already
+            seen[abs(l)] = False
         if len(learnt) == 1:
             return learnt, 0
-        bt = max(self.level[l >> 1] for l in learnt[1:])
+        bt = max(level[abs(l)] for l in learnt[1:])
         return learnt, bt
 
     def _backtrack(self, lvl: int) -> None:
-        while len(self.trail_lim) > lvl:
-            start = self.trail_lim.pop()
-            for lit in reversed(self.trail[start:]):
-                v = lit >> 1
-                self.phase[v] = self.value[v] == 1
-                self.value[v] = -1
-                self.reason[v] = None
-                heappush(self.heap, (-self.activity[v], v))
-            del self.trail[start:]
-        self.qhead = min(self.qhead, len(self.trail))
+        if len(self.trail_lim) <= lvl:
+            return
+        trail, lval, act, heap_act = self.trail, self.lval, self.activity, self.heap_act
+        start = self.trail_lim[lvl]
+        del self.trail_lim[lvl:]
+        for lit in trail[start:]:
+            v = abs(lit)
+            self.phase[v] = lit > 0
+            lval[lit] = lval[-lit] = -1
+            if heap_act[v] != act[v]:
+                heap_act[v] = act[v]
+                heappush(self.heap, (-act[v], v))
+        del trail[start:]
+        self.qhead = min(self.qhead, start)
 
     def _decide(self) -> int | None:
-        while self.heap:
-            _, v = heappop(self.heap)
-            if self.value[v] < 0:
-                return 2 * v + (0 if self.phase[v] else 1)
-        for v in range(self.nv):
-            if self.value[v] < 0:
-                return 2 * v + (0 if self.phase[v] else 1)
+        heap, heap_act = self.heap, self.heap_act
+        while heap:
+            key, v = heappop(heap)
+            if heap_act[v] == -key:
+                heap_act[v] = -1.0
+                if self.lval[v] < 0:
+                    return v if self.phase[v] else -v
         return None
 
     def solve(self, timeout_s: float | None = None) -> list[int] | None:
@@ -222,14 +226,13 @@ class CdclSolver:
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], None)
                 else:
-                    idx = len(self.clauses)
                     # put a top-level literal second so watches stay sound
-                    sec = max(range(1, len(learnt)), key=lambda i: self.level[learnt[i] >> 1])
+                    sec = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
                     learnt[1], learnt[sec] = learnt[sec], learnt[1]
                     self.clauses.append(learnt)
-                    self.watches[learnt[0]].append(idx)
-                    self.watches[learnt[1]].append(idx)
-                    self._enqueue(learnt[0], idx)
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
+                    self._enqueue(learnt[0], learnt)
                 self.act_inc /= 0.95
                 if deadline is not None and time.monotonic() > deadline:
                     raise SolverTimeout(f"embedded solver timed out after {conflicts} conflicts")
@@ -240,6 +243,6 @@ class CdclSolver:
             else:
                 lit = self._decide()
                 if lit is None:
-                    return [self._ext(2 * v + (0 if self.value[v] == 1 else 1)) for v in range(self.nv)]
+                    return [v if self.lval[v] == 1 else -v for v in range(1, self.nv + 1)]
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, None)

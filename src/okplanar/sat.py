@@ -13,6 +13,7 @@ import os
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import NamedTuple
 
 from .cdcl import CdclSolver
@@ -174,12 +175,6 @@ def _seq_counter_le(cnf: CnfFormula, vm: VarMap, lits: list[int], k: int, tag: s
     cnf.num_vars = vm.num_vars
 
 
-def _y_for(vm: VarMap, e: Edge, f: Edge) -> int:
-    if (e, f) in vm.cross_var:
-        return vm.cross_var[(e, f)]
-    return vm.cross_var[(f, e)]
-
-
 def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     """SAT iff some circular order crosses every edge at most k times."""
     if k < 0:
@@ -189,9 +184,8 @@ def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     encode_crossing_links(g, cnf, vm)
     cnf.comments.append("c block per-edge-crossing-cap")
     edges = g.edges
-    for e, mask in zip(edges, _disjointness_masks(edges)):
-        lits = [_y_for(vm, e, edges[j]) for j in _bits(mask)]
-        _seq_counter_le(cnf, vm, lits, k, tag=f"cap{e[0]}-{e[1]}")
+    for e, row, mask in zip(edges, _neg_cross_matrix(edges, vm), _disjointness_masks(edges)):
+        _seq_counter_le(cnf, vm, [-row[j] for j in _bits(mask)], k, tag=f"cap{e[0]}-{e[1]}")
     vm.variant, vm.k = "outer-planar", k
     _aux_comments(cnf, vm)
     return cnf, vm
@@ -205,15 +199,7 @@ def encode_outer_quasi(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     cnf, vm = encode_order_axioms(max(g.n, 1))
     encode_crossing_links(g, cnf, vm)
     cnf.comments.append("c block mutual-crossing-cap")
-    for count, subset in enumerate(_disjoint_subsets(g.edges, k), 1):
-        if count > CLAUSE_CAP:
-            raise EncodingTooLarge(
-                f"mutual-crossing clauses exceed cap {CLAUSE_CAP}: "
-                f"at least {count} size-{k} disjoint edge subsets",
-                count=count,
-            )
-        cnf.add([-_y_for(vm, subset[i], subset[j])
-                 for i in range(k) for j in range(i + 1, k)])
+    cnf.clauses += _mutual_cap_clauses(g.edges, k, _neg_cross_matrix(g.edges, vm))
     vm.variant, vm.k = "outer-quasi", k
     _aux_comments(cnf, vm)
     return cnf, vm
@@ -234,24 +220,36 @@ def _disjointness_masks(edges: tuple[Edge, ...]) -> list[int]:
     return [everyone & ~(touching[u] | touching[v]) for u, v in edges]
 
 
-def _disjoint_subsets(edges: tuple[Edge, ...], k: int):
-    """Yield all k-subsets of pairwise endpoint-disjoint edges."""
-    masks = _disjointness_masks(edges)
-    m = len(edges)
+def _neg_cross_matrix(edges: tuple[Edge, ...], vm: VarMap) -> list[list[int]]:
+    """-y_{e,f} indexed by the two edges' positions; 0 where they touch."""
+    index = {e: i for i, e in enumerate(edges)}
+    neg = [[0] * len(edges) for _ in edges]
+    for (e, f), y in vm.cross_var.items():
+        neg[index[e]][index[f]] = neg[index[f]][index[e]] = -y
+    return neg
 
-    def rec(start_mask: int, chosen: list[int]):
-        if len(chosen) == k:
-            yield [edges[i] for i in chosen]
+
+def _mutual_cap_clauses(edges: tuple[Edge, ...], k: int, neg: list[list[int]]) -> list[list[int]]:
+    """Per k-set of pairwise disjoint edges, in lexicographic order of edge
+    indices: not all its pairs cross, listed as itertools.combinations does."""
+    after = [mask >> (i + 1) << (i + 1) for i, mask in enumerate(_disjointness_masks(edges))]
+    clauses: list[list[int]] = []
+
+    def grow(cand: int, chosen: tuple[int, ...]) -> None:
+        if len(chosen) < k - 1:
+            for i in _bits(cand):
+                grow(cand & after[i], (*chosen, i))
             return
-        mask = start_mask
-        while mask:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            mask ^= low
-            yield from rec(start_mask & masks[i] & ~((1 << (i + 1)) - 1), chosen + [i])
+        clauses.extend([neg[p][q] for p, q in combinations((*chosen, d), 2)] for d in _bits(cand))
+        if len(clauses) > CLAUSE_CAP:
+            raise EncodingTooLarge(
+                f"mutual-crossing clauses exceed cap {CLAUSE_CAP}: "
+                f"at least {CLAUSE_CAP + 1} size-{k} disjoint edge subsets",
+                count=CLAUSE_CAP + 1,
+            )
 
-    full = (1 << m) - 1
-    yield from rec(full, [])
+    grow((1 << len(edges)) - 1, ())
+    return clauses
 
 
 def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
@@ -325,19 +323,22 @@ def emit_dimacs(f: CnfFormula, path: str) -> None:
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
+    """The header's variable count and the clauses; ValueError names a bad line."""
     num_vars = 0
     clauses = []
     cur: list[int] = []
-    for line in text.splitlines():
+    for no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            num_vars = int(parts[2])
-            continue
-        for tok in line.split():
-            v = int(tok)
+        try:
+            if line.startswith("p"):
+                num_vars = int(line.split()[2])
+                continue
+            lits = [int(tok) for tok in line.split()]
+        except (IndexError, ValueError):
+            raise ValueError(f"DIMACS line {no} is malformed: {line!r}") from None
+        for v in lits:
             if v == 0:
                 clauses.append(cur)
                 cur = []

@@ -389,6 +389,18 @@ def test_usage_errors_exit_one(capsys, k5):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("text, bad", [
+    ("p cnf\n1 0\n", "line 1 is malformed: 'p cnf'"),
+    ("c comment\np cnf 2 1\n1 x 0\n", "line 3 is malformed: '1 x 0'"),
+])
+def test_solve_cnf_names_the_malformed_line(capsys, tmp_path, text, bad):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text(text)
+    assert main(["solve-cnf", str(cnf)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: DIMACS {bad}\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("command", ["recognize", "repro", "solve-cnf"])
 def test_timeout_must_be_positive(capsys, tmp_path, k5, command, value):

@@ -6,7 +6,7 @@ import random
 import stat
 import sys
 from hashlib import sha256
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -192,11 +192,61 @@ def test_unsat_monotone_in_k():
 
 
 def test_clause_cap_rejection(monkeypatch):
-    monkeypatch.setattr(sat, "CLAUSE_CAP", 10)
-    g = complete(9)
-    with pytest.raises(EncodingTooLarge) as e:
-        encode_outer_quasi(g, 3)
-    assert e.value.count > 10
+    # the count names the first subset over the cap, wherever the cap falls
+    for cap, k in ((10, 3), (100, 3), (500, 4)):
+        monkeypatch.setattr(sat, "CLAUSE_CAP", cap)
+        with pytest.raises(EncodingTooLarge) as e:
+            encode_outer_quasi(complete(9), k)
+        assert e.value.count == cap + 1
+        assert str(e.value) == (f"mutual-crossing clauses exceed cap {cap}: "
+                                f"at least {cap + 1} size-{k} disjoint edge subsets")
+
+
+def cap_oracle_graphs(rng, k):
+    """Random graphs with room for k pairwise disjoint edges."""
+    for _ in range(6):
+        n = rng.randint(2 * k, 2 * k + 2)
+        pairs = list(combinations(range(n), 2))
+        yield build_graph(n, rng.sample(pairs, min(len(pairs), rng.randint(n, 2 * n))))
+
+
+def neg_y(vm, e, f):
+    return -vm.cross_var.get((e, f), vm.cross_var.get((f, e)))
+
+
+def disjoint(*edges):
+    return len({v for e in edges for v in e}) == 2 * len(edges)
+
+
+def test_mutual_crossing_cap_matches_a_combinations_oracle():
+    rng = random.Random(505)
+    for k in range(2, 6):
+        emitted = 0
+        for g in cap_oracle_graphs(rng, k):
+            cnf, vm = encode_outer_quasi(g, k)
+            expected = [[neg_y(vm, e, f) for e, f in combinations(subset, 2)]
+                        for subset in combinations(g.edges, k) if disjoint(*subset)]
+            start = len(cnf.clauses) - len(expected)
+            assert start == len(encode_order_axioms(g.n)[0].clauses) + 8 * len(vm.cross_var)
+            assert cnf.clauses[start:] == expected, (g.edges, k)
+            emitted += len(expected)
+        assert emitted > 0
+
+
+def test_per_edge_crossing_cap_matches_a_combinations_oracle():
+    rng = random.Random(606)
+    for k in range(2, 6):
+        counted = 0
+        for g in cap_oracle_graphs(rng, k):
+            cnf, vm = encode_outer_planar(g, k)
+            oracle, ovm = encode_order_axioms(g.n)
+            encode_crossing_links(g, oracle, ovm)
+            for e in g.edges:
+                lits = [-neg_y(ovm, e, f) for f in g.edges if disjoint(e, f)]
+                sat._seq_counter_le(oracle, ovm, lits, k, tag=f"cap{e[0]}-{e[1]}")
+                counted += len(lits) > k
+            assert (cnf.clauses, vm.aux) == (oracle.clauses, ovm.aux), (g.edges, k)
+        assert counted > 0
 
 
 def test_n_limit_guardrail(monkeypatch):
@@ -354,6 +404,31 @@ def test_embedded_solver_trajectory_is_pinned():
         digest = None if model is None else sha256(" ".join(map(str, model)).encode()).hexdigest()[:16]
         got.append((digest, len(solver.clauses)))
     assert got == PINNED_TRAJECTORIES
+
+
+def test_solver_rejects_literal_zero():
+    # 0 would index the watch list of the last variable's negation
+    with pytest.raises(ValueError, match=r"literal 0 in clause \[0, 1\]"):
+        CdclSolver(2, [[0, 1], [-1]])
+
+
+def test_activity_rescale_keeps_branching_on_the_highest_activity():
+    nv, clauses = pigeonhole(6, 5)
+    solver = CdclSolver(nv, clauses)
+    solver.act_inc = 1e99  # some activity passes 1e100 within a few conflicts
+    decide, picks = solver._decide, []
+
+    def checked_decide():
+        free = [v for v in range(1, nv + 1) if solver.lval[v] < 0]
+        lit = decide()
+        if solver.act_inc < 1e90:  # rescaled
+            best = max(free, key=lambda v: (solver.activity[v], -v))
+            picks.append((abs(lit), best))
+        return lit
+
+    solver._decide = checked_decide
+    assert solver.solve() is None
+    assert picks and all(got == best for got, best in picks)
 
 
 def solve_cnf_script(tmp_path):
