@@ -95,19 +95,6 @@ def _add_input(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--graph", help="instance file, same as the positional argument")
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {
-            (k if isinstance(k, str) else str(k)): _json_safe(v)
-            for k, v in obj.items()
-        }
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_json_safe(x) for x in obj)
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(x) for x in obj]
-    return obj
-
-
 def _emit(args: argparse.Namespace, command: str, inputs: dict, payload: dict) -> None:
     doc = {
         "command": command,
@@ -211,6 +198,8 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def cmd_separator(args: argparse.Namespace) -> int:
+    if args.leaf_size is not None and not args.recursive:
+        raise ValueError("--leaf-size needs --recursive")
     path = _input_path(args)
     d = read_instance(path).drawing()
     eff_k = max(drawing_chords(d).counts, default=0)
@@ -241,7 +230,7 @@ def cmd_separator(args: argparse.Namespace) -> int:
             "b_side": sorted(sep.b_side),
             "size": len(sep.separator),
             "case_tag": sep.case_tag,
-            "witness": _json_safe(sep.witness),
+            "witness": sep.witness,
             "valid": check_separation(d, eff_k, sep) is None,
         }
     _emit(args, "separator", {path}, payload)

@@ -49,11 +49,15 @@ def complete(n: int) -> Graph:
 
 def complete_bipartite(p: int, q: int) -> Graph:
     """Parts 0..p-1 and p..p+q-1."""
+    if p < 0 or q < 0:
+        raise ValueError(f"part sizes must be nonnegative, got {p} and {q}")
     return build_graph(p + q, [(u, p + v) for u in range(p) for v in range(q)])
 
 
 def grid(r: int, c: int) -> Graph:
     """r x c grid, vertices row-major: (i, j) -> i*c + j."""
+    if r < 0 or c < 0:
+        raise ValueError(f"grid sides must be nonnegative, got {r} x {c}")
     edges = []
     for i in range(r):
         for j in range(c):

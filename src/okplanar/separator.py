@@ -20,6 +20,14 @@ order:
                         along one of three lines depending on the interval
                         sizes between the pair
 
+Every case builds its separation with one cover rule. It cuts along one or
+two chords: the positions strictly inside a chosen arc of each go to A
+only, every other vertex to B only, and the separator S joins both sides.
+S holds the chords' ends and, for each edge crossing a chord (p, q), that
+edge's end on the clockwise arc p -> q. The case picks which way each
+chord is read, so every crossing edge keeps one end in S and no edge joins
+the two exclusive sides.
+
 All arithmetic is over boundary positions; "clockwise" is the direction of
 increasing position. Every returned separation is re-validated against the
 three invariants and a violation raises instead of returning quietly.
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drawing import ConvexDrawing, drawing_chords, make_drawing
+from .drawing import ChordSet, ConvexDrawing, drawing_chords, make_drawing
 from .graphs import induced_subgraph
 
 
@@ -52,15 +60,7 @@ class SeparatorError(Exception):
 
 def _arc(n: int, i: int, j: int) -> list[int]:
     """Positions strictly between i and j going clockwise."""
-    if i < j:
-        return list(range(i + 1, j))
-    return list(range(i + 1, n)) + list(range(0, j))
-
-
-def _cut_sizes(n: int, x: int, y: int) -> tuple[int, int]:
-    """(inside, outside) vertex counts of chord {x, y}, x < y positions."""
-    inside = y - x - 1
-    return inside, n - 2 - inside
+    return [*range(i + 1, j)] if i < j else [*range(i + 1, n), *range(j)]
 
 
 def balanced_separator(d: ConvexDrawing) -> Separation:
@@ -69,66 +69,65 @@ def balanced_separator(d: ConvexDrawing) -> Separation:
     k is the drawing's own maximum per-edge crossing count, never supplied
     by the caller.
     """
-    n = d.n
     cs = drawing_chords(d)
     k = max(cs.counts, default=0)
-    everyone = frozenset(range(n))
-    if n <= 2 * k + 3:
-        sep = Separation(everyone, everyone, everyone, "trivial-small",
-                         {"n": n, "k": k})
-        return _validated(d, k, sep)
+    sep = _separate(d, cs, k)
+    err = check_separation(d, k, sep)
+    if err:
+        raise SeparatorError(err, sep.case_tag, sep.witness)
+    return sep
 
+
+def _separate(d: ConvexDrawing, cs: ChordSet, k: int) -> Separation:
+    """The case analysis of the module docstring, unvalidated."""
+    n = d.n
+    everyone = frozenset(range(n))
     order = d.order
     at = lambda p: order[p]
     chords = cs.chords  # all edges as position chords (lo, hi)
+
+    def cover(p: int, q: int) -> set[int]:
+        """The end of each chord crossing (p, q) that lies on the arc p -> q."""
+        span = (q - p) % n
+        return {at(x if (x - p) % n < span else y) for x, y in cs.crossing_chords(p, q)}
+
+    def split(excl, s: frozenset[int], tag: str, wit: dict) -> Separation:
+        """A = excl ∪ s and B = (V - excl) ∪ s, excl given as positions."""
+        ex = frozenset(at(t) for t in excl)
+        return Separation(ex | s, (everyone - ex) | s, s, tag, wit)
+
+    def along(p1: int, p2: int, tag: str, wit: dict, inside: bool = True) -> Separation:
+        """Separate along chord (p1, p2); A-exclusive is the arc p1 -> p2.
+        Crossing edges are covered at their end on that arc (inside) or on
+        the other arc."""
+        s = frozenset({at(p1), at(p2)}) | cover(*((p1, p2) if inside else (p2, p1)))
+        wit = dict(wit, line=[at(p1), at(p2)], crossers=cs.crossers(p1, p2).bit_count())
+        return split(_arc(n, p1, p2), s, tag, wit)
+
+    if n <= 2 * k + 3:
+        return split((), everyone, "trivial-small", {"n": n, "k": k})
 
     # 1. single cutting edge. The window top is capped at n-3 so the far
     # side keeps at least one vertex and recursion always makes progress.
     lo_w = -(-n // 3)
     hi_w = min(2 * n // 3, n - 3)
     for (u, v), (p, q) in zip(d.graph.edges, chords):
-        c_in, c_out = _cut_sizes(n, p, q)
+        c_in = q - p - 1
+        c_out = n - 2 - c_in
         if lo_w <= c_in <= hi_w or lo_w <= c_out <= hi_w:
-            crossers = cs.crossing_chords(p, q)
-            cover = {at(x) if p < x < q else at(y) for x, y in crossers}
-            s = frozenset({u, v} | cover)
-            a_set = frozenset(at(t) for t in _arc(n, p, q)) | s
-            b_set = (everyone - a_set) | s
-            sep = Separation(a_set, b_set, s, "cutting-edge",
-                             {"edge": [u, v], "inside": c_in, "outside": c_out})
-            return _validated(d, k, sep)
+            return split(_arc(n, p, q), frozenset({u, v}) | cover(p, q), "cutting-edge",
+                         {"edge": [u, v], "inside": c_in, "outside": c_out})
 
-    # 2. halving line ab: a at position 0, b at position floor(n/2)
+    # 2. halving line ab: a at position 0, b at position floor(n/2). Along
+    # ab itself, A-exclusive is the arc a -> b and each crosser is covered
+    # at its end on the b..a side.
     h = n // 2
     a_v, b_v = at(0), at(h)
+    along_ab = lambda tag, wit: split(_arc(n, 0, h), frozenset({a_v, b_v}) | cover(h, 0),
+                                      tag, wit)
     line = cs.crossers(0, h)
-    crossers = cs.crossing_chords(0, h)
     # (lpos, rpos): endpoint on b..a side (pos > h), endpoint on a..b side
-    lr = [(max(x, y), min(x, y)) for x, y in crossers]
-
-    def line_separation(v1: int, v2: int, p1: int, p2: int, tag: str, wit: dict,
-                        cover_inside_first_arc: bool) -> Separation:
-        """Separate along chord (p1, p2); A-exclusive is arc p1->p2."""
-        cr = cs.crossing_chords(p1, p2)
-        arc1 = set(_arc(n, p1, p2))
-        cover = set()
-        for x, y in cr:
-            inner = x if x in arc1 else y
-            outer = y if inner == x else x
-            cover.add(at(inner) if cover_inside_first_arc else at(outer))
-        s = frozenset({v1, v2} | cover)
-        a_set = frozenset(at(t) for t in arc1) | s
-        b_set = (everyone - frozenset(at(t) for t in arc1)) | s
-        wit = dict(wit, line=[v1, v2], crossers=len(cr))
-        return Separation(a_set, b_set, s, tag, wit)
-
-    def along_ab(tag: str, wit: dict) -> Separation:
-        """Separate along ab itself; A-exclusive is the arc a->b."""
-        # covers: the endpoint on the b..a side of each crossing edge
-        s = frozenset({a_v, b_v} | {at(x) for x, y in lr})
-        right = frozenset(at(t) for t in range(1, h))
-        sep = Separation(right | s, (everyone - right) | s, s, tag, wit)
-        return _validated(d, k, sep)
+    lr = [(max(x, y), min(x, y)) for x, y in cs.crossing_chords(0, h)]
 
     # every crosser of ab crosses all the others
     if all((line & ~cs.crossers(p, q)) == 1 << i
@@ -139,16 +138,12 @@ def balanced_separator(d: ConvexDrawing) -> Separation:
     # crossing edge; among its edges take the one with the smallest b-side
     # cut. a_r: first position clockwise from a, smallest a-side cut.
     p_bl = min(x for x, y in lr)
-    f_bot = max((y, x) for x, y in lr if x == p_bl)  # max rpos = min bottom cut
-    f_bot = (f_bot[1], f_bot[0])
+    f_bot = (p_bl, max(y for x, y in lr if x == p_bl))  # max rpos = min bottom cut
     p_ar = min(y for x, y in lr)
-    f_top = max((x, y) for x, y in lr if y == p_ar)  # max lpos = min top cut
-
-    base_wit = {
-        "a": a_v, "b": b_v,
-        "b_l": at(f_bot[0]), "b_l2": at(f_bot[1]),
-        "a_r": at(f_top[1]), "a_r2": at(f_top[0]),
-    }
+    f_top = (max(x for x, y in lr if y == p_ar), p_ar)  # max lpos = min top cut
+    scanned = lambda fb, ft: {"a": a_v, "b": b_v, "b_l": at(fb[0]), "b_l2": at(fb[1]),
+                              "a_r": at(ft[1]), "a_r2": at(ft[0])}
+    base_wit = scanned(f_bot, f_top)
 
     if f_bot == f_top:
         return along_ab("single-crossing-edge", dict(base_wit, crossers=len(lr)))
@@ -156,17 +151,26 @@ def balanced_separator(d: ConvexDrawing) -> Separation:
     bottom = lambda e: e[0] - e[1] - 1          # vertices on the b side
     top = lambda e: n - 2 - (e[0] - e[1] - 1)   # vertices on the a side
 
-    if 3 * top(f_bot) <= n:
-        return _validated(d, k, _case1(n, h, f_bot, at, line_separation, base_wit))
-    if 3 * bottom(f_top) <= n:
-        return _validated(d, k, _case1_prime(n, f_top, at, line_separation, base_wit))
+    # case 1 (resp. 1'): f_bot (f_top) leaves a short far side; separate
+    # along a line from the pivot b (a) to one end of that edge. The window
+    # rule picks the line. When that line leaves an exclusive side above
+    # ceil(2n/3), the other line is taken: an interval just below the
+    # window can tie with one just above it, and only the one above balances.
+    for tag, pivot, (after, before), hugs in (
+            ("case1", h, f_bot, 3 * top(f_bot) <= n),
+            ("case1'", 0, f_top[::-1], 3 * bottom(f_top) <= n)):
+        if hugs:
+            sizes = [(after - pivot) % n + 1, (pivot - before) % n + 1]
+            wit = dict(base_wit, intervals=sizes)
+            lines = [along(pivot, after, tag, wit), along(before, pivot, tag, wit, inside=False)]
+            if _window_choice(n, *sizes):
+                lines.reverse()
+            return next((s for s in lines if _balanced(n, s)), lines[0])
 
     # case 2: f_bot hugs b, f_top hugs a; refine to a close pair
     if not (3 * bottom(f_bot) <= n and 3 * top(f_top) <= n):
         raise SeparatorError("case-2 hypothesis failed", "case2", base_wit)
-    guard = len(chords) + 1
-    while guard:
-        guard -= 1
+    for _ in range(len(chords) + 1):
         between = [
             (x, y) for x, y in lr
             if (x, y) not in (f_bot, f_top)
@@ -177,38 +181,26 @@ def balanced_separator(d: ConvexDrawing) -> Separation:
         e = min(between)
         if 3 * bottom(e) <= n:
             f_bot = e
-        else:
-            if not 3 * top(e) <= n:
-                raise SeparatorError("between edge cuts both sides wide",
-                                     "case2", dict(base_wit, e=list(e)))
+        elif 3 * top(e) <= n:
             f_top = e
+        else:
+            raise SeparatorError("between edge cuts both sides wide",
+                                 "case2", dict(base_wit, e=list(e)))
     else:
         raise SeparatorError("close-pair refinement did not terminate",
                              "case2", base_wit)
 
     p_bl, p_blp = f_bot
     p_arp, p_ar = f_top
-    wit = {
-        "a": a_v, "b": b_v,
-        "b_l": at(p_bl), "b_l2": at(p_blp),
-        "a_r": at(p_ar), "a_r2": at(p_arp),
-    }
+    wit = scanned(f_bot, f_top)
 
-    shared = p_arp == p_bl or p_ar == p_blp
-    if shared:
-        cover = set()
-        for f in (f_bot, f_top):
-            lo, hi = min(f), max(f)
-            for x, y in cs.crossing_chords(lo, hi):
-                cover.add(at(x) if lo < x < hi else at(y))
-        s = frozenset({at(p_bl), at(p_blp), at(p_ar), at(p_arp)} | cover)
+    if p_arp == p_bl or p_ar == p_blp:
         alpha = _arc(n, p_arp, p_ar)
         beta = _arc(n, p_blp, p_bl)
-        a_set = frozenset(at(t) for t in alpha + beta) | s
-        b_set = (everyone - frozenset(at(t) for t in alpha + beta)) | s
-        sep = Separation(a_set, b_set, s, "case2-shared",
-                         dict(wit, alpha=len(alpha), beta=len(beta)))
-        return _validated(d, k, sep)
+        s = (frozenset({at(p_bl), at(p_blp), at(p_ar), at(p_arp)})
+             | cover(p_blp, p_bl) | cover(p_ar, p_arp))
+        return split(alpha + beta, s, "case2-shared",
+                     dict(wit, alpha=len(alpha), beta=len(beta)))
 
     alpha = len(_arc(n, p_arp, p_ar))
     beta = p_bl - p_blp - 1
@@ -219,63 +211,24 @@ def balanced_separator(d: ConvexDrawing) -> Separation:
                              "case2-distinct", wit)
     wit.update(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
     if 3 * delta >= n:
-        sep = line_separation(at(p_bl), at(p_arp), p_bl, p_arp,
-                              "case2-distinct", wit, cover_inside_first_arc=True)
-    elif 3 * gamma >= n:
-        sep = line_separation(at(p_ar), at(p_blp), p_ar, p_blp,
-                              "case2-distinct", wit, cover_inside_first_arc=True)
-    else:
-        sep = line_separation(at(p_ar), at(p_bl), p_ar, p_bl,
-                              "case2-distinct", wit, cover_inside_first_arc=True)
-    return _validated(d, k, sep)
-
-
-def _case1(n, h, f_bot, at, line_separation, wit):
-    p_bl, p_blp = f_bot
-    size_b_bl = p_bl - h + 1     # [b, b_l]
-    size_blp_b = h - p_blp + 1   # [b_l', b]
-    choice = _window_choice(n, size_b_bl, size_blp_b)
-    wit = dict(wit, intervals=[size_b_bl, size_blp_b])
-    if choice == 0:
-        return line_separation(at(h), at(p_bl), h, p_bl, "case1", wit,
-                               cover_inside_first_arc=True)
-    return line_separation(at(p_blp), at(h), p_blp, h, "case1", wit,
-                           cover_inside_first_arc=False)
-
-
-def _case1_prime(n, f_top, at, line_separation, wit):
-    p_arp, p_ar = f_top
-    size_a_ar = p_ar + 1         # [a, a_r]
-    size_arp_a = n - p_arp + 1   # [a_r', a]
-    choice = _window_choice(n, size_a_ar, size_arp_a)
-    wit = dict(wit, intervals=[size_a_ar, size_arp_a])
-    if choice == 0:
-        return line_separation(at(0), at(p_ar), 0, p_ar, "case1'", wit,
-                               cover_inside_first_arc=True)
-    return line_separation(at(p_arp), at(0), p_arp, 0, "case1'", wit,
-                           cover_inside_first_arc=False)
+        return along(p_bl, p_arp, "case2-distinct", wit)
+    if 3 * gamma >= n:
+        return along(p_ar, p_blp, "case2-distinct", wit)
+    return along(p_ar, p_bl, "case2-distinct", wit)
 
 
 def _window_choice(n: int, s0: int, s1: int) -> int:
     """Prefer the interval whose size sits in [ceil(n/3), floor(n/2)];
-    fall back to the nearer one (the window can be empty at small n)."""
+    fall back to the nearer one, and to the first on a tie."""
     lo, hi = -(-n // 3), n // 2
-
-    def dist(s):
-        if s < lo:
-            return lo - s
-        if s > hi:
-            return s - hi
-        return 0
-
+    dist = lambda s: max(lo - s, s - hi, 0)
     return 0 if dist(s0) <= dist(s1) else 1
 
 
-def _validated(d: ConvexDrawing, k: int, sep: Separation) -> Separation:
-    err = check_separation(d, k, sep)
-    if err:
-        raise SeparatorError(err, sep.case_tag, sep.witness)
-    return sep
+def _balanced(n: int, sep: Separation) -> bool:
+    """Both exclusive sides are at most ceil(2n/3)."""
+    bound = -(-2 * n // 3)
+    return max(len(sep.a_side - sep.b_side), len(sep.b_side - sep.a_side)) <= bound
 
 
 def check_separation(d: ConvexDrawing, k: int, sep: Separation) -> str | None:
@@ -350,8 +303,7 @@ def sub_drawing(d: ConvexDrawing, vertices: frozenset[int]) -> tuple[ConvexDrawi
     return make_drawing(sub, range(sub.n)), old_ids
 
 
-def recursive_decompose(d: ConvexDrawing, leaf_size: int,
-                        _ids: list[int] | None = None) -> DecompositionNode:
+def recursive_decompose(d: ConvexDrawing, leaf_size: int) -> DecompositionNode:
     """Separator tree over induced sub-drawings; leaves at <= leaf_size.
 
     A node also becomes a leaf when its separation cannot shrink it: the
@@ -361,17 +313,19 @@ def recursive_decompose(d: ConvexDrawing, leaf_size: int,
     """
     if leaf_size < 1:
         raise ValueError("need leaf_size >= 1")
-    ids = _ids if _ids is not None else list(range(d.n))
-    if d.n <= leaf_size:
-        return DecompositionNode(d.n, ids, None, "size", [])
-    sep = balanced_separator(d)
-    if sep.case_tag == "trivial-small":
-        return DecompositionNode(d.n, ids, sep, "trivial-small", [])
-    if max(len(sep.a_side), len(sep.b_side)) == d.n:
-        return DecompositionNode(d.n, ids, sep, "no-progress", [])
-    children = []
-    for side in (sep.a_side, sep.b_side):
-        child, old = sub_drawing(d, side)
-        children.append(recursive_decompose(child, leaf_size,
-                                            [ids[i] for i in old]))
-    return DecompositionNode(d.n, ids, sep, None, children)
+
+    def node(d: ConvexDrawing, ids: list[int]) -> DecompositionNode:
+        if d.n <= leaf_size:
+            return DecompositionNode(d.n, ids, None, "size", [])
+        sep = balanced_separator(d)
+        if sep.case_tag == "trivial-small":
+            return DecompositionNode(d.n, ids, sep, "trivial-small", [])
+        if max(len(sep.a_side), len(sep.b_side)) == d.n:
+            return DecompositionNode(d.n, ids, sep, "no-progress", [])
+        children = []
+        for side in (sep.a_side, sep.b_side):
+            child, old = sub_drawing(d, side)
+            children.append(node(child, [ids[i] for i in old]))
+        return DecompositionNode(d.n, ids, sep, None, children)
+
+    return node(d, list(range(d.n)))

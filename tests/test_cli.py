@@ -389,6 +389,19 @@ def test_usage_errors_exit_one(capsys, k5):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, msg", [
+    (["generate", "--kind", "grid", "--rows", "-1", "--cols", "-3"],
+     "grid sides must be nonnegative, got -1 x -3"),
+    (["generate", "--family", "bipartite", "--p", "-1", "--q", "2"],
+     "part sizes must be nonnegative, got -1 and 2"),
+    (["separator", "K5", "--leaf-size", "4"], "--leaf-size needs --recursive"),
+])
+def test_rejected_arguments_print_nothing_and_name_the_problem(capsys, k5, argv, msg):
+    assert main([k5 if a == "K5" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and msg in captured.err
+
+
 @pytest.mark.parametrize("text, bad", [
     ("p cnf\n1 0\n", "line 1 is malformed: 'p cnf'"),
     ("c comment\np cnf 2 1\n1 x 0\n", "line 3 is malformed: '1 x 0'"),

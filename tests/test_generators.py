@@ -32,6 +32,14 @@ def test_basic_counts():
     assert complete_bipartite(0, 3).m == 0
 
 
+@pytest.mark.parametrize("make, sizes", [
+    (grid, (-1, -3)), (grid, (2, -1)), (complete_bipartite, (-1, 2)), (complete_bipartite, (3, -1)),
+])
+def test_negative_sizes_are_rejected(make, sizes):
+    with pytest.raises(ValueError, match="nonnegative"):
+        make(*sizes)
+
+
 def test_grid_structure():
     g = grid(2, 3)
     assert g.n == 6

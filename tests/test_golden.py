@@ -6,7 +6,8 @@ relative and stable. Its stdout must equal tests/golden/<case>.out byte for
 byte, its exit code must match, and every side file it writes (SVG, DIMACS,
 drawing) must equal tests/golden/<side file>. `test_reports_are_byte_stable`
 only compares two runs of one checkout; these files pin the bytes across
-changes to the code.
+changes to the code. Every JSON golden must also validate against its
+command's schema in src/okplanar/schemas.
 
 After an intended change to report bytes, rewrite the goldens with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from okplanar.cli import main
+from okplanar.cli import main, schema_path
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -178,6 +180,19 @@ def test_golden(name, argv, code, tmp_path):
     for f, text in sides.items():
         golden = GOLDEN / f
         assert text == (golden.read_text() if golden.exists() else None), f
+
+
+# every case that prints a JSON report: its command has a schema, and it
+# does not fail with exit 1 (which prints nothing on stdout)
+JSON_CASES = [c for c in CASES if schema_path(c[1][0]).exists() and c[2] != 1]
+
+
+@pytest.mark.parametrize("name,argv,code", JSON_CASES, ids=[c[0] for c in JSON_CASES])
+def test_golden_report_matches_its_schema(name, argv, code):
+    jsonschema = pytest.importorskip("jsonschema")
+    with open(schema_path(argv[0])) as fh:
+        schema = json.load(fh)
+    jsonschema.validate(json.loads((GOLDEN / f"{name}.out").read_text()), schema)
 
 
 def regenerate() -> None:

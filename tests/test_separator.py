@@ -1,6 +1,7 @@
 """Balanced separator: case coverage, invariants, and a small-n oracle."""
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -27,6 +28,49 @@ def assert_valid(d, sep):
     assert err is None, f"{sep.case_tag}: {err}"
 
 
+def assert_separates(g, sep):
+    """BFS oracle: with S removed, nothing in B - A is reachable from A - B."""
+    s = sep.separator
+    seen = set()
+    stack = list(sep.a_side - sep.b_side)
+    while stack:
+        u = stack.pop()
+        if u in seen or u in s:
+            continue
+        seen.add(u)
+        stack.extend(g.adj[u])
+    assert not (seen & (sep.b_side - sep.a_side)), sep.case_tag
+
+
+def halving_chords_drawing(rng):
+    """C_n plus 1-3 chords that cross the halving line (0, n//2).
+
+    Each chord is drawn from the chords crossing the line, narrowed (most of
+    the time) to those that share an end with an earlier chord and to those
+    whose cut misses the cutting-edge window, then to the ones that hug the
+    a side or the b side, picked by a coin. Uniform chords would make nearly
+    every draw a cutting edge or a vacuous mutual crossing.
+    """
+    n = rng.randrange(5, 12) if rng.random() < 0.1 else rng.randrange(12, 40)
+    h = n // 2
+    lo_w, hi_w = -(-n // 3), min(2 * n // 3, n - 3)
+    chords = []
+    for _ in range(rng.randrange(1, 4)):
+        cands = [(x, y) for x in range(1, h) for y in range(h + 1, n) if (x, y) not in chords]
+        if chords and rng.random() < 0.7:
+            ends = {e for c in chords for e in c}
+            cands = [c for c in cands if c[0] in ends or c[1] in ends] or cands
+        if rng.random() < 0.9:
+            cands = [c for c in cands
+                     if not any(lo_w <= s <= hi_w for s in (c[1] - c[0] - 1, n - 1 - c[1] + c[0]))
+                     ] or cands
+        hugs_b = rng.random() < 0.5
+        cands = [c for c in cands if (2 * (c[1] - c[0] - 1) < n - 2) == hugs_b] or cands
+        if cands:
+            chords.append(rng.choice(cands))
+    return cycle_plus(n, chords)
+
+
 # hand-built drawings driving each branch of the case analysis
 CASE_FIXTURES = [
     ("cutting-edge", 12, [(0, 6)]),
@@ -44,6 +88,37 @@ def test_case_fixture(tag, n, extra):
     d = cycle_plus(n, extra)
     sep = balanced_separator(d)
     assert sep.case_tag == tag
+    assert_valid(d, sep)
+
+
+# drawings whose separator holds an end of a crossing edge; either end
+# would satisfy the invariants, so which one is covered is pinned here
+COVER_FIXTURES = [
+    ("cutting-edge", 6, [(1, 4), (2, 4), (2, 5)], [1, 2, 4]),
+    ("mutually-crossing", 10, [(1, 9)], [0, 5, 9]),
+    ("single-crossing-edge", 17, [(1, 15), (2, 16), (3, 16)], [0, 8, 15, 16]),
+    ("case1", 22, [(1, 17), (1, 21), (2, 21)], [1, 11, 21]),
+    ("case1'", 25, [(6, 13), (8, 14), (11, 13)], [0, 8, 13]),
+    ("case2-distinct", 16, [(3, 15), (6, 10), (7, 11)], [3, 7, 10]),
+]
+
+
+@pytest.mark.parametrize("tag,n,extra,separator", COVER_FIXTURES)
+def test_covered_ends_are_pinned(tag, n, extra, separator):
+    d = cycle_plus(n, extra)
+    sep = balanced_separator(d)
+    assert (sep.case_tag, sorted(sep.separator)) == (tag, separator)
+    assert_valid(d, sep)
+
+
+def test_case1_prime_takes_the_line_that_balances():
+    # intervals 8 and 14 sit one below and one above the window [9, 13];
+    # the window rule prefers the line a-a_r, whose far side has 19 > 18
+    # vertices, so the line a_r'-a is taken
+    d = cycle_plus(27, [(7, 14), (12, 14)])
+    sep = balanced_separator(d)
+    assert sep.case_tag == "case1'"
+    assert sep.witness["intervals"] == [8, 14] and sep.witness["line"] == [14, 0]
     assert_valid(d, sep)
 
 
@@ -77,22 +152,9 @@ def test_case2_shared_meets_bound_exactly():
 
 
 def test_separator_really_separates():
-    # BFS oracle: from A\B, nothing in B\A is reachable once S is removed
     for seed in range(12):
         d = random_outer_k_planar(20, 2, seed=seed)
-        sep = balanced_separator(d)
-        s, g = sep.separator, d.graph
-        a_excl = sep.a_side - sep.b_side
-        b_excl = sep.b_side - sep.a_side
-        seen = set()
-        stack = [v for v in a_excl]
-        while stack:
-            u = stack.pop()
-            if u in seen or u in s:
-                continue
-            seen.add(u)
-            stack.extend(g.adj[u])
-        assert not (seen & b_excl)
+        assert_separates(d.graph, balanced_separator(d))
 
 
 def test_witness_mentions_scan_vertices():
@@ -187,13 +249,15 @@ def test_small_n_against_exhaustive_optimum():
 
 
 def _walk(d, node):
+    assert node.n == d.n == len(node.vertices)
     if node.separation is not None:
         k = crossing_report(d).max_per_edge
         assert check_separation(d, k, node.separation) is None
     if node.children:
         sides = (node.separation.a_side, node.separation.b_side)
         for side, child in zip(sides, node.children):
-            child_d, _ = sub_drawing(d, side)
+            child_d, old = sub_drawing(d, side)
+            assert child.vertices == [node.vertices[i] for i in old]
             _walk(child_d, child)
     else:
         assert node.leaf_reason is not None
@@ -254,3 +318,30 @@ def test_vertex_translation_in_nested_reports():
 
     visit(tree.to_dict())
     assert seen_ids == set(range(18))
+
+
+def _tags(node, out):
+    if node.separation is not None:
+        out[node.separation.case_tag] += 1
+    for c in node.children:
+        _tags(c, out)
+    return out
+
+
+def test_halving_line_corpus_reaches_every_case():
+    rng = random.Random(2024)
+    roots, nodes = Counter(), Counter()
+    for _ in range(1000):
+        d = halving_chords_drawing(rng)
+        sep = balanced_separator(d)
+        assert_valid(d, sep)
+        assert_separates(d.graph, sep)
+        roots[sep.case_tag] += 1
+        tree = recursive_decompose(d, 3)
+        _walk(d, tree)
+        _tags(tree, nodes)
+    # C_n plus a few chords reaches trivial-small only in sub-drawings
+    for tag in ("cutting-edge", "mutually-crossing", "single-crossing-edge", "case1",
+                "case1'", "case2-shared", "case2-distinct"):
+        assert roots[tag] >= 5, (tag, roots)
+    assert nodes["trivial-small"] >= 5, nodes
