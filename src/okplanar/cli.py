@@ -169,8 +169,8 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     variant = canonical_variant(args.variant)
     path = _input_path(args)
     g = read_instance(path).graph
-    found, emitted = recognize(g, args.k, variant, args.engine, args.solver,
-                               args.timeout, args.emit_cnf)
+    found, emitted, certificate = recognize(g, args.k, variant, args.engine, args.solver,
+                                            args.timeout, args.emit_cnf)
     witness = None
     if found is not None:
         d, rep = found
@@ -191,6 +191,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
             "m": g.m,
             "in_class": found is not None,
             "witness": witness,
+            "certificate": certificate,
             "emitted_cnf": emitted,
         },
     )

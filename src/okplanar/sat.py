@@ -26,7 +26,13 @@ from .drawing import (
     make_drawing,
 )
 from .graphs import Graph, is_connected
-from .recognition import brute_force_recognize, canonical_variant, check_k
+from .recognition import (
+    brute_force_recognize,
+    canonical_variant,
+    check_k,
+    check_refutation,
+    refute,
+)
 
 Edge = tuple[int, int]
 
@@ -427,33 +433,47 @@ def decode_model(
 
 class Recognition(NamedTuple):
     """found: (witness drawing, its crossing report), None if not in class.
-    emitted_cnf: the DIMACS path written, None if none was."""
+    emitted_cnf: the DIMACS path written, None if none was.
+    certificate: the checked refutation behind a NO answered without a
+    search (see recognition.refute), else None."""
 
     found: tuple[ConvexDrawing, CrossingReport] | None
     emitted_cnf: str | None
+    certificate: dict | None = None
 
 
 def recognize(g: Graph, k: int, variant: str, engine: str = "sat", solver: str | None = None,
               timeout_s: float | None = None, emit_cnf: str | None = None) -> Recognition:
     """Is there a circular order whose drawing is in the class?
 
-    The sat engine encodes, solves (timeout_s bounds the solve only) and
-    decodes; the brute engine enumerates orders. The encoding is built once,
-    only when the sat engine runs or emit_cnf names a DIMACS file to write.
+    A NO that recognition.refute proves in linear time is answered with its
+    certificate, re-checked by check_refutation, before either engine runs;
+    emit_cnf still gets its DIMACS file. Every other instance goes to
+    search_order.
     """
     variant = canonical_variant(variant)
     check_k(k, variant)
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
+    certificate = refute(g, k, variant)
+    if certificate is None:
+        return search_order(g, k, variant, engine, solver, timeout_s, emit_cnf)
+    check_refutation(g, k, variant, certificate)
+    emitted = _encode_and_emit(g, k, variant, emit_cnf)[1] if emit_cnf else None
+    return Recognition(None, emitted, certificate)
+
+
+def search_order(g: Graph, k: int, variant: str, engine: str = "sat", solver: str | None = None,
+                 timeout_s: float | None = None, emit_cnf: str | None = None) -> Recognition:
+    """The engines behind recognize, with no refutation first.
+
+    The sat engine encodes, solves (timeout_s bounds the solve only) and
+    decodes; the brute engine enumerates orders. The encoding is built once,
+    only when the sat engine runs or emit_cnf names a DIMACS file to write.
+    """
     encoded = emitted = None
     if engine == "sat" or emit_cnf:
-        try:
-            encoded = encode(g, k, variant)
-        except TriviallyUnsat:
-            pass
-    if emit_cnf and encoded is not None:
-        emit_dimacs(encoded[0], emit_cnf)
-        emitted = emit_cnf
+        encoded, emitted = _encode_and_emit(g, k, variant, emit_cnf)
     if engine == "brute":
         d = brute_force_recognize(g, k, variant)
         return Recognition(None if d is None else (d, crossing_report(d)), emitted)
@@ -461,3 +481,16 @@ def recognize(g: Graph, k: int, variant: str, engine: str = "sat", solver: str |
     model = None if encoded is None else solve(encoded[0], solver=solver, timeout_s=timeout_s)
     found = None if model is None else decode_model(model, encoded[1], g)
     return Recognition(found, emitted)
+
+
+def _encode_and_emit(g: Graph, k: int, variant: str, emit_cnf: str | None
+                     ) -> tuple[tuple[CnfFormula, VarMap] | None, str | None]:
+    """The encoding, None if trivially UNSAT, and the DIMACS path it was
+    written to, None if emit_cnf is unset or there is no encoding."""
+    try:
+        encoded = encode(g, k, variant)
+    except TriviallyUnsat:
+        return None, None
+    if emit_cnf:
+        emit_dimacs(encoded[0], emit_cnf)
+    return encoded, emit_cnf or None

@@ -324,6 +324,10 @@ def recursive_decompose(d: ConvexDrawing, leaf_size: int) -> DecompositionNode:
             return DecompositionNode(d.n, ids, sep, "no-progress", [])
         children = []
         for side in (sep.a_side, sep.b_side):
+            if len(side) <= leaf_size:  # a leaf needs its ids, not its sub-drawing
+                leaf = [ids[v] for v in sorted(side, key=d.pos.__getitem__)]
+                children.append(DecompositionNode(len(leaf), leaf, None, "size", []))
+                continue
             child, old = sub_drawing(d, side)
             children.append(node(child, [ids[i] for i in old]))
         return DecompositionNode(d.n, ids, sep, None, children)

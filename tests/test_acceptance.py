@@ -11,6 +11,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
@@ -21,10 +22,10 @@ from okplanar.bounds import (
     outer_k_planar_degeneracy_bound,
     verify_degeneracy_bound,
 )
-from okplanar.cli import main, schema_path
+from okplanar.cli import _PROP_ROWS, main, schema_path
 from okplanar.drawing import crossing_report, edges_cross, make_drawing
 from okplanar.generators import complete, random_outer_k_planar
-from okplanar.graphs import build_graph
+from okplanar.graphs import build_graph, induced_subgraph, is_connected
 from okplanar.maximal import (
     build_levels,
     find_long_edge,
@@ -34,8 +35,13 @@ from okplanar.maximal import (
     verify_level_properties,
 )
 from okplanar.mso2 import emit_formula, evaluate_formula
-from okplanar.recognition import brute_force_recognize, largest_clique_in_class
-from okplanar.sat import recognize
+from okplanar.recognition import (
+    brute_force_recognize,
+    check_refutation,
+    largest_clique_in_class,
+    refute,
+)
+from okplanar.sat import search_order
 
 # lazily built shared corpora, with the build time charged to the budget
 # of whichever claim touches them first
@@ -252,29 +258,96 @@ def test_degeneracy_and_coloring_bounds_on_corpora():
           f"in {time.monotonic() - t0:.1f}s")
 
 
+def oracle_corpus() -> list:
+    """2,400 (graph, variant, k) pairs with both engines' verdicts.
+
+    200 seeded graphs, n in 4..8, at most 14 edges, in twelve variant and k
+    combinations. The SAT verdict comes from search_order, which skips the
+    refutation pre-pass, so every NO pair still reaches the solver.
+    """
+    if "oracle" not in _cache:
+        rng = random.Random(88231)
+        graphs = []
+        while len(graphs) < 200:
+            n = rng.randrange(4, 9)
+            pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            m = rng.randrange(0, min(len(pool), 14) + 1)
+            graphs.append(build_graph(n, rng.sample(pool, m)))
+        combos = ([("outer-planar", k) for k in range(4)]
+                  + [("outer-quasi", k) for k in (2, 3)]
+                  + [("closed-outer-planar", k) for k in range(4)]
+                  + [("closed-outer-quasi", k) for k in (2, 3)])
+        _cache["oracle"] = [
+            (g, variant, k, brute_force_recognize(g, k, variant) is not None,
+             search_order(g, k, variant, engine="sat").found is not None)
+            for g in graphs for variant, k in combos
+        ]
+    return _cache["oracle"]
+
+
 def test_sat_and_brute_verdicts_agree():
-    rng = random.Random(88231)
-    graphs = []
-    while len(graphs) < 200:
-        n = rng.randrange(4, 9)
-        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        m = rng.randrange(0, min(len(pool), 14) + 1)
-        graphs.append(build_graph(n, rng.sample(pool, m)))
-    combos = ([("outer-planar", k) for k in range(4)]
-              + [("outer-quasi", k) for k in (2, 3)]
-              + [("closed-outer-planar", k) for k in range(4)]
-              + [("closed-outer-quasi", k) for k in (2, 3)])
     t0 = time.monotonic()
-    checked = 0
-    for g in graphs:
-        for variant, k in combos:
-            brute = brute_force_recognize(g, k, variant) is not None
-            via_sat = recognize(g, k, variant).found is not None
-            assert brute == via_sat, (g.n, sorted(g.edges), variant, k)
-            checked += 1
-    assert checked == 2400
-    print(f"PASS oracle equivalence: {checked} verdict pairs agree "
+    corpus = oracle_corpus()
+    for g, variant, k, brute, via_sat in corpus:
+        assert brute == via_sat, (g.n, sorted(g.edges), variant, k)
+    assert len(corpus) == 2400
+    print(f"PASS oracle equivalence: {len(corpus)} verdict pairs agree "
           f"in {time.monotonic() - t0:.1f}s")
+
+
+def _tampered(g, cert):
+    """Certificates a sound checker must reject, each made by one edit."""
+    if cert["kind"] == "disconnected":
+        return []
+    if cert["kind"] == "cut-vertex":
+        # the smallest vertex whose removal leaves the graph connected
+        keep = next(w for w in range(g.n)
+                    if is_connected(induced_subgraph(g, [v for v in range(g.n) if v != w])[0]))
+        return [{**cert, "vertex": keep}]
+    inside = set(cert["vertices"])
+    if cert["kind"] == "degeneracy":
+        # a neighbour of a minimum-degree vertex: dropping it lowers the minimum
+        low = min(inside, key=lambda v: len(g.adj[v] & inside))
+        drop = min(g.adj[low] & inside)
+    else:  # edge-count: any vertex with an edge inside drops the count
+        drop = min(v for v in inside if g.adj[v] & inside)
+    return [{**cert, "vertices": sorted(inside - {drop})},
+            {**cert, "bound": cert["bound"] + 1},
+            {**cert, "bound": cert["bound"] - 1}]
+
+
+def test_refutations_are_sound_and_checked():
+    # every certificate that refute issues backs a NO of both engines,
+    # passes check_refutation, and stops passing after a one-place edit
+    t0 = time.monotonic()
+    refuted, no, kinds = Counter(), Counter(), Counter()
+    for g, variant, k, brute, via_sat in oracle_corpus():
+        no[variant] += not brute
+        cert = refute(g, k, variant)
+        if cert is None:
+            continue
+        assert not brute and not via_sat, (g.n, sorted(g.edges), variant, k, cert)
+        check_refutation(g, k, variant, cert)
+        for bad in _tampered(g, cert):
+            with pytest.raises(ValueError):
+                check_refutation(g, k, variant, bad)
+        refuted[variant] += 1
+        kinds[cert["kind"]] += 1
+    assert no == {"closed-outer-planar": 673, "closed-outer-quasi": 332,
+                  "outer-planar": 139, "outer-quasi": 66}
+    assert refuted == {"closed-outer-planar": 615, "closed-outer-quasi": 326,
+                       "outer-planar": 70, "outer-quasi": 56}
+    assert set(kinds) == {"disconnected", "cut-vertex", "degeneracy", "edge-count"}
+    # the families matrix: only K6 is refuted, and both engines agree
+    families = {name: make() for name, make, _, _ in _PROP_ROWS}
+    hits = {name for name, g in families.items() if refute(g, 3, "outer-quasi") is not None}
+    assert hits == {"K6"}
+    cert = refute(families["K6"], 3, "outer-quasi")
+    check_refutation(families["K6"], 3, "outer-quasi", cert)
+    assert brute_force_recognize(families["K6"], 3, "outer-quasi") is None
+    assert search_order(families["K6"], 3, "outer-quasi").found is None
+    print(f"PASS refutations: {sum(refuted.values())} of {sum(no.values())} NO verdicts "
+          f"refuted, none false, in {time.monotonic() - t0:.1f}s")
 
 
 def test_formula_evaluator_matches_recognition():

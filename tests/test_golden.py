@@ -81,6 +81,13 @@ CASES = [
     ("recognize-brute-closed-quasi-k5",
      ["recognize", "inputs/k5.txt", "--k", "3", "--variant", "closed-quasi",
       "--engine", "brute"], 0),
+    # NO answered by a refutation certificate before any search, one per
+    # kind: the degeneracy and edge-count kinds are the k5 and k6 NOs above
+    ("recognize-sat-closed-planar-disconnected",
+     ["recognize", "inputs/disconnected5.txt", "--k", "1", "--variant", "closed-planar"], 2),
+    ("recognize-brute-closed-quasi-cut-vertex",
+     ["recognize", "inputs/bowtie5.txt", "--k", "2", "--variant", "closed-quasi",
+      "--engine", "brute"], 2),
     # --emit-cnf: the DIMACS of each encoder, and the trivially-UNSAT skip
     ("recognize-emit-planar-k4",
      ["recognize", "--graph", "inputs/k4.txt", "--k", "1", "--variant", "outer-planar",

@@ -17,6 +17,8 @@ def test_library_example_runs():
         scope: dict = {}
         exec(compile(block, "README.md", "exec"), scope)
     assert scope["res"] is not None and scope["full"].graph.m >= scope["g"].m
+    assert scope["cert"] == {"kind": "edge-count", "vertices": [0, 1, 2, 3, 4, 5],
+                             "edges": 15, "bound": 14}
 
 
 def test_every_variant_name_is_documented():

@@ -12,8 +12,13 @@ from okplanar.drawing import (
     is_outer_k_quasi_planar_drawing,
 )
 from okplanar.generators import complete, complete_bipartite, grid
-from okplanar.graphs import build_graph
-from okplanar.recognition import brute_force_recognize, largest_clique_in_class
+from okplanar.graphs import build_graph, induced_subgraph, is_connected
+from okplanar.recognition import (
+    brute_force_recognize,
+    check_refutation,
+    largest_clique_in_class,
+    refute,
+)
 
 
 def cycle(n):
@@ -159,3 +164,58 @@ def test_bipartite_spot_checks():
     # crossing in convex position
     assert brute_force_recognize(complete_bipartite(2, 3), 0, "outer-planar") is None
     assert brute_force_recognize(complete_bipartite(2, 3), 1, "outer-planar") is not None
+
+
+def test_closed_refutation_names_the_smallest_cut_vertex():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randrange(3, 10)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = build_graph(n, rng.sample(pairs, rng.randrange(n - 1, len(pairs) + 1)))
+        cuts = [w for w in range(n)
+                if not is_connected(induced_subgraph(g, [v for v in range(n) if v != w])[0])]
+        cert = refute(g, 0, "closed-planar")
+        if not is_connected(g):
+            assert cert == {"kind": "disconnected"}
+        elif cuts:
+            assert cert == {"kind": "cut-vertex", "vertex": cuts[0]}
+        else:
+            assert cert is None or cert["kind"] == "degeneracy"
+
+
+def test_check_refutation_rejects_misapplied_certificates():
+    c5 = cycle(5)
+    bowtie = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    k6 = complete(6)
+    for g, k, variant, cert in [
+        (c5, 0, "closed-planar", {"kind": "disconnected"}),
+        (c5, 0, "closed-planar", {"kind": "cut-vertex", "vertex": 1}),
+        (bowtie, 0, "closed-planar", {"kind": "cut-vertex", "vertex": 5}),
+        (bowtie, 0, "closed-planar", {"kind": "cut-vertex", "vertex": True}),
+        (bowtie, 0, "planar", {"kind": "cut-vertex", "vertex": 2}),  # open variant
+        (build_graph(2, []), 0, "closed-planar", {"kind": "disconnected"}),
+        (k6, 3, "planar", {"kind": "edge-count", "vertices": list(range(6)),
+                           "edges": 15, "bound": 14}),  # a quasi kind
+        (k6, 3, "quasi", {"kind": "edge-count", "vertices": [5, 4, 3, 2, 1, 0],
+                          "edges": 15, "bound": 14}),  # not ascending
+        (k6, 3, "quasi", {"kind": "edge-count", "vertices": [0, 1, 2, 3, 4, 6],
+                          "edges": 15, "bound": 14}),  # not a vertex
+        (k6, 4, "quasi", {"kind": "edge-count", "vertices": list(range(6)),
+                          "edges": 15, "bound": 15}),  # K6 fits the k = 4 bound
+        (k6, 2, "planar", {"kind": "degeneracy", "vertices": [],
+                           "min_degree": 0, "bound": 4}),
+    ]:
+        with pytest.raises(ValueError):
+            check_refutation(g, k, variant, cert)
+    check_refutation(bowtie, 0, "closed-planar", {"kind": "cut-vertex", "vertex": 2})
+    check_refutation(k6, 3, "quasi", refute(k6, 3, "quasi"))
+
+
+def test_refute_leaves_small_closed_instances_to_the_engines():
+    # n < 3 is an error for closed variants, not a refutation
+    from okplanar.sat import recognize
+
+    assert refute(build_graph(2, []), 0, "closed-planar") is None
+    for engine in ("sat", "brute"):
+        with pytest.raises(ValueError, match="n >= 3"):
+            recognize(build_graph(2, []), 0, "closed-planar", engine=engine)

@@ -21,7 +21,8 @@ from okplanar.drawing import (
 )
 from okplanar.generators import complete, complete_bipartite, planar_3tree_levels
 from okplanar.graphs import build_graph
-from okplanar.recognition import brute_force_recognize
+from okplanar.maximal import saturate
+from okplanar.recognition import brute_force_recognize, check_refutation
 from okplanar.sat import (
     EncodingTooLarge,
     SolverError,
@@ -37,6 +38,7 @@ from okplanar.sat import (
     encode_outer_quasi,
     parse_dimacs,
     recognize,
+    search_order,
     solve,
 )
 
@@ -174,7 +176,7 @@ def test_oracle_agreement():
             ("closed-outer-quasi", (2, 3)),
         ]:
             for k in ks:
-                sat_r = recognize(g, k, variant).found
+                sat_r = search_order(g, k, variant).found
                 brute_r = brute_force_recognize(g, k, variant)
                 assert (sat_r is None) == (brute_r is None), (g.edges, variant, k)
 
@@ -189,6 +191,61 @@ def test_unsat_monotone_in_k():
             if prev_sat is False:
                 assert r is None  # UNSAT at k+1 forces UNSAT at k
             prev_sat = r is not None
+
+
+def quasi_threshold_no(n, k, seed):
+    """A maximal outer k-quasi-planar graph plus one absent edge: a known NO."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    g = saturate(make_drawing(build_graph(n, []), order), k).graph
+    extra = next(e for e in combinations(range(n), 2) if e not in g.edges)
+    return build_graph(n, [*g.edges, extra])
+
+
+@pytest.mark.parametrize("g,k,variant,engine,kind", [
+    (complete(9), 8, "outer-planar", "sat", "degeneracy"),
+    (complete(9), 8, "closed-outer-planar", "brute", "degeneracy"),
+    (complete(10), 8, "outer-planar", "sat", "degeneracy"),
+    (complete(10), 8, "outer-planar", "brute", "degeneracy"),
+    (quasi_threshold_no(10, 3, 1), 3, "closed-outer-quasi", "sat", "edge-count"),
+    # used to build 2M mutual-crossing clauses and fail on the clause cap
+    (complete(25), 3, "outer-quasi", "sat", "edge-count"),
+    # over the brute-force cap, and over N_LIMIT: a NO, not a size error
+    (complete(12), 2, "outer-planar", "brute", "degeneracy"),
+    (complete(sat.N_LIMIT + 1), 2, "closed-outer-quasi", "sat", "edge-count"),
+])
+def test_refuted_instances_reach_no_engine(monkeypatch, g, k, variant, engine, kind):
+    calls = []
+
+    def counted(name):
+        real = getattr(sat, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("encode", "solve", "brute_force_recognize"):
+        monkeypatch.setattr(sat, name, counted(name))
+    r = recognize(g, k, variant, engine=engine)
+    assert calls == []
+    assert r.found is None and r.emitted_cnf is None
+    assert r.certificate["kind"] == kind
+    check_refutation(g, k, variant, r.certificate)
+
+
+def test_refuted_instance_still_emits_its_cnf(tmp_path):
+    path = str(tmp_path / "k6.cnf")
+    r = recognize(complete(6), 3, "outer-quasi", engine="brute", emit_cnf=path)
+    assert r.certificate["kind"] == "edge-count" and r.emitted_cnf == path
+    with open(path) as fh:
+        assert fh.read() == dimacs_text(encode(complete(6), 3, "outer-quasi")[0])
+
+
+def test_every_other_verdict_has_no_certificate():
+    assert recognize(complete(5), 3, "outer-quasi").certificate is None
+    assert recognize(complete_bipartite(3, 5), 2, "outer-planar").certificate is None
+    assert search_order(complete(6), 3, "outer-quasi").certificate is None
 
 
 def test_clause_cap_rejection(monkeypatch):
@@ -445,7 +502,7 @@ def test_external_solver_subprocess(tmp_path):
     script = solve_cnf_script(tmp_path)
     r = recognize(complete(5), 3, "outer-quasi", solver=script).found
     assert r is not None
-    assert recognize(complete(6), 3, "outer-quasi", solver=script).found is None
+    assert search_order(complete(6), 3, "outer-quasi", solver=script).found is None
 
 
 def test_external_solver_on_an_encoding_without_variables(tmp_path):
