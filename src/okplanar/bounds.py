@@ -28,14 +28,6 @@ class DegeneracyResult:
     coloring: tuple[int, ...]
     num_colors: int
 
-    def to_dict(self) -> dict:
-        return {
-            "degeneracy": self.degeneracy,
-            "order": list(self.order),
-            "coloring": list(self.coloring),
-            "num_colors": self.num_colors,
-        }
-
 
 class BoundViolation(Exception):
     """A corpus instance beat a bound that should hold class-wide."""

@@ -169,8 +169,8 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     variant = canonical_variant(args.variant)
     path = _input_path(args)
     g = read_instance(path).graph
-    found, emitted, certificate = recognize(g, args.k, variant, args.engine, args.solver,
-                                            args.timeout, args.emit_cnf)
+    found, certificate = recognize(g, args.k, variant, args.engine, args.solver, args.timeout,
+                                   args.emit_cnf)
     witness = None
     if found is not None:
         d, rep = found
@@ -192,7 +192,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
             "in_class": found is not None,
             "witness": witness,
             "certificate": certificate,
-            "emitted_cnf": emitted,
+            "emitted_cnf": args.emit_cnf or None,
         },
     )
     return 0 if found is not None else 2
@@ -208,7 +208,6 @@ def cmd_separator(args: argparse.Namespace) -> int:
         "n": d.n,
         "m": d.graph.m,
         "effective_k": eff_k,
-        "requested_k": args.k,
         "size_bound": 2 * eff_k + 3,
     }
     if args.recursive:
@@ -408,13 +407,7 @@ def cmd_mso2(args: argparse.Namespace) -> int:
         # closed classes have one; the open names map to their closures
         variant = "closed-" + variant
     formula = emit_formula(args.k, variant)
-    payload: dict = {
-        "k": formula.k,
-        "variant": formula.variant,
-        "sexpr": formula.sexpr,
-        "latex": formula.latex,
-        "evaluation": None,
-    }
+    payload = {**formula.to_dict(), "evaluation": None}
     inputs: set[str] = set()
     value = None
     if args.eval:
@@ -512,8 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("separator", help="balanced separator of a convex drawing")
     _add_input(sp)
-    sp.add_argument("--k", type=int, default=None,
-                    help="advisory only; the bound uses the drawing's own k")
     sp.add_argument("--recursive", action="store_true")
     sp.add_argument("--leaf-size", type=int, default=None)
     sp.add_argument("--out")

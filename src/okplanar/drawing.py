@@ -117,19 +117,6 @@ def _longest_chain(pairs: Iterable[tuple[int, int]]) -> int:
     return len(tails)
 
 
-def is_outer_k_planar_drawing(d: ConvexDrawing, k: int) -> bool:
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return max(drawing_chords(d).counts, default=0) <= k
-
-
-def is_outer_k_quasi_planar_drawing(d: ConvexDrawing, k: int) -> bool:
-    # k = 2 is the degenerate boundary (no two crossing edges at all)
-    if k < 2:
-        raise ValueError("quasi-planarity needs k >= 2")
-    return drawing_chords(d).mutual_size() <= k - 1
-
-
 def is_closed_drawing(d: ConvexDrawing) -> bool:
     """Every cyclically consecutive boundary pair must be a graph edge."""
     if d.n < 3:

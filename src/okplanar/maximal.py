@@ -31,7 +31,7 @@ from .drawing import (
     drawing_chords,
     make_drawing,
 )
-from .graphs import build_graph
+from .graphs import build_graph, is_connected
 
 
 class QuasiPlanarityError(Exception):
@@ -319,18 +319,9 @@ def verify_level_properties(ld: LevelDecomposition, d: ConvexDrawing) -> dict:
 
     connected: list[bool] = []
     for lvl in ld.levels:
-        adj: dict[int, set[int]] = {}
-        for x, y in lvl:
-            adj.setdefault(x, set()).add(y)
-            adj.setdefault(y, set()).add(x)
-        seen: set[int] = set()
-        stack = list(adj)[:1]
-        while stack:
-            x = stack.pop()
-            if x not in seen:
-                seen.add(x)
-                stack.extend(adj[x])
-        connected.append(len(seen) == len(adj))
+        ends = {x: i for i, x in enumerate({x for e in lvl for x in e})}
+        level = build_graph(len(ends), [(ends[x], ends[y]) for x, y in lvl])
+        connected.append(is_connected(level))
 
     required = is_maximal(d, ld.k)
     conn_pass = all(connected) if required else None

@@ -814,8 +814,3 @@ def evaluate_formula(formula, g: Graph) -> bool:
     if _free_names(ast, {}):
         raise ValueError("formula has free variables")
     return _Compiled(g).compile(ast)()
-
-
-def sanity_check_semantics(g: Graph, k: int, variant: str) -> bool:
-    """Truth of the emitted (k, variant) formula on g, by brute force."""
-    return evaluate_formula(emit_formula(k, variant), g)

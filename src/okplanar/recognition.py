@@ -280,16 +280,3 @@ def brute_force_recognize(
         return None
 
     return place(1)
-
-
-def largest_clique_in_class(k: int, cap: int = DEFAULT_CAP) -> int:
-    """Largest n such that K_n is outer k-planar, by direct search."""
-    if not (0 <= k <= 12):
-        raise ValueError("supported range is 0 <= k <= 12")
-    from .generators import complete
-
-    n = 3
-    while True:
-        if brute_force_recognize(complete(n + 1), k, "outer-planar", cap=cap) is None:
-            return n
-        n += 1

@@ -25,7 +25,7 @@ from .drawing import (
     crossing_report,
     make_drawing,
 )
-from .graphs import Graph, is_connected
+from .graphs import Graph
 from .recognition import (
     brute_force_recognize,
     canonical_variant,
@@ -43,10 +43,6 @@ CLAUSE_CAP = 2_000_000
 ENGINES = ("sat", "brute")
 
 ENV_SOLVER = "OKP_SAT_SOLVER"
-
-
-class TriviallyUnsat(Exception):
-    """Encoding short-circuit: the instance is unsatisfiable by inspection."""
 
 
 class EncodingTooLarge(Exception):
@@ -262,8 +258,6 @@ def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
     """Inner encoding plus a Hamiltonian boundary via successor variables."""
     if g.n < 3:
         raise ValueError("closed variants need n >= 3")
-    if not is_connected(g):
-        raise TriviallyUnsat("closed drawing impossible: graph is disconnected")
     if variant.startswith("closed"):
         raise ValueError(f"unknown inner variant {variant!r}")
     cnf, vm = encode(g, k, variant)
@@ -278,7 +272,8 @@ def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
         vm.succ_var[(v, u)] = vm.new_var()
     s = vm.succ_var
     for u in range(n):
-        cnf.add([s[(u, v)] for v in sorted(g.adj[u])])
+        # an isolated vertex has no successor edge: its empty clause is UNSAT
+        cnf.clauses.append([s[(u, v)] for v in sorted(g.adj[u])])
     for (u, v), var in s.items():
         if v:
             cnf.add([-var, x(u, v)])
@@ -316,7 +311,7 @@ def dimacs_text(f: CnfFormula) -> str:
     lines = list(f.comments)
     lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
     for c in f.clauses:
-        lines.append(" ".join(map(str, c)) + " 0")
+        lines.append(" ".join(map(str, [*c, 0])))
     return "\n".join(lines) + "\n"
 
 
@@ -433,12 +428,10 @@ def decode_model(
 
 class Recognition(NamedTuple):
     """found: (witness drawing, its crossing report), None if not in class.
-    emitted_cnf: the DIMACS path written, None if none was.
     certificate: the checked refutation behind a NO answered without a
     search (see recognition.refute), else None."""
 
     found: tuple[ConvexDrawing, CrossingReport] | None
-    emitted_cnf: str | None
     certificate: dict | None = None
 
 
@@ -459,8 +452,9 @@ def recognize(g: Graph, k: int, variant: str, engine: str = "sat", solver: str |
     if certificate is None:
         return search_order(g, k, variant, engine, solver, timeout_s, emit_cnf)
     check_refutation(g, k, variant, certificate)
-    emitted = _encode_and_emit(g, k, variant, emit_cnf)[1] if emit_cnf else None
-    return Recognition(None, emitted, certificate)
+    if emit_cnf:
+        emit_dimacs(encode(g, k, variant)[0], emit_cnf)
+    return Recognition(None, certificate)
 
 
 def search_order(g: Graph, k: int, variant: str, engine: str = "sat", solver: str | None = None,
@@ -471,26 +465,13 @@ def search_order(g: Graph, k: int, variant: str, engine: str = "sat", solver: st
     decodes; the brute engine enumerates orders. The encoding is built once,
     only when the sat engine runs or emit_cnf names a DIMACS file to write.
     """
-    encoded = emitted = None
     if engine == "sat" or emit_cnf:
-        encoded, emitted = _encode_and_emit(g, k, variant, emit_cnf)
+        cnf, vm = encode(g, k, variant)
+        if emit_cnf:
+            emit_dimacs(cnf, emit_cnf)
     if engine == "brute":
         d = brute_force_recognize(g, k, variant)
-        return Recognition(None if d is None else (d, crossing_report(d)), emitted)
+        return Recognition(None if d is None else (d, crossing_report(d)))
     # test for None: an encoding with no variables has the empty model []
-    model = None if encoded is None else solve(encoded[0], solver=solver, timeout_s=timeout_s)
-    found = None if model is None else decode_model(model, encoded[1], g)
-    return Recognition(found, emitted)
-
-
-def _encode_and_emit(g: Graph, k: int, variant: str, emit_cnf: str | None
-                     ) -> tuple[tuple[CnfFormula, VarMap] | None, str | None]:
-    """The encoding, None if trivially UNSAT, and the DIMACS path it was
-    written to, None if emit_cnf is unset or there is no encoding."""
-    try:
-        encoded = encode(g, k, variant)
-    except TriviallyUnsat:
-        return None, None
-    if emit_cnf:
-        emit_dimacs(encoded[0], emit_cnf)
-    return encoded, emit_cnf or None
+    model = solve(cnf, solver=solver, timeout_s=timeout_s)
+    return Recognition(None if model is None else decode_model(model, vm, g))

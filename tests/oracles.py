@@ -1,0 +1,25 @@
+"""Oracles shared by the tests: brute-force searches and class membership
+through the package's one rule, for claims the library itself never makes."""
+from __future__ import annotations
+
+from okplanar.drawing import ConvexDrawing, class_violation, crossing_report
+from okplanar.generators import complete
+from okplanar.recognition import DEFAULT_CAP, brute_force_recognize, check_k
+
+
+def in_class(d: ConvexDrawing, k: int, variant: str) -> bool:
+    """Is d in the canonical variant's class at k? ValueError for a k
+    outside the variant's range."""
+    check_k(k, variant)
+    return class_violation(d, crossing_report(d), k, variant) is None
+
+
+def largest_clique_in_class(k: int, cap: int = DEFAULT_CAP) -> int:
+    """Largest n such that K_n is outer k-planar, by direct search."""
+    if not (0 <= k <= 12):
+        raise ValueError("supported range is 0 <= k <= 12")
+    n = 3
+    while True:
+        if brute_force_recognize(complete(n + 1), k, "outer-planar", cap=cap) is None:
+            return n
+        n += 1

@@ -38,10 +38,11 @@ from okplanar.mso2 import emit_formula, evaluate_formula
 from okplanar.recognition import (
     brute_force_recognize,
     check_refutation,
-    largest_clique_in_class,
     refute,
 )
 from okplanar.sat import search_order
+
+from oracles import largest_clique_in_class
 
 # lazily built shared corpora, with the build time charged to the budget
 # of whichever claim touches them first

@@ -17,7 +17,8 @@ from okplanar import (
 from okplanar.drawing import identity_drawing
 from okplanar.generators import complete, random_outer_k_planar
 from okplanar.graphs import build_graph
-from okplanar.recognition import largest_clique_in_class
+
+from oracles import largest_clique_in_class
 
 
 def test_path_degeneracy():

@@ -228,14 +228,15 @@ def test_recognize_brute_emits_the_sat_encoding(capsys, tmp_path, k5, monkeypatc
                     "--engine", "brute", k5)
     assert code == 0 and validated(out, "recognize")["emitted_cnf"] is None
     assert built == []  # brute force without --emit-cnf builds no encoding
-    # a disconnected graph has no closed drawing by inspection: nothing to emit
+    # a refuted disconnected graph still gets its encoding, which is UNSAT
     disconnected = tmp_path / "disconnected.txt"
     disconnected.write_text(format_graph(build_graph(5, [(0, 1), (2, 3)])))
     cnf = tmp_path / "disconnected.cnf"
     code, out = run(capsys, "recognize", "--k", "1", "--variant", "closed-planar",
                     "--engine", "brute", "--emit-cnf", str(cnf), str(disconnected))
     doc = validated(out, "recognize")
-    assert code == 2 and doc["emitted_cnf"] is None and not cnf.exists()
+    assert code == 2 and doc["emitted_cnf"] == str(cnf) and cnf.exists()
+    assert run(capsys, "solve-cnf", str(cnf))[0] == 20
 
 
 def test_recognize_solver_flag(capsys, tmp_path, k5):

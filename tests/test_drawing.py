@@ -17,11 +17,11 @@ from okplanar.drawing import (
     edges_cross,
     identity_drawing,
     is_closed_drawing,
-    is_outer_k_planar_drawing,
-    is_outer_k_quasi_planar_drawing,
     make_drawing,
 )
 from okplanar.graphs import build_graph
+
+from oracles import in_class
 
 
 def complete(n):
@@ -305,19 +305,19 @@ def test_witness_is_greatest_largest_family():
 
 
 def test_outer_k_planar_checker():
-    assert is_outer_k_planar_drawing(identity_drawing(complete(4)), 1)
-    assert not is_outer_k_planar_drawing(identity_drawing(complete(5)), 1)
-    assert is_outer_k_planar_drawing(identity_drawing(cycle(7)), 0)
+    assert in_class(identity_drawing(complete(4)), 1, "outer-planar")
+    assert not in_class(identity_drawing(complete(5)), 1, "outer-planar")
+    assert in_class(identity_drawing(cycle(7)), 0, "outer-planar")
     with pytest.raises(ValueError):
-        is_outer_k_planar_drawing(identity_drawing(cycle(4)), -1)
+        in_class(identity_drawing(cycle(4)), -1, "outer-planar")
 
 
 def test_outer_k_quasi_checker():
-    assert is_outer_k_quasi_planar_drawing(identity_drawing(complete(5)), 3)
-    assert not is_outer_k_quasi_planar_drawing(identity_drawing(complete(6)), 3)
-    assert is_outer_k_quasi_planar_drawing(identity_drawing(build_graph(2, [(0, 1)])), 2)
+    assert in_class(identity_drawing(complete(5)), 3, "outer-quasi")
+    assert not in_class(identity_drawing(complete(6)), 3, "outer-quasi")
+    assert in_class(identity_drawing(build_graph(2, [(0, 1)])), 2, "outer-quasi")
     with pytest.raises(ValueError):
-        is_outer_k_quasi_planar_drawing(identity_drawing(cycle(4)), 1)
+        in_class(identity_drawing(cycle(4)), 1, "outer-quasi")
 
 
 def test_closed_checker():

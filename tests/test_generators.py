@@ -10,7 +10,6 @@ from okplanar.drawing import (
     crossing_report,
     identity_drawing,
     is_closed_drawing,
-    is_outer_k_planar_drawing,
     make_drawing,
 )
 from okplanar.generators import (
@@ -22,6 +21,8 @@ from okplanar.generators import (
     planar_3tree_levels,
     random_outer_k_planar,
 )
+
+from oracles import in_class
 
 
 def test_basic_counts():
@@ -105,7 +106,7 @@ def test_random_certified_membership():
         k = rng.randrange(0, 5)
         seed = rng.randrange(10**6)
         d = random_outer_k_planar(n, k, seed)
-        assert is_outer_k_planar_drawing(d, k)
+        assert in_class(d, k, "outer-planar")
 
 
 def test_random_saturated():

@@ -88,7 +88,7 @@ CASES = [
     ("recognize-brute-closed-quasi-cut-vertex",
      ["recognize", "inputs/bowtie5.txt", "--k", "2", "--variant", "closed-quasi",
       "--engine", "brute"], 2),
-    # --emit-cnf: the DIMACS of each encoder, and the trivially-UNSAT skip
+    # --emit-cnf: the DIMACS of each encoder, and a refuted NO's UNSAT encoding
     ("recognize-emit-planar-k4",
      ["recognize", "--graph", "inputs/k4.txt", "--k", "1", "--variant", "outer-planar",
       "--emit-cnf", "recognize-emit-planar-k4.cnf"], 0),
@@ -112,7 +112,7 @@ CASES = [
     ("separator-case1", ["separator", "inputs/sep-case1.txt"], 0),
     ("separator-case1-prime", ["separator", "inputs/sep-case1-prime.txt"], 0),
     ("separator-case2-distinct", ["separator", "inputs/sep-case2-distinct.txt"], 0),
-    ("separator-case2-shared", ["separator", "inputs/sep-case2-shared.txt", "--k", "1"], 0),
+    ("separator-case2-shared", ["separator", "inputs/sep-case2-shared.txt"], 0),
     ("separator-okp30", ["separator", "inputs/okp30.txt"], 0),
     ("separator-dense20", ["separator", "inputs/dense20.txt"], 0),
     ("separator-recursive-okp30", ["separator", "inputs/okp30.txt", "--recursive"], 0),

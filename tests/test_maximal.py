@@ -353,6 +353,9 @@ def test_verify_reports_disconnected_level_without_failing():
     assert report["connectivity"]["levels"] == [False]
     assert report["p1"]["pass"] and report["p2"]["pass"]
     assert report["pass"]
+    # an empty level has nothing to disconnect
+    padded = verify_level_properties(replace(ld, levels=(*ld.levels, ())), d2)
+    assert padded["connectivity"]["levels"] == [False, True]
 
 
 def test_levels_match_scalar_oracle():

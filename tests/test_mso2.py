@@ -13,7 +13,6 @@ from okplanar import (
     evaluate_formula,
     lint_formula,
     parse_sexpr,
-    sanity_check_semantics,
     to_latex,
     to_sexpr,
 )
@@ -159,20 +158,20 @@ def test_sanity_spec_examples():
     c5 = cycle(5)
     k4 = complete(4)
     p3 = build_graph(3, [(0, 1), (1, 2)])
-    assert sanity_check_semantics(c5, 1, "closed-outer-planar")
-    assert sanity_check_semantics(k4, 1, "closed-outer-planar")
-    assert not sanity_check_semantics(k4, 2, "closed-outer-quasi-planar")
+    assert evaluate_formula(emit_formula(1, "closed-outer-planar"), c5)
+    assert evaluate_formula(emit_formula(1, "closed-outer-planar"), k4)
+    assert not evaluate_formula(emit_formula(2, "closed-outer-quasi-planar"), k4)
     for variant, k in COMBOS:
-        assert not sanity_check_semantics(p3, k, variant)
+        assert not evaluate_formula(emit_formula(k, variant), p3)
 
 
 def test_evaluator_caps_rejected():
     big_n = build_graph(8, [])
     with pytest.raises(ValueError):
-        sanity_check_semantics(big_n, 1, "closed-outer-planar")
+        evaluate_formula(emit_formula(1, "closed-outer-planar"), big_n)
     big_m = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)][:11])
     with pytest.raises(ValueError):
-        sanity_check_semantics(big_m, 1, "closed-outer-planar")
+        evaluate_formula(emit_formula(1, "closed-outer-planar"), big_m)
     with pytest.raises(ValueError):
         evaluate_formula(("in", "x", "C"), cycle(4))
 
@@ -181,7 +180,7 @@ def test_agreement_with_oracle_small_corpus():
     # every connected graph on up to five vertices, both variants
     for g in atlas_connected(5):
         for variant, k in COMBOS:
-            got = sanity_check_semantics(g, k, variant)
+            got = evaluate_formula(emit_formula(k, variant), g)
             want = brute_force_recognize(g, k, variant) is not None
             assert got == want, (g.n, g.edges, variant, k)
 
@@ -192,7 +191,7 @@ def test_agreement_on_seeded_six_vertex_graphs():
     for trial in range(6):
         g = build_graph(6, rng.sample(pool, rng.randint(6, 10)))
         for variant, k in [("closed-outer-planar", 2), ("closed-outer-quasi", 3)]:
-            got = sanity_check_semantics(g, k, variant)
+            got = evaluate_formula(emit_formula(k, variant), g)
             want = brute_force_recognize(g, k, variant) is not None
             assert got == want, (g.edges, variant, k)
 
@@ -202,17 +201,17 @@ def test_truth_is_monotone_in_k():
     pool = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     for trial in range(5):
         g = build_graph(5, rng.sample(pool, rng.randint(5, 9)))
-        if sanity_check_semantics(g, 1, "closed-outer-planar"):
-            assert sanity_check_semantics(g, 2, "closed-outer-planar")
-        if sanity_check_semantics(g, 2, "closed-outer-quasi"):
-            assert sanity_check_semantics(g, 3, "closed-outer-quasi")
+        if evaluate_formula(emit_formula(1, "closed-outer-planar"), g):
+            assert evaluate_formula(emit_formula(2, "closed-outer-planar"), g)
+        if evaluate_formula(emit_formula(2, "closed-outer-quasi"), g):
+            assert evaluate_formula(emit_formula(3, "closed-outer-quasi"), g)
 
 
 def test_cycle_is_closed_for_every_variant():
     for n in (4, 5, 6):
         g = cycle(n)
         for variant, k in COMBOS:
-            assert sanity_check_semantics(g, k, variant)
+            assert evaluate_formula(emit_formula(k, variant), g)
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,16 @@ import pytest
 from okplanar.drawing import (
     crossing_report,
     is_closed_drawing,
-    is_outer_k_planar_drawing,
-    is_outer_k_quasi_planar_drawing,
 )
 from okplanar.generators import complete, complete_bipartite, grid
 from okplanar.graphs import build_graph, induced_subgraph, is_connected
 from okplanar.recognition import (
     brute_force_recognize,
     check_refutation,
-    largest_clique_in_class,
     refute,
 )
+
+from oracles import in_class, largest_clique_in_class
 
 
 def cycle(n):
@@ -28,7 +27,7 @@ def cycle(n):
 def test_k4_outer_1_planar():
     d = brute_force_recognize(complete(4), 1, "outer-planar")
     assert d is not None
-    assert is_outer_k_planar_drawing(d, 1)
+    assert in_class(d, 1, "outer-planar")
 
 
 def test_k5_not_outer_1_planar():
@@ -50,11 +49,11 @@ def test_witnesses_verify():
         k = rng.randrange(0, 3)
         d = brute_force_recognize(g, k, "outer-planar")
         if d is not None:
-            assert is_outer_k_planar_drawing(d, k)
+            assert in_class(d, k, "outer-planar")
         kq = rng.randrange(2, 4)
         dq = brute_force_recognize(g, kq, "outer-quasi")
         if dq is not None:
-            assert is_outer_k_quasi_planar_drawing(dq, kq)
+            assert in_class(dq, kq, "outer-quasi")
 
 
 def test_cap_enforced():
@@ -153,7 +152,7 @@ def test_closed_quasi():
     d = brute_force_recognize(grid(2, 3), 3, "closed-outer-quasi")
     assert d is not None
     assert is_closed_drawing(d)
-    assert is_outer_k_quasi_planar_drawing(d, 3)
+    assert in_class(d, 3, "outer-quasi")
     # a path has no closed drawing at all
     p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert brute_force_recognize(p4, 3, "closed-outer-quasi") is None

@@ -15,8 +15,6 @@ from okplanar import cdcl, sat
 from okplanar.cdcl import CdclSolver, SolverTimeout
 from okplanar.drawing import (
     is_closed_drawing,
-    is_outer_k_planar_drawing,
-    is_outer_k_quasi_planar_drawing,
     make_drawing,
 )
 from okplanar.generators import complete, complete_bipartite, planar_3tree_levels
@@ -26,7 +24,6 @@ from okplanar.recognition import brute_force_recognize, check_refutation
 from okplanar.sat import (
     EncodingTooLarge,
     SolverError,
-    TriviallyUnsat,
     decode_model,
     dimacs_text,
     emit_dimacs,
@@ -41,6 +38,8 @@ from okplanar.sat import (
     search_order,
     solve,
 )
+
+from oracles import in_class
 
 
 def cycle(n):
@@ -135,11 +134,19 @@ def test_closed_verdicts():
 def test_closed_rejections():
     with pytest.raises(ValueError):
         encode_closed(build_graph(2, [(0, 1)]), 1, "outer-planar")
-    disconnected = build_graph(5, [(0, 1), (2, 3)])
-    with pytest.raises(TriviallyUnsat):
-        encode_closed(disconnected, 1, "outer-planar")
-    # recognize maps the short-circuit to a not-in-class verdict
-    assert recognize(disconnected, 1, "closed-outer-planar").found is None
+    # no shortcut for a disconnected graph: the encoding itself is UNSAT,
+    # through the empty successor clause of isolated vertex 4 in the first
+    isolated = build_graph(5, [(0, 1), (2, 3)])
+    triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for g in (isolated, triangles):
+        cnf, _ = encode_closed(g, 1, "outer-planar")
+        assert solve(cnf) is None
+        text = dimacs_text(cnf)
+        assert parse_dimacs(text) == (cnf.num_vars, cnf.clauses)
+        assert ([] in cnf.clauses) == ("\n0\n" in text) == (g is isolated)
+        # recognize answers with the refutation, search_order by solving
+        assert recognize(g, 1, "closed-outer-planar").certificate == {"kind": "disconnected"}
+        assert search_order(g, 1, "closed-outer-planar").found is None
 
 
 def test_decoded_models_pass_checkers():
@@ -150,11 +157,7 @@ def test_decoded_models_pass_checkers():
             r = recognize(g, k, variant).found
             if r is None:
                 continue
-            d, rep = r
-            if variant == "outer-planar":
-                assert is_outer_k_planar_drawing(d, k)
-            else:
-                assert is_outer_k_quasi_planar_drawing(d, k)
+            assert in_class(r[0], k, variant)
 
 
 def test_decode_rejects_garbage_model():
@@ -229,7 +232,7 @@ def test_refuted_instances_reach_no_engine(monkeypatch, g, k, variant, engine, k
         monkeypatch.setattr(sat, name, counted(name))
     r = recognize(g, k, variant, engine=engine)
     assert calls == []
-    assert r.found is None and r.emitted_cnf is None
+    assert r.found is None
     assert r.certificate["kind"] == kind
     check_refutation(g, k, variant, r.certificate)
 
@@ -237,7 +240,7 @@ def test_refuted_instances_reach_no_engine(monkeypatch, g, k, variant, engine, k
 def test_refuted_instance_still_emits_its_cnf(tmp_path):
     path = str(tmp_path / "k6.cnf")
     r = recognize(complete(6), 3, "outer-quasi", engine="brute", emit_cnf=path)
-    assert r.certificate["kind"] == "edge-count" and r.emitted_cnf == path
+    assert r.certificate["kind"] == "edge-count"
     with open(path) as fh:
         assert fh.read() == dimacs_text(encode(complete(6), 3, "outer-quasi")[0])
 
