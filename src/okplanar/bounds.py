@@ -4,8 +4,8 @@ Graphs drawable with at most k crossings per edge always contain a vertex of
 low degree, so peeling minimum-degree vertices bounds their degeneracy by
 floor(sqrt(4k+1)) + 1, and greedy coloring along the reverse peeling order
 needs one color more. This module computes exact degeneracy with that
-coloring attached and checks the class bounds over corpora of drawings whose
-membership is certified by construction.
+coloring attached and checks the class bounds over corpora of drawings,
+each first checked to be in the class.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .drawing import ConvexDrawing
+from .drawing import ConvexDrawing, class_violation, crossing_report
 from .graphs import Graph
 
 
@@ -30,11 +30,8 @@ class DegeneracyResult:
 
 
 class BoundViolation(Exception):
-    """A corpus instance beat a bound that should hold class-wide."""
-
-    def __init__(self, message: str, instance=None):
-        super().__init__(message)
-        self.instance = instance
+    """A corpus instance is outside the class, or beat a bound that should
+    hold class-wide."""
 
 
 def degeneracy(g: Graph) -> DegeneracyResult:
@@ -97,46 +94,42 @@ def outer_k_planar_chromatic_bound(k: int) -> int:
     return outer_k_planar_degeneracy_bound(k) + 1
 
 
-def verify_degeneracy_bound(corpus: Sequence[ConvexDrawing], k: int) -> dict:
-    """Run the degeneracy and coloring bounds over a corpus of drawings.
+def verify_degeneracy_bound(
+    corpus: Sequence[ConvexDrawing], k: int
+) -> tuple[dict, list[DegeneracyResult]]:
+    """Run the degeneracy and coloring bounds over a corpus of drawings;
+    return the summary and each drawing's degeneracy result.
 
-    The caller vouches that every drawing in the corpus keeps at most k
-    crossings per edge (membership by construction); a violation therefore
+    Each drawing must first keep at most k crossings per edge; one that does
+    not raises BoundViolation naming why. Past that check, a violation
     falsifies either the bound or this checker, and raises instead of
-    reporting.
+    reporting. Colors never exceed degeneracy + 1, and degeneracy never
+    exceeds its bound, so the chromatic bound needs no check of its own.
     """
     deg_bound = outer_k_planar_degeneracy_bound(k)
-    col_bound = deg_bound + 1
-    max_deg = 0
-    max_col = 0
+    results = []
     for idx, d in enumerate(corpus):
+        why = class_violation(d, crossing_report(d), k, "outer-planar")
+        if why is not None:
+            raise BoundViolation(f"corpus[{idx}] is not outer {k}-planar: it {why}")
         res = degeneracy(d.graph)
         for u, v in d.graph.edges:
             if res.coloring[u] == res.coloring[v]:
-                raise BoundViolation(
-                    f"improper coloring on corpus[{idx}] at edge ({u}, {v})", d
-                )
+                raise BoundViolation(f"improper coloring on corpus[{idx}] at edge ({u}, {v})")
         if res.num_colors > res.degeneracy + 1:
             raise BoundViolation(
                 f"corpus[{idx}] used {res.num_colors} colors on a "
-                f"{res.degeneracy}-degenerate graph",
-                d,
+                f"{res.degeneracy}-degenerate graph"
             )
         if res.degeneracy > deg_bound:
-            raise BoundViolation(
-                f"corpus[{idx}] has degeneracy {res.degeneracy} > {deg_bound}", d
-            )
-        if res.num_colors > col_bound:
-            raise BoundViolation(
-                f"corpus[{idx}] needed {res.num_colors} colors > {col_bound}", d
-            )
-        max_deg = max(max_deg, res.degeneracy)
-        max_col = max(max_col, res.num_colors)
-    return {
+            raise BoundViolation(f"corpus[{idx}] has degeneracy {res.degeneracy} > {deg_bound}")
+        results.append(res)
+    summary = {
         "k": k,
         "instances": len(corpus),
         "degeneracy_bound": deg_bound,
-        "chromatic_bound": col_bound,
-        "max_degeneracy": max_deg,
-        "max_colors": max_col,
+        "chromatic_bound": deg_bound + 1,
+        "max_degeneracy": max((res.degeneracy for res in results), default=0),
+        "max_colors": max((res.num_colors for res in results), default=0),
     }
+    return summary, results

@@ -70,17 +70,6 @@ class _Parser(argparse.ArgumentParser):
         return 1
 
 
-def _input_path(args: argparse.Namespace) -> str:
-    path = (
-        getattr(args, "file", None)
-        or getattr(args, "drawing", None)
-        or getattr(args, "graph", None)
-    )
-    if not path:
-        raise ValueError("an input file is required (positional, --drawing, or --graph)")
-    return path
-
-
 def _seconds(text: str) -> float:
     """A positive, finite number of seconds (a --timeout value)."""
     value = float(text)
@@ -90,9 +79,7 @@ def _seconds(text: str) -> float:
 
 
 def _add_input(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("file", nargs="?", help="instance file (edge list, optional order)")
-    sp.add_argument("--drawing", help="instance file, same as the positional argument")
-    sp.add_argument("--graph", help="instance file, same as the positional argument")
+    sp.add_argument("file", help="instance file (edge list, optional order)")
 
 
 def _emit(args: argparse.Namespace, command: str, inputs: dict, payload: dict) -> None:
@@ -138,8 +125,7 @@ def schema_path(command: str) -> Path:
 def cmd_check(args: argparse.Namespace) -> int:
     variant = canonical_variant(args.variant)
     check_k(args.k, variant)
-    path = _input_path(args)
-    d = read_instance(path).drawing()
+    d = read_instance(args.file).drawing()
     rep = crossing_report(d)
     # a boundary cycle needs n >= 3; only the closed variants insist on one
     closed = (d.n >= 3 or variant.startswith("closed")) and is_closed_drawing(d)
@@ -150,7 +136,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     _emit(
         args,
         "check",
-        {path},
+        {args.file},
         {
             "k": args.k,
             "variant": variant,
@@ -167,8 +153,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_recognize(args: argparse.Namespace) -> int:
     variant = canonical_variant(args.variant)
-    path = _input_path(args)
-    g = read_instance(path).graph
+    g = read_instance(args.file).graph
     found, certificate = recognize(g, args.k, variant, args.engine, args.solver, args.timeout,
                                    args.emit_cnf)
     witness = None
@@ -182,7 +167,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     _emit(
         args,
         "recognize",
-        {path},
+        {args.file},
         {
             "k": args.k,
             "variant": variant,
@@ -201,8 +186,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 def cmd_separator(args: argparse.Namespace) -> int:
     if args.leaf_size is not None and not args.recursive:
         raise ValueError("--leaf-size needs --recursive")
-    path = _input_path(args)
-    d = read_instance(path).drawing()
+    d = read_instance(args.file).drawing()
     eff_k = max(drawing_chords(d).counts, default=0)
     common = {
         "n": d.n,
@@ -233,15 +217,14 @@ def cmd_separator(args: argparse.Namespace) -> int:
             "witness": sep.witness,
             "valid": check_separation(d, eff_k, sep) is None,
         }
-    _emit(args, "separator", {path}, payload)
+    _emit(args, "separator", {args.file}, payload)
     return 0
 
 
 def cmd_levels(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise ValueError(f"levels need k >= 2, got {args.k}")
-    path = _input_path(args)
-    d = read_instance(path).drawing()
+    d = read_instance(args.file).drawing()
     rep = crossing_report(d)
     payload = {
         "k": args.k,
@@ -251,7 +234,7 @@ def cmd_levels(args: argparse.Namespace) -> int:
     }
     if class_violation(d, rep, args.k, "outer-quasi") is not None:
         payload.update(in_class=False, witness_mutual=[list(e) for e in rep.witness_mutual])
-        _emit(args, "levels", {path}, payload)
+        _emit(args, "levels", {args.file}, payload)
         return 2
     long_edge = find_long_edge(d, args.k)
     if long_edge is None:
@@ -269,7 +252,7 @@ def cmd_levels(args: argparse.Namespace) -> int:
             maximal=verification["connectivity"]["required"],
             svg=args.svg,
         )
-    _emit(args, "levels", {path}, payload)
+    _emit(args, "levels", {args.file}, payload)
     return 0
 
 
@@ -374,25 +357,24 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if not files:
             raise ValueError(f"no *.txt instances under {args.corpus}")
         inputs.update(files)
-        drawings = []
-        rows = []
-        for f in files:
-            d = read_instance(f).drawing()
-            drawings.append(d)
-            res = degeneracy(d.graph)
-            rows.append(
-                {
-                    "file": Path(f).name,
-                    "n": d.n,
-                    "m": d.graph.m,
-                    "degeneracy": res.degeneracy,
-                    "colors": res.num_colors,
-                }
-            )
+        drawings = [read_instance(f).drawing() for f in files]
         try:
-            summary = verify_degeneracy_bound(drawings, args.k)
+            summary, results = verify_degeneracy_bound(drawings, args.k)
         except BoundViolation as exc:
-            payload["corpus"] = {"instances": rows, "violation": str(exc)}
+            summary, violation = None, str(exc)
+            results = [degeneracy(d.graph) for d in drawings]
+        rows = [
+            {
+                "file": Path(f).name,
+                "n": d.n,
+                "m": d.graph.m,
+                "degeneracy": res.degeneracy,
+                "colors": res.num_colors,
+            }
+            for f, d, res in zip(files, drawings, results)
+        ]
+        if summary is None:
+            payload["corpus"] = {"instances": rows, "violation": violation}
             _emit(args, "bounds", inputs, payload)
             return 2
         payload["corpus"] = {"instances": rows, "summary": summary, "violation": None}
@@ -437,7 +419,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
     ok = True
     for name, make, expect, sensitive in _PROP_ROWS:
         g = make()
-        found = recognize(g, 3, "outer-quasi", solver=args.solver, timeout_s=args.timeout).found
+        found = recognize(g, 3, "outer-quasi").found
         got = found is not None
         hit = got == expect
         if not sensitive and not hit:
@@ -560,8 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("repro", help="re-run the recorded experiments")
     sp.add_argument("what", choices=("props",))
-    sp.add_argument("--solver")
-    sp.add_argument("--timeout", type=_seconds, default=None)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_repro)
 

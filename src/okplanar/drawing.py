@@ -276,18 +276,16 @@ def drawing_chords(d: ConvexDrawing) -> ChordSet:
     return ChordSet.of(d.n, [(p[u], p[v]) for u, v in d.graph.edges])
 
 
-def drawing_svg(d: ConvexDrawing, size: int = 260) -> str:
+def drawing_svg(d: ConvexDrawing) -> str:
     """Render the drawing: vertices on a circle, chords, crossed edges in red."""
     crossed = dict(zip(d.graph.edges, drawing_chords(d).counts))
-    return circle_svg(d, lambda e: ("#c22" if crossed[e] else "#333", 1.2), size)
+    return circle_svg(d, lambda e: ("#c22" if crossed[e] else "#333", 1.2))
 
 
-def circle_svg(
-    d: ConvexDrawing, edge_style: Callable[[Edge], tuple[str, float]], size: int = 260
-) -> str:
-    """Vertices on a circle in drawing order, each edge a chord whose
-    (color, stroke width) comes from edge_style."""
-    r = 100.0
+def circle_svg(d: ConvexDrawing, edge_style: Callable[[Edge], tuple[str, float]]) -> str:
+    """Vertices on a circle in drawing order on a 260-pixel square, each
+    edge a chord whose (color, stroke width) comes from edge_style."""
+    size, r = 260, 100.0
     cx = cy = size / 2
     pts = {}
     for i, v in enumerate(d.order):

@@ -6,7 +6,7 @@ hash randomization or stdlib RNG versioning.
 """
 from __future__ import annotations
 
-from .drawing import ChordSet, ConvexDrawing, make_drawing
+from .drawing import ChordSet, ConvexDrawing, _bits, make_drawing
 from .graphs import Graph, build_graph
 
 _MASK64 = (1 << 64) - 1
@@ -120,12 +120,9 @@ def random_outer_k_planar(n: int, k: int, seed: int) -> ConvexDrawing:
         kept.append((u, v))
         if cs.counts[idx] == k:
             at_cap |= 1 << idx
-        rest = cm
-        while rest:
-            j = (rest & -rest).bit_length() - 1
+        for j in _bits(cm):
             if cs.counts[j] == k:
                 at_cap |= 1 << j
-            rest &= rest - 1
     return make_drawing(build_graph(n, kept), order)
 
 

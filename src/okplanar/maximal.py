@@ -363,19 +363,6 @@ class ReplacementResult:
     added_g1: int
     added_g2: int
 
-    def to_dict(self) -> dict:
-        return {
-            "g1": {"n": self.g1.n, "m": self.g1.graph.m},
-            "g2": {"n": self.g2.n, "m": self.g2.graph.m},
-            "level_vertices_g1": {str(i): v for i, v in self.level_vertices_g1.items()},
-            "level_vertices_g2": {str(i): v for i, v in self.level_vertices_g2.items()},
-            "origin_g1": list(self.origin_g1),
-            "origin_g2": list(self.origin_g2),
-            "crossing_edges": self.crossing_edges,
-            "added_g1": self.added_g1,
-            "added_g2": self.added_g2,
-        }
-
 
 def _replace_side(
     d: ConvexDrawing, ld: LevelDecomposition, k: int, delete_left: bool
@@ -460,7 +447,7 @@ def replacement_split(
 _LEVEL_COLORS = ("#2f9e44", "#9c36b5", "#e8590c", "#1971c2", "#c2255c", "#5f3dc4")
 
 
-def levels_svg(d: ConvexDrawing, ld: LevelDecomposition, size: int = 260) -> str:
+def levels_svg(d: ConvexDrawing, ld: LevelDecomposition) -> str:
     """Render the drawing with the long edge black and each level colored."""
     level_of = {e: i for i, lvl in enumerate(ld.levels) for e in lvl}
 
@@ -471,4 +458,4 @@ def levels_svg(d: ConvexDrawing, ld: LevelDecomposition, size: int = 260) -> str
             return _LEVEL_COLORS[level_of[e] % len(_LEVEL_COLORS)], 1.4
         return "#ccc", 1.0
 
-    return circle_svg(d, style, size)
+    return circle_svg(d, style)

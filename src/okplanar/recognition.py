@@ -186,9 +186,7 @@ def check_refutation(g: Graph, k: int, variant: str, cert: dict) -> None:
         raise ValueError(f"{figure} {value} does not exceed the bound {bound}")
 
 
-def brute_force_recognize(
-    g: Graph, k: int, variant: str, cap: int = DEFAULT_CAP
-) -> ConvexDrawing | None:
+def brute_force_recognize(g: Graph, k: int, variant: str) -> ConvexDrawing | None:
     """First circular order (lexicographic, vertex 0 first, reflections
     quotiented) whose drawing lies in the class, or None.
 
@@ -204,16 +202,12 @@ def brute_force_recognize(
     closed = variant.startswith("closed")
     quasi = variant.endswith("quasi")
     n = g.n
-    if n > cap:
-        raise ValueError(f"n={n} exceeds brute-force cap {cap}")
+    if n > DEFAULT_CAP:
+        raise ValueError(f"n={n} exceeds brute-force cap {DEFAULT_CAP}")
     if closed and n < 3:
         raise ValueError("closed variants need n >= 3")
     if n <= 2:
         return make_drawing(g, range(n))
-    if n == 3:
-        if closed and g.m != 3:
-            return None
-        return make_drawing(g, range(3))
 
     order = [0] * n
     used = [False] * n

@@ -42,8 +42,6 @@ CLAUSE_CAP = 2_000_000
 
 ENGINES = ("sat", "brute")
 
-ENV_SOLVER = "OKP_SAT_SOLVER"
-
 
 class EncodingTooLarge(Exception):
     def __init__(self, msg: str, count: int):
@@ -357,11 +355,10 @@ def solve(
 ) -> list[int] | None:
     """Model (signed DIMACS literals) or None for UNSAT.
 
-    Runs the executable named by `solver` or $OKP_SAT_SOLVER when configured,
-    speaking the SAT-competition conventions (exit 10/20, "s ..." verdict,
-    "v ..." model lines); otherwise falls back to the embedded solver.
+    Runs the executable named by `solver` when given, speaking the
+    SAT-competition conventions (exit 10/20, "s ..." verdict, "v ..." model
+    lines); otherwise runs the embedded solver.
     """
-    solver = solver or os.environ.get(ENV_SOLVER)
     if not solver:
         return CdclSolver(f.num_vars, f.clauses).solve(timeout_s=timeout_s)
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:

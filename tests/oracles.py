@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from okplanar.drawing import ConvexDrawing, class_violation, crossing_report
 from okplanar.generators import complete
-from okplanar.recognition import DEFAULT_CAP, brute_force_recognize, check_k
+from okplanar.recognition import brute_force_recognize, check_k
 
 
 def in_class(d: ConvexDrawing, k: int, variant: str) -> bool:
@@ -14,12 +14,12 @@ def in_class(d: ConvexDrawing, k: int, variant: str) -> bool:
     return class_violation(d, crossing_report(d), k, variant) is None
 
 
-def largest_clique_in_class(k: int, cap: int = DEFAULT_CAP) -> int:
+def largest_clique_in_class(k: int) -> int:
     """Largest n such that K_n is outer k-planar, by direct search."""
     if not (0 <= k <= 12):
         raise ValueError("supported range is 0 <= k <= 12")
     n = 3
     while True:
-        if brute_force_recognize(complete(n + 1), k, "outer-planar", cap=cap) is None:
+        if brute_force_recognize(complete(n + 1), k, "outer-planar") is None:
             return n
         n += 1

@@ -240,7 +240,7 @@ def test_degeneracy_and_coloring_bounds_on_corpora():
     for d, k_gen in sep_corpus:
         by_k.setdefault(k_gen, []).append(d)
     for k, group in sorted(by_k.items()):
-        summary = verify_degeneracy_bound(group, k)  # raises on violation
+        summary, _ = verify_degeneracy_bound(group, k)  # raises on violation
         assert summary["max_degeneracy"] <= math.isqrt(4 * k + 1) + 1
         assert summary["max_colors"] <= math.isqrt(4 * k + 1) + 2
     checked = len(sep_corpus)

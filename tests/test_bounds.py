@@ -8,6 +8,7 @@ import pytest
 
 from okplanar import (
     BoundViolation,
+    bounds,
     degeneracy,
     outer_k_planar_chromatic_bound,
     outer_k_planar_degeneracy_bound,
@@ -115,28 +116,34 @@ def test_degeneracy_matches_core_number_oracle():
 
 def test_verify_bound_on_outer_one_planar_corpus():
     corpus = [random_outer_k_planar(n, 1, seed) for n in (8, 10, 12) for seed in range(4)]
-    report = verify_degeneracy_bound(corpus, 1)
+    report, results = verify_degeneracy_bound(corpus, 1)
+    assert results == [degeneracy(d.graph) for d in corpus]
     assert report["instances"] == 12
     assert report["max_degeneracy"] <= 3
     assert report["max_colors"] <= 4
 
 
 def test_verify_bound_tight_on_k4():
-    report = verify_degeneracy_bound([identity_drawing(complete(4))], 1)
+    report, _ = verify_degeneracy_bound([identity_drawing(complete(4))], 1)
     assert report["max_colors"] == 4 == report["chromatic_bound"]
 
 
 def test_verify_bound_on_c7():
     c7 = identity_drawing(build_graph(7, [(i, (i + 1) % 7) for i in range(7)]))
-    report = verify_degeneracy_bound([c7], 0)
+    report, _ = verify_degeneracy_bound([c7], 0)
     assert report["max_degeneracy"] == 2
     assert report["max_colors"] <= 3
 
 
-def test_verify_bound_rejects_violations():
-    # K_5 is not outerplanar, so feeding it at k=0 must trip the checker
-    with pytest.raises(BoundViolation):
+def test_verify_bound_rejects_violations(monkeypatch):
+    # K_5 is not outerplanar, so feeding it at k=0 fails the class check
+    with pytest.raises(BoundViolation, match=r"corpus\[0\] is not outer 0-planar: it crosses"):
         verify_degeneracy_bound([identity_drawing(complete(5))], 0)
+    # K_4 is outer 1-planar and 3-degenerate: a bound one lower is broken
+    real = bounds.outer_k_planar_degeneracy_bound
+    monkeypatch.setattr(bounds, "outer_k_planar_degeneracy_bound", lambda k: real(k) - 1)
+    with pytest.raises(BoundViolation, match=r"corpus\[0\] has degeneracy 3 > 2"):
+        verify_degeneracy_bound([identity_drawing(complete(4))], 1)
 
 
 def test_clique_threshold_matches_formula():

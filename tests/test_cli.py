@@ -244,7 +244,7 @@ def test_recognize_solver_flag(capsys, tmp_path, k5):
     script.write_text(f"#!/bin/sh\nexec {sys.executable} -m okplanar.cli solve-cnf \"$1\"\n")
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
     code, out = run(capsys, "recognize", "--k", "3", "--variant", "quasi",
-                    "--solver", str(script), "--graph", k5)
+                    "--solver", str(script), k5)
     assert code == 0 and json.loads(out)["in_class"]
 
 
@@ -374,6 +374,7 @@ def test_mso2_emit_and_eval(capsys, tmp_path):
 def test_usage_errors_exit_one(capsys, k5):
     cases = [
         ["check", "--k", "2", "--variant", "planar"],  # no input file
+        ["check", k5, "--drawing", k5, "--k", "2", "--variant", "planar"],  # one input spelling
         ["check", "--k", "2", "--variant", "bogus", k5],
         ["check", "--k", "-1", "--variant", "planar", k5],
         ["check", "--k", "1", "--variant", "quasi", k5],  # quasi needs k >= 2
@@ -382,6 +383,7 @@ def test_usage_errors_exit_one(capsys, k5):
         ["generate"],  # missing family
         ["levels", "--k", "1", k5],
         ["saturate", "--k", "3"],  # neither --order nor --n
+        ["repro", "props", "--solver", "x"],  # repro always runs the embedded solver
         ["frobnicate"],
         [],
     ]
@@ -416,13 +418,12 @@ def test_solve_cnf_names_the_malformed_line(capsys, tmp_path, text, bad):
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("command", ["recognize", "repro", "solve-cnf"])
+@pytest.mark.parametrize("command", ["recognize", "solve-cnf"])
 def test_timeout_must_be_positive(capsys, tmp_path, k5, command, value):
     cnf = tmp_path / "one.cnf"
     cnf.write_text("p cnf 1 1\n1 0\n")
     argv = {
         "recognize": ["recognize", "--k", "3", "--variant", "quasi", k5],
-        "repro": ["repro", "props"],
         "solve-cnf": ["solve-cnf", str(cnf)],
     }[command]
     assert main(argv + ["--timeout", value]) == 1

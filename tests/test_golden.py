@@ -50,7 +50,7 @@ CASES = [
     ("check-p4-closed-planar",
      ["check", "inputs/p4.txt", "--k", "2", "--variant", "closed-planar"], 2),
     ("check-c5-reversed", ["check", "inputs/c5-reversed.txt", "--k", "0", "--variant", "closed-planar"], 0),
-    ("check-dense20", ["check", "--drawing", "inputs/dense20.txt", "--k", "5", "--variant", "quasi",
+    ("check-dense20", ["check", "inputs/dense20.txt", "--k", "5", "--variant", "quasi",
                        "--svg", "check-dense20.svg"], 2),
     ("check-okp30", ["check", "inputs/okp30.txt", "--k", "2", "--variant", "planar",
                      "--svg", "check-okp30.svg"], 0),
@@ -90,7 +90,7 @@ CASES = [
       "--engine", "brute"], 2),
     # --emit-cnf: the DIMACS of each encoder, and a refuted NO's UNSAT encoding
     ("recognize-emit-planar-k4",
-     ["recognize", "--graph", "inputs/k4.txt", "--k", "1", "--variant", "outer-planar",
+     ["recognize", "inputs/k4.txt", "--k", "1", "--variant", "outer-planar",
       "--emit-cnf", "recognize-emit-planar-k4.cnf"], 0),
     ("recognize-emit-quasi-k5",
      ["recognize", "inputs/k5.txt", "--k", "3", "--variant", "outer-quasi",

@@ -452,7 +452,6 @@ def test_replacement_matches_two_level_structure():
         lv = res.level_vertices_g1[i]
         assert res.origin_g1[lv] is None
         assert {new_of[x] for x in rs} <= set(res.g1.graph.adj[lv])
-    assert json.dumps(res.to_dict())
 
 
 def test_replacement_degenerate_no_crossings():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from okplanar import recognition
 from okplanar.drawing import (
     crossing_report,
     is_closed_drawing,
@@ -56,11 +57,12 @@ def test_witnesses_verify():
             assert in_class(dq, kq, "outer-quasi")
 
 
-def test_cap_enforced():
+def test_cap_enforced(monkeypatch):
     with pytest.raises(ValueError):
         brute_force_recognize(complete(12), 3, "outer-planar")
+    monkeypatch.setattr(recognition, "DEFAULT_CAP", 5)
     with pytest.raises(ValueError):
-        brute_force_recognize(complete(6), 3, "outer-planar", cap=5)
+        brute_force_recognize(complete(6), 3, "outer-planar")
 
 
 def test_closed_small_n_rejected():

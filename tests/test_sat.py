@@ -184,6 +184,20 @@ def test_oracle_agreement():
                 assert (sat_r is None) == (brute_r is None), (g.edges, variant, k)
 
 
+def test_three_vertex_graphs_agree_with_brute_force():
+    # brute force reaches n = 3 through its general search, which must agree
+    # with the encoding on every three-vertex graph
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    for mask in range(8):
+        g = build_graph(3, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        for variant, k in [("outer-planar", 0), ("outer-quasi", 2),
+                           ("closed-outer-planar", 0), ("closed-outer-quasi", 2)]:
+            sat_r = search_order(g, k, variant).found
+            brute_r = brute_force_recognize(g, k, variant)
+            assert (sat_r is None) == (brute_r is None), (mask, variant)
+            assert (sat_r is None) == (variant.startswith("closed") and mask != 7), (mask, variant)
+
+
 def test_unsat_monotone_in_k():
     rng = random.Random(303)
     for _ in range(10):
@@ -518,8 +532,9 @@ def test_external_solver_on_an_encoding_without_variables(tmp_path):
         assert recognize(g, k, variant, solver=script).found == embedded
 
 
-def test_external_solver_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("OKP_SAT_SOLVER", solve_cnf_script(tmp_path))
+def test_external_solver_env_var(monkeypatch):
+    # no environment variable picks the solver: only solver= runs one
+    monkeypatch.setenv("OKP_SAT_SOLVER", "/no/such/solver")
     assert recognize(complete(4), 1, "outer-planar").found is not None
 
 
