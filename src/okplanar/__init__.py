@@ -18,7 +18,6 @@ from .separator import (
     balanced_separator,
     check_separation,
     recursive_decompose,
-    sub_drawing,
 )
 from .maximal import (
     LevelDecomposition,
@@ -71,7 +70,6 @@ __all__ = [
     "balanced_separator",
     "check_separation",
     "recursive_decompose",
-    "sub_drawing",
     "LevelDecomposition",
     "QuasiPlanarityError",
     "ReplacementError",

@@ -261,6 +261,8 @@ def cmd_saturate(args: argparse.Namespace) -> int:
         raise ValueError(f"saturation needs k >= 2, got {args.k}")
     inputs: set[str] = set()
     if args.order:
+        if args.n is not None or args.seed is not None:
+            raise ValueError("--order takes neither --n nor --seed")
         inputs.add(args.order)
         d = read_instance(args.order).drawing()
         start = {"kind": "file", "edges": d.graph.m, "seed": None}
@@ -307,34 +309,28 @@ def cmd_saturate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    family = args.family or args.kind
-    if not family:
-        raise ValueError("generate needs --family (alias --kind)")
-
     def need(name: str):
         val = getattr(args, name.replace("-", "_"))
         if val is None:
-            raise ValueError(f"family {family!r} needs --{name}")
+            raise ValueError(f"--kind {args.kind} needs --{name}")
         return val
 
-    if family == "complete":
+    if args.kind == "complete":
         text = format_graph(complete(need("n")))
-    elif family == "bipartite":
+    elif args.kind == "bipartite":
         text = format_graph(complete_bipartite(need("p"), need("q")))
-    elif family == "grid":
+    elif args.kind == "grid":
         text = format_graph(grid(need("rows"), need("cols")))
-    elif family == "3tree":
+    elif args.kind == "3tree":
         text = format_graph(planar_3tree_levels(need("levels")))
-    elif family == "frame":
+    elif args.kind == "frame":
         n, k = need("n"), need("k")
         edges = sorted(frame_edges(n, k))
         text = format_drawing(identity_drawing(build_graph(n, edges)))
-    elif family == "random-okp":
+    else:  # random-okp
         n, k = need("n"), need("k")
         seed = args.seed if args.seed is not None else 0
         text = format_drawing(random_outer_k_planar(n, k, seed))
-    else:
-        raise ValueError(f"unknown family {family!r}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -413,8 +409,6 @@ _PROP_ROWS = (
 
 
 def cmd_repro(args: argparse.Namespace) -> int:
-    if args.what != "props":
-        raise ValueError(f"unknown repro target {args.what!r}")
     rows = []
     ok = True
     for name, make, expect, sensitive in _PROP_ROWS:
@@ -511,11 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_saturate)
 
     sp = sub.add_parser("generate", help="write a named instance to stdout")
-    sp.add_argument("--family", choices=(
+    sp.add_argument("--kind", required=True, choices=(
         "complete", "bipartite", "grid", "3tree", "frame", "random-okp"))
-    sp.add_argument("--kind", choices=(
-        "complete", "bipartite", "grid", "3tree", "frame", "random-okp"),
-        help="same as --family")
     sp.add_argument("--n", type=int)
     sp.add_argument("--p", type=int)
     sp.add_argument("--q", type=int)

@@ -31,13 +31,19 @@ the two exclusive sides.
 All arithmetic is over boundary positions; "clockwise" is the direction of
 increasing position. Every returned separation is re-validated against the
 three invariants and a violation raises instead of returning quietly.
+
+A separation is of the sub-drawing induced by a vertex set (the input's
+circular order restricted to it) and names vertices by the input's ids;
+nothing is relabeled. Positions count along that restricted order, so a
+and b sit at its positions 0 and floor(n/2), and the cutting-edge scan
+takes the edges in ascending-id order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .drawing import ChordSet, ConvexDrawing, drawing_chords, make_drawing
-from .graphs import induced_subgraph
+from .drawing import ChordSet, ConvexDrawing, Edge
 
 
 @dataclass(frozen=True)
@@ -63,26 +69,32 @@ def _arc(n: int, i: int, j: int) -> list[int]:
     return [*range(i + 1, j)] if i < j else [*range(i + 1, n), *range(j)]
 
 
-def balanced_separator(d: ConvexDrawing) -> Separation:
-    """Separation with |separator| <= 2k+3 and sides <= ceil(2n/3).
+def balanced_separator(d: ConvexDrawing, vertices: Iterable[int] | None = None) -> Separation:
+    """Separation of the sub-drawing of d induced by vertices (all of d by
+    default) with |separator| <= 2k+3 and sides <= ceil(2n/3), n its size.
 
-    k is the drawing's own maximum per-edge crossing count, never supplied
-    by the caller.
+    k is that sub-drawing's own maximum per-edge crossing count, never
+    supplied by the caller.
     """
-    cs = drawing_chords(d)
+    kept = set(range(d.n) if vertices is None else vertices)
+    if not kept.issubset(range(d.n)):
+        raise ValueError(f"vertices must lie in 0..{d.n - 1}")
+    order = sorted(kept, key=d.pos.__getitem__)
+    pos = {v: p for p, v in enumerate(order)}
+    edges = [(u, v) for u, v in d.graph.edges if u in pos and v in pos]
+    cs = ChordSet.of(len(order), [(pos[u], pos[v]) for u, v in edges])
     k = max(cs.counts, default=0)
-    sep = _separate(d, cs, k)
-    err = check_separation(d, k, sep)
+    sep = _separate(order, edges, cs, k)
+    err = _violation(kept, edges, k, sep)
     if err:
         raise SeparatorError(err, sep.case_tag, sep.witness)
     return sep
 
 
-def _separate(d: ConvexDrawing, cs: ChordSet, k: int) -> Separation:
-    """The case analysis of the module docstring, unvalidated."""
-    n = d.n
-    everyone = frozenset(range(n))
-    order = d.order
+def _separate(order: Sequence[int], edges: Sequence[Edge], cs: ChordSet, k: int) -> Separation:
+    """The case analysis of the module docstring on one sub-drawing, unvalidated."""
+    n = len(order)
+    everyone = frozenset(order)
     at = lambda p: order[p]
     chords = cs.chords  # all edges as position chords (lo, hi)
 
@@ -111,7 +123,7 @@ def _separate(d: ConvexDrawing, cs: ChordSet, k: int) -> Separation:
     # side keeps at least one vertex and recursion always makes progress.
     lo_w = -(-n // 3)
     hi_w = min(2 * n // 3, n - 3)
-    for (u, v), (p, q) in zip(d.graph.edges, chords):
+    for (u, v), (p, q) in zip(edges, chords):
         c_in = q - p - 1
         c_out = n - 2 - c_in
         if lo_w <= c_in <= hi_w or lo_w <= c_out <= hi_w:
@@ -232,39 +244,40 @@ def _balanced(n: int, sep: Separation) -> bool:
 
 
 def check_separation(d: ConvexDrawing, k: int, sep: Separation) -> str | None:
-    """None if the separation satisfies all invariants, else a description."""
-    n = d.n
-    everyone = frozenset(range(n))
+    """None if the separation of all of d satisfies all invariants, else why."""
+    return _violation(set(range(d.n)), d.graph.edges, k, sep)
+
+
+def _violation(everyone: set[int], edges: Iterable[Edge], k: int, sep: Separation) -> str | None:
+    """check_separation on the sub-drawing with these vertices and edges."""
     if sep.a_side | sep.b_side != everyone:
         return "A and B do not cover all vertices"
     if sep.a_side & sep.b_side != sep.separator:
         return "separator is not the intersection of the sides"
     if len(sep.separator) > 2 * k + 3:
         return f"separator has {len(sep.separator)} > 2k+3 = {2 * k + 3} vertices"
-    bound = -(-2 * n // 3)
+    bound = -(-2 * len(everyone) // 3)
     a_excl = sep.a_side - sep.b_side
     b_excl = sep.b_side - sep.a_side
     if len(a_excl) > bound or len(b_excl) > bound:
         return (f"exclusive sides {len(a_excl)}/{len(b_excl)} "
                 f"exceed ceil(2n/3) = {bound}")
-    for u, v in d.graph.edges:
+    for u, v in edges:
         if (u in a_excl and v in b_excl) or (u in b_excl and v in a_excl):
             return f"edge ({u}, {v}) joins the two exclusive sides"
     return None
 
 
-# witness fields naming vertices, translated by DecompositionNode.to_dict
-_VERTEX_KEYS = {"a", "b", "b_l", "b_l2", "a_r", "a_r2"}
-_VERTEX_LIST_KEYS = {"edge", "line"}
-
-
 @dataclass
 class DecompositionNode:
-    n: int
-    vertices: list[int]
+    vertices: list[int]  # in boundary order
     separation: Separation | None
     leaf_reason: str | None
     children: list["DecompositionNode"]
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
 
     def depth(self) -> int:
         """Longest root-to-leaf path in edges (a lone leaf has depth 0)."""
@@ -273,34 +286,18 @@ class DecompositionNode:
         return 1 + max(c.depth() for c in self.children)
 
     def to_dict(self) -> dict:
-        """JSON-ready tree; vertex ids are translated back to the root's."""
+        """JSON-ready tree, in the input's vertex ids like every separation."""
         out: dict = {"n": self.n, "vertices": self.vertices}
         if self.leaf_reason:
             out["leaf"] = self.leaf_reason
         if self.separation is not None:
             s = self.separation
-            tr = self.vertices
-            wit = {}
-            for key, val in s.witness.items():
-                if key in _VERTEX_KEYS:
-                    wit[key] = tr[val]
-                elif key in _VERTEX_LIST_KEYS:
-                    wit[key] = [tr[v] for v in val]
-                else:
-                    wit[key] = val
             out["case"] = s.case_tag
-            out["separator"] = sorted(tr[i] for i in s.separator)
-            out["witness"] = wit
+            out["separator"] = sorted(s.separator)
+            out["witness"] = s.witness
         if self.children:
             out["children"] = [c.to_dict() for c in self.children]
         return out
-
-
-def sub_drawing(d: ConvexDrawing, vertices: frozenset[int]) -> tuple[ConvexDrawing, list[int]]:
-    """Induced sub-drawing: circular order restricted to the kept vertices."""
-    kept = sorted(vertices, key=lambda v: d.pos[v])
-    sub, old_ids = induced_subgraph(d.graph, kept)
-    return make_drawing(sub, range(sub.n)), old_ids
 
 
 def recursive_decompose(d: ConvexDrawing, leaf_size: int) -> DecompositionNode:
@@ -314,22 +311,17 @@ def recursive_decompose(d: ConvexDrawing, leaf_size: int) -> DecompositionNode:
     if leaf_size < 1:
         raise ValueError("need leaf_size >= 1")
 
-    def node(d: ConvexDrawing, ids: list[int]) -> DecompositionNode:
-        if d.n <= leaf_size:
-            return DecompositionNode(d.n, ids, None, "size", [])
-        sep = balanced_separator(d)
+    def node(vertices: list[int]) -> DecompositionNode:
+        n = len(vertices)
+        if n <= leaf_size:
+            return DecompositionNode(vertices, None, "size", [])
+        sep = balanced_separator(d, vertices)
         if sep.case_tag == "trivial-small":
-            return DecompositionNode(d.n, ids, sep, "trivial-small", [])
-        if max(len(sep.a_side), len(sep.b_side)) == d.n:
-            return DecompositionNode(d.n, ids, sep, "no-progress", [])
-        children = []
-        for side in (sep.a_side, sep.b_side):
-            if len(side) <= leaf_size:  # a leaf needs its ids, not its sub-drawing
-                leaf = [ids[v] for v in sorted(side, key=d.pos.__getitem__)]
-                children.append(DecompositionNode(len(leaf), leaf, None, "size", []))
-                continue
-            child, old = sub_drawing(d, side)
-            children.append(node(child, [ids[i] for i in old]))
-        return DecompositionNode(d.n, ids, sep, None, children)
+            return DecompositionNode(vertices, sep, "trivial-small", [])
+        if max(len(sep.a_side), len(sep.b_side)) == n:
+            return DecompositionNode(vertices, sep, "no-progress", [])
+        children = [node(sorted(side, key=d.pos.__getitem__))
+                    for side in (sep.a_side, sep.b_side)]
+        return DecompositionNode(vertices, sep, None, children)
 
-    return node(d, list(range(d.n)))
+    return node(list(d.order))

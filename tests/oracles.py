@@ -2,8 +2,9 @@
 through the package's one rule, for claims the library itself never makes."""
 from __future__ import annotations
 
-from okplanar.drawing import ConvexDrawing, class_violation, crossing_report
+from okplanar.drawing import ConvexDrawing, class_violation, crossing_report, make_drawing
 from okplanar.generators import complete
+from okplanar.graphs import induced_subgraph
 from okplanar.recognition import brute_force_recognize, check_k
 
 
@@ -23,3 +24,10 @@ def largest_clique_in_class(k: int) -> int:
         if brute_force_recognize(complete(n + 1), k, "outer-planar") is None:
             return n
         n += 1
+
+
+def induced_drawing(d: ConvexDrawing, vertices) -> tuple[ConvexDrawing, list[int]]:
+    """The sub-drawing induced by vertices, relabeled 0.. along d's circular
+    order; returns (drawing, old_ids) with old_ids[new] the vertex in d."""
+    sub, old_ids = induced_subgraph(d.graph, sorted(set(vertices), key=d.pos.__getitem__))
+    return make_drawing(sub, range(sub.n)), old_ids

@@ -74,18 +74,18 @@ def test_instance_comments_and_errors():
 
 def test_generate_families(capsys, tmp_path):
     for argv, has_order in [
-        (["generate", "--family", "complete", "--n", "5"], False),
-        (["generate", "--family", "bipartite", "--p", "3", "--q", "4"], False),
+        (["generate", "--kind", "complete", "--n", "5"], False),
+        (["generate", "--kind", "bipartite", "--p", "3", "--q", "4"], False),
         (["generate", "--kind", "grid", "--rows", "3", "--cols", "4"], False),
-        (["generate", "--family", "3tree", "--levels", "2"], False),
-        (["generate", "--family", "frame", "--n", "9", "--k", "3"], True),
+        (["generate", "--kind", "3tree", "--levels", "2"], False),
+        (["generate", "--kind", "frame", "--n", "9", "--k", "3"], True),
         (["generate", "--kind", "random-okp", "--n", "11", "--k", "2", "--seed", "5"], True),
     ]:
         code, out = run(capsys, *argv)
         assert code == 0
         inst = parse_instance(out)
         assert (inst.order is not None) == has_order
-    code, out = run(capsys, "generate", "--family", "complete", "--n", "4")
+    code, out = run(capsys, "generate", "--kind", "complete", "--n", "4")
     assert parse_instance(out).graph.edges == complete(4).edges
 
 
@@ -379,10 +379,13 @@ def test_usage_errors_exit_one(capsys, k5):
         ["check", "--k", "-1", "--variant", "planar", k5],
         ["check", "--k", "1", "--variant", "quasi", k5],  # quasi needs k >= 2
         ["recognize", "--k", "2", "--variant", "planar", "--engine", "sat", "/no/such/file"],
-        ["generate", "--family", "complete"],  # missing --n
-        ["generate"],  # missing family
+        ["generate", "--kind", "complete"],  # missing --n
+        ["generate"],  # missing --kind
+        ["generate", "--family", "complete", "--n", "5"],  # one spelling: --kind
         ["levels", "--k", "1", k5],
         ["saturate", "--k", "3"],  # neither --order nor --n
+        ["saturate", "--order", k5, "--k", "3", "--n", "9"],  # --order fixes n
+        ["saturate", "--order", k5, "--k", "3", "--seed", "4"],  # and the start
         ["repro", "props", "--solver", "x"],  # repro always runs the embedded solver
         ["frobnicate"],
         [],
@@ -395,7 +398,7 @@ def test_usage_errors_exit_one(capsys, k5):
 @pytest.mark.parametrize("argv, msg", [
     (["generate", "--kind", "grid", "--rows", "-1", "--cols", "-3"],
      "grid sides must be nonnegative, got -1 x -3"),
-    (["generate", "--family", "bipartite", "--p", "-1", "--q", "2"],
+    (["generate", "--kind", "bipartite", "--p", "-1", "--q", "2"],
      "part sizes must be nonnegative, got -1 and 2"),
     (["separator", "K5", "--leaf-size", "4"], "--leaf-size needs --recursive"),
 ])
@@ -450,7 +453,7 @@ def test_reports_are_byte_stable(capsys, tmp_path, k5):
         ["saturate", "--n", "9", "--k", "2", "--seed", "1"],
         ["bounds", "--k", "3"],
         ["mso2", "--k", "1", "--variant", "closed-planar"],
-        ["generate", "--family", "frame", "--n", "8", "--k", "2"],
+        ["generate", "--kind", "frame", "--n", "8", "--k", "2"],
     ]
     for argv in argvs:
         first = run(capsys, *argv)

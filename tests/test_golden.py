@@ -133,11 +133,11 @@ CASES = [
     ("saturate-file", ["saturate", "--order", "inputs/okp30.txt", "--k", "4"], 0),
     ("saturate-k6-not-in-class", ["saturate", "--order", "inputs/k6.txt", "--k", "2"], 2),
     # generate: every family
-    ("generate-complete", ["generate", "--family", "complete", "--n", "5"], 0),
-    ("generate-bipartite", ["generate", "--family", "bipartite", "--p", "3", "--q", "4"], 0),
+    ("generate-complete", ["generate", "--kind", "complete", "--n", "5"], 0),
+    ("generate-bipartite", ["generate", "--kind", "bipartite", "--p", "3", "--q", "4"], 0),
     ("generate-grid", ["generate", "--kind", "grid", "--rows", "3", "--cols", "4"], 0),
-    ("generate-3tree", ["generate", "--family", "3tree", "--levels", "2"], 0),
-    ("generate-frame", ["generate", "--family", "frame", "--n", "9", "--k", "3"], 0),
+    ("generate-3tree", ["generate", "--kind", "3tree", "--levels", "2"], 0),
+    ("generate-frame", ["generate", "--kind", "frame", "--n", "9", "--k", "3"], 0),
     ("generate-random-okp",
      ["generate", "--kind", "random-okp", "--n", "11", "--k", "2", "--seed", "5"], 0),
     # bounds: per k, a corpus in bounds, a corpus that breaks them

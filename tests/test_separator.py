@@ -10,11 +10,12 @@ from okplanar.drawing import crossing_report, make_drawing
 from okplanar.generators import grid, grid_snake_order, random_outer_k_planar
 from okplanar.graphs import build_graph
 from okplanar.separator import (
+    Separation,
     balanced_separator,
     check_separation,
     recursive_decompose,
-    sub_drawing,
 )
+from oracles import induced_drawing
 
 
 def cycle_plus(n, extra=()):
@@ -187,8 +188,26 @@ def test_restriction_never_raises_crossings():
         for side in (sep.a_side, sep.b_side):
             if len(side) < 2:
                 continue
-            child, _ = sub_drawing(d, side)
+            child, _ = induced_drawing(d, side)
             assert crossing_report(child).max_per_edge <= parent_k
+
+
+def test_separator_of_induced_vertex_sets():
+    rng = random.Random(6029)
+    for _ in range(40):
+        n = rng.randrange(1, 40)
+        d = random_outer_k_planar(n, rng.randrange(0, 4), seed=rng.randrange(1 << 30))
+        subsets = [[], [rng.randrange(n)], list(range(n))]
+        subsets += [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(4)]
+        for vertices in subsets:
+            assert_valid_induced(d, vertices, balanced_separator(d, vertices))
+        assert balanced_separator(d, range(d.n)) == balanced_separator(d)
+
+
+@pytest.mark.parametrize("vertices", [[0, -1], [0, 5], [7]])
+def test_separator_rejects_vertices_outside_the_drawing(vertices):
+    with pytest.raises(ValueError):
+        balanced_separator(cycle_plus(5), vertices)
 
 
 def test_sixty_vertex_runs():
@@ -248,17 +267,33 @@ def test_small_n_against_exhaustive_optimum():
         assert best <= size <= 2 * actual_k + 3
 
 
+def _local(sep, old_ids):
+    """The separation in the ids of a sub-drawing whose vertex i is old_ids[i]."""
+    new = {v: i for i, v in enumerate(old_ids)}
+    to = lambda side: frozenset(new[v] for v in side)
+    return Separation(to(sep.a_side), to(sep.b_side), to(sep.separator), sep.case_tag,
+                      sep.witness)
+
+
+def assert_valid_induced(d, vertices, sep):
+    """sep is a valid separation of the sub-drawing of d induced by vertices."""
+    sub, old = induced_drawing(d, vertices)
+    k = crossing_report(sub).max_per_edge
+    err = check_separation(sub, k, _local(sep, old))
+    assert err is None, f"{sep.case_tag}: {err}"
+
+
 def _walk(d, node):
-    assert node.n == d.n == len(node.vertices)
+    """Check every node as a separation of its own induced sub-drawing."""
+    assert node.vertices == induced_drawing(d, node.vertices)[1]  # boundary order
+    assert node.n == len(node.vertices)
     if node.separation is not None:
-        k = crossing_report(d).max_per_edge
-        assert check_separation(d, k, node.separation) is None
+        assert_valid_induced(d, node.vertices, node.separation)
     if node.children:
         sides = (node.separation.a_side, node.separation.b_side)
         for side, child in zip(sides, node.children):
-            child_d, old = sub_drawing(d, side)
-            assert child.vertices == [node.vertices[i] for i in old]
-            _walk(child_d, child)
+            assert child.vertices == sorted(side, key=d.pos.__getitem__)
+            _walk(d, child)
     else:
         assert node.leaf_reason is not None
 
