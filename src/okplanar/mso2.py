@@ -7,16 +7,16 @@ properties are expressible with quantifiers over vertices, edges, vertex
 sets and edge sets plus the four relations =, membership, subset and
 incidence. This module emits those formulas fully expanded, parses and
 pretty-prints the S-expression rendering, lints the primitive vocabulary,
-renders a LaTeX-like form, and evaluates formulas on tiny graphs by
-enumerating assignments: element quantifiers run over every vertex or
-edge, and set quantifiers over only the sets their own guard conjuncts
-allow (see _Compiled._set_quantifier).
+renders a LaTeX-like form, and evaluates well-sorted formulas on tiny
+graphs by enumerating assignments: every quantifier runs over only the
+values its own guard conjuncts allow (see _Compiled).
 
 The S-expression grammar is documented in docs/formulas.md.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Callable
 
@@ -586,38 +586,23 @@ def lint_formula(node) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _free_names(node, cache: dict) -> frozenset:
-    got = cache.get(id(node))
-    if got is not None:
-        return got
-    head = node[0]
-    if head in _QUANT:
-        res = _free_names(node[3], cache) - {node[2]}
-    elif head in _RELS:
-        res = frozenset((node[1], node[2]))
-    else:
-        res = frozenset().union(*(_free_names(c, cache) for c in node[1:]))
-    cache[id(node)] = res
-    return res
-
-
-def _shape_key(node, rename: dict) -> tuple:
-    """Structural key with free names replaced positionally, so the memo is
-    shared between the per-disjunct copies of the same subformula."""
-    head = node[0]
-    if head in _QUANT:
-        inner = {k: v for k, v in rename.items() if k != node[2]}
-        return (head, node[1], node[2], _shape_key(node[3], inner))
-    if head in _RELS:
-        return (head, rename.get(node[1], node[1]), rename.get(node[2], node[2]))
-    return (head,) + tuple(_shape_key(c, rename) for c in node[1:])
-
-
 def _conjuncts(node) -> list:
     """The conjuncts of node, with nested ands flattened."""
     if node[0] != "and":
         return [node]
     return [c for child in node[1:] for c in _conjuncts(child)]
+
+
+def _guard_split(node) -> tuple[list, tuple | None]:
+    """The guard candidates of a quantifier, the conjuncts of φ in exists v φ
+    or of H in forall v (implies H ψ), nested ands flattened; and ψ, None
+    for exists. A forall of any other shape has no candidates."""
+    head, _, _, body = node
+    if head == "exists":
+        return _conjuncts(body), None
+    if body[0] == "implies":
+        return _conjuncts(body[1]), body[2]
+    return [], body
 
 
 def _reads_bit(node, s: str, x) -> bool:
@@ -635,6 +620,11 @@ def _reads_bit(node, s: str, x) -> bool:
 
 
 def _conj(cs: tuple) -> Callable:
+    if not cs:
+        return lambda env: True
+    if len(cs) == 1:
+        return cs[0]
+
     def ev_and(env, cs=cs):
         for c in cs:
             if not c(env):
@@ -644,22 +634,35 @@ def _conj(cs: tuple) -> Callable:
     return ev_and
 
 
+@cache
+def _bit_table(width: int) -> list[tuple[int, ...]]:
+    """Per mask below 2**width, its set bits in ascending order. The caps
+    bound width, so the cache stays small."""
+    return [tuple(i for i in range(width) if mask >> i & 1) for mask in range(1 << width)]
+
+
 class _Compiled:
     """Compiles an AST into nested closures over one shared environment.
 
     Vertices are 0..n-1; edges are indexed into g.edges; sets are bitmasks.
-    Set-sorted quantifier nodes memoize on the values of their free
-    variables, keyed structurally so identical subformulas share a table,
-    and enumerate only the sets their guards allow (see _set_quantifier).
+    Every quantifier visits only the values its guards allow (see
+    _element_quantifier and _set_quantifier). Set quantifiers memoize by
+    shape (see _shape), so subformulas equal up to names share a table.
     """
 
     def __init__(self, g: Graph):
         self.inc_mask = [1 << u | 1 << v for u, v in g.edges]
-        self.domains = {"vertex": range(g.n), "edge": range(g.m)}
-        self.full = {"vertex-set": (1 << g.n) - 1, "edge-set": (1 << g.m) - 1}
+        self.edges_at = [0] * g.n
+        for i, (u, v) in enumerate(g.edges):
+            self.edges_at[u] |= 1 << i
+            self.edges_at[v] |= 1 << i
+        self.full = {"vertex": (1 << g.n) - 1, "edge": (1 << g.m) - 1}
+        self.bit_table = _bit_table(max(g.n, g.m))
         self.nslots = 0
-        self.free_cache: dict = {}
+        self.shapes: dict = {}
+        self.shape_ids: dict = {}
         self.memo: dict = {}
+        self.bounds_memo: dict = {}
 
     def compile(self, node) -> Callable:
         fn = self._build(node, {})
@@ -670,45 +673,135 @@ class _Compiled:
         self.nslots += 1
         return self.nslots - 1
 
+    def _shape(self, node) -> tuple[int, tuple[str, ...]]:
+        """(shape id, sorted free names) of node. Two nodes share an id when
+        they are equal up to renaming bound names and the i-th free name of
+        one to the i-th of the other, so the memo is shared between the
+        per-disjunct copies of the same subformula."""
+        got = self.shapes.get(id(node))
+        if got is not None:
+            return got
+        head = node[0]
+        if head in _RELS:
+            free = tuple(sorted({node[1], node[2]}))
+            key = (head, free.index(node[1]), free.index(node[2]))
+        else:
+            quant = head in _QUANT
+            kids = [self._shape(c) for c in ((node[3],) if quant else node[1:])]
+            free = tuple(sorted({x for _, f in kids for x in f} - {node[2] if quant else None}))
+            pos = {x: i for i, x in enumerate(free)}  # the bound name gets -1
+            key = (head, node[1] if quant else None,
+                   *((k, tuple(pos.get(x, -1) for x in f)) for k, f in kids))
+        got = self.shapes[id(node)] = (self.shape_ids.setdefault(key, len(self.shape_ids)), free)
+        return got
+
+    def _rest(self, rest: list, then, scope: dict) -> Callable:
+        """The per-value test the guards leave: the other conjuncts, -> ψ."""
+        test = _conj(tuple(self._build(c, scope) for c in rest))
+        if then is None:
+            return test
+        t = self._build(then, scope)
+        if not rest:
+            return t
+        return lambda env, h=test, t=t: not h(env) or t(env)
+
+    def _element_guard(self, c, x: str, scope: dict) -> Callable | None:
+        """The mask of values of x that guard c allows, as a function of
+        the environment; None when c is no guard."""
+        head = c[0]
+        neg = head == "not" and c[1][0] == "="
+        if neg:
+            c, head = c[1], "="
+        if head == "=" and x in c[1:] and c[1] != c[2]:
+            y = scope[c[2] if c[1] == x else c[1]]
+            if neg:
+                return lambda env: ~(1 << env[y])
+            return lambda env: 1 << env[y]
+        if head == "in" and c[1] == x:
+            s = scope[c[2]]
+            return lambda env: env[s]
+        if head == "I" and c[1] == x:
+            v, at = scope[c[2]], self.edges_at
+            return lambda env: at[env[v]]
+        if head == "I" and c[2] == x:
+            e, inc = scope[c[1]], self.inc_mask
+            return lambda env: inc[env[e]]
+        return None
+
+    def _element_quantifier(self, node, scope: dict) -> Callable:
+        """exists x φ or forall x φ over vertices or edges.
+
+        The guards are (in x S), (I x v) for an edge x, (I e x) for a
+        vertex x, (= x y) and (not (= x y)), the other name bound outside
+        x. x runs in ascending order over the values they all allow; any
+        other value falsifies a guard and decides nothing. The guards are
+        not re-evaluated on the values visited.
+        """
+        head, sort, x, _ = node
+        slot = self._slot()
+        masks, rest = [], []
+        conj, then = _guard_split(node)
+        for c in conj:
+            m = self._element_guard(c, x, scope)
+            if m is None:
+                rest.append(c)
+            else:
+                masks.append(m)
+        test = self._rest(rest, then, {**scope, x: slot})
+        full, bits = self.full[sort], self.bit_table
+        want = head == "exists"
+
+        def ev(env):
+            mask = full
+            for m in masks:
+                mask &= m(env)
+            for v in bits[mask]:
+                env[slot] = v
+                if test(env) == want:
+                    return want
+            return not want
+
+        return ev
+
     def _set_quantifier(self, node, scope: dict) -> Callable:
         """exists S φ or forall S φ over a set sort.
 
-        The guards are the conjuncts, nested ands flattened, of φ for
-        exists and of H for forall S (implies H ψ):
+        Of the guard candidates (see _guard_split) these are guards:
         - (subseteq S T), T bound outside, gives S ⊆ T;
         - (forall x χ), x of S's element sort and χ reading S only as
           (in x S), is tried per element x with x out of S and in S. The
           outcomes force x out of S, into S, or leave it free.
         Every set outside the resulting interval lo ⊆ S ⊆ hi falsifies a
         guard, so only the sets in it are visited, and the guards are not
-        re-evaluated on them.
+        re-evaluated on them. The interval is memoized on the values of
+        the names the guards read, the result on those of every free name.
         """
-        head, sort, s, body = node
+        head, sort, s, _ = node
         slot = self._slot()
         inner = {**scope, s: slot}
         want = head == "exists"
-        hyp, then = body, None
-        if not want:
-            hyp, then = (body[1], body[2]) if body[0] == "implies" else (None, body)
-        uppers, bits, rest = [], [], []
-        for c in _conjuncts(hyp) if hyp else ():
-            if c[0] == "subseteq" and c[1] == s and c[2] != s and c[2] in scope:
+        uppers, bits, guards, rest = [], [], [], []
+        conj, then = _guard_split(node)
+        for c in conj:
+            if c[0] == "subseteq" and c[1] == s and c[2] != s:
                 uppers.append(scope[c[2]])
             elif c[0] == "forall" and c[1] == _ELEM_OF[sort] and c[2] != s and _reads_bit(c[3], s, c[2]):
                 xs = self._slot()
-                bits.append((xs, self.domains[c[1]], self._build(c[3], {**inner, c[2]: xs})))
+                bits.append((xs, self.bit_table[self.full[c[1]]], self._build(c[3], {**inner, c[2]: xs})))
             else:
-                rest.append(self._build(c, inner))
-        test = _conj(tuple(rest))
-        if then is not None:
-            test = lambda env, h=test, t=self._build(then, inner): not h(env) or t(env)
-        full = self.full[sort]
-        free = sorted(_free_names(node, self.free_cache))
+                rest.append(c)
+                continue
+            guards.append(c)
+        test = self._rest(rest, then, inner)
+        full = self.full[_ELEM_OF[sort]]
+        skey, free = self._shape(node)
+        read = {x for c in guards for x in self._shape(c)[1]}
         key_slots = [scope[x] for x in free]
-        skey = repr(_shape_key(node, {x: f"%{i}" for i, x in enumerate(free)}))
-        memo = self.memo
+        bound_slots = [scope[x] for x in free if x in read]
+        memo, bounds_memo = self.memo, self.bounds_memo
 
-        def scan(env):
+        def interval(env):
+            """(lo, hi & ~lo), or None when no set passes the guards."""
             lo, hi = 0, full
             for t in uppers:
                 hi &= env[t]
@@ -721,13 +814,20 @@ class _Compiled:
                     env[slot] = bit
                     if not chi(env):
                         if not out_ok:
-                            return not want
+                            return None
                         hi &= ~bit
                     elif not out_ok:
                         lo |= bit
-            if lo & ~hi:
+            return None if lo & ~hi else (lo, hi & ~lo)
+
+        def scan(env):
+            key = (skey,) + tuple(env[t] for t in bound_slots)
+            if key not in bounds_memo:
+                bounds_memo[key] = interval(env)
+            got = bounds_memo[key]
+            if got is None:
                 return not want
-            span = hi & ~lo
+            lo, span = got
             sub = 0
             while True:
                 env[slot] = lo | sub
@@ -749,21 +849,9 @@ class _Compiled:
     def _build(self, node, scope: dict) -> Callable:
         head = node[0]
         if head in _QUANT:
-            if node[1] in self.full:
+            if node[1] in _ELEM_OF:
                 return self._set_quantifier(node, scope)
-            slot = self._slot()
-            body = self._build(node[3], {**scope, node[2]: slot})
-            dom = self.domains[node[1]]
-            want = head == "exists"
-
-            def ev(env, slot=slot, dom=dom, body=body, want=want):
-                for val in dom:
-                    env[slot] = val
-                    if body(env) == want:
-                        return want
-                return not want
-
-            return ev
+            return self._element_quantifier(node, scope)
         if head == "and":
             return _conj(tuple(self._build(c, scope) for c in node[1:]))
         if head == "or":
@@ -799,18 +887,19 @@ class _Compiled:
 def evaluate_formula(formula, g: Graph) -> bool:
     """Evaluate a closed formula on g by enumeration.
 
-    A set quantifier visits only the sets between the bounds its guard
-    conjuncts give, (subseteq S T) and element foralls that read one bit
-    of S; this is exact for any formula, not only emitted ones. Still
-    exponential, so the caps are unchanged: models beyond n <= 7, m <= 10
-    are refused. The only purpose is certifying that emitted text means
-    what it should.
+    Every quantifier visits only the values its guard conjuncts allow (see
+    _Compiled); this is exact for any well-sorted formula, not only
+    emitted ones. A formula that lint_formula flags is refused with a
+    ValueError naming the violations. Still exponential, so the caps are
+    unchanged: models beyond n <= 7, m <= 10 are refused. The only purpose
+    is certifying that emitted text means what it should.
     """
     ast = formula.ast if isinstance(formula, EmittedFormula) else formula
     if g.n > EVAL_MAX_N:
         raise ValueError(f"evaluator cap n <= {EVAL_MAX_N}, got n={g.n}")
     if g.m > EVAL_MAX_M:
         raise ValueError(f"evaluator cap m <= {EVAL_MAX_M}, got m={g.m}")
-    if _free_names(ast, {}):
-        raise ValueError("formula has free variables")
+    problems = lint_formula(ast)
+    if problems:
+        raise ValueError("formula fails lint: " + "; ".join(problems))
     return _Compiled(g).compile(ast)()

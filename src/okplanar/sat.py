@@ -196,6 +196,7 @@ def encode_outer_quasi(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     if k < 2:
         raise ValueError("quasi variants need k >= 2")
     _check_size(g)
+    _check_mutual_cap(g.edges, k)
     cnf, vm = encode_order_axioms(max(g.n, 1))
     encode_crossing_links(g, cnf, vm)
     cnf.comments.append("c block mutual-crossing-cap")
@@ -229,27 +230,41 @@ def _neg_cross_matrix(edges: tuple[Edge, ...], vm: VarMap) -> list[list[int]]:
     return neg
 
 
-def _mutual_cap_clauses(edges: tuple[Edge, ...], k: int, neg: list[list[int]]) -> list[list[int]]:
-    """Per k-set of pairwise disjoint edges, in lexicographic order of edge
-    indices: not all its pairs cross, listed as itertools.combinations does."""
+def _disjoint_stems(edges: tuple[Edge, ...], k: int):
+    """Per (k-1)-set of pairwise disjoint edges, in lexicographic order of
+    edge indices: the set and the mask of the later edges disjoint from
+    all of it, which complete it to the k-sets of the mutual-crossing cap."""
     after = [mask >> (i + 1) << (i + 1) for i, mask in enumerate(_disjointness_masks(edges))]
-    clauses: list[list[int]] = []
 
-    def grow(cand: int, chosen: tuple[int, ...]) -> None:
-        if len(chosen) < k - 1:
-            for i in _bits(cand):
-                grow(cand & after[i], (*chosen, i))
+    def grow(cand: int, chosen: tuple[int, ...]):
+        if len(chosen) == k - 1:
+            yield chosen, cand
             return
-        clauses.extend([neg[p][q] for p, q in combinations((*chosen, d), 2)] for d in _bits(cand))
-        if len(clauses) > CLAUSE_CAP:
+        for i in _bits(cand):
+            yield from grow(cand & after[i], (*chosen, i))
+
+    return grow((1 << len(edges)) - 1, ())
+
+
+def _check_mutual_cap(edges: tuple[Edge, ...], k: int) -> None:
+    """Count the k-sets of pairwise disjoint edges, stopping past
+    CLAUSE_CAP, so an over-cap encoding is refused before it is built."""
+    total = 0
+    for _, cand in _disjoint_stems(edges, k):
+        total += cand.bit_count()
+        if total > CLAUSE_CAP:
             raise EncodingTooLarge(
                 f"mutual-crossing clauses exceed cap {CLAUSE_CAP}: "
                 f"at least {CLAUSE_CAP + 1} size-{k} disjoint edge subsets",
                 count=CLAUSE_CAP + 1,
             )
 
-    grow((1 << len(edges)) - 1, ())
-    return clauses
+
+def _mutual_cap_clauses(edges: tuple[Edge, ...], k: int, neg: list[list[int]]) -> list[list[int]]:
+    """Per k-set of pairwise disjoint edges, in lexicographic order of edge
+    indices: not all its pairs cross, listed as itertools.combinations does."""
+    return [[neg[p][q] for p, q in combinations((*chosen, d), 2)]
+            for chosen, cand in _disjoint_stems(edges, k) for d in _bits(cand)]
 
 
 def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:

@@ -18,7 +18,7 @@ from okplanar import (
 )
 from okplanar.generators import complete
 from okplanar.graphs import Graph, build_graph
-from okplanar.mso2 import SORTS, _conjuncts, _hamiltonian, _reads_bit
+from okplanar.mso2 import SORTS, _conjuncts, _guard_split, _hamiltonian, _reads_bit
 from okplanar.recognition import brute_force_recognize
 
 
@@ -176,6 +176,33 @@ def test_evaluator_caps_rejected():
         evaluate_formula(("in", "x", "C"), cycle(4))
 
 
+def test_evaluator_rejects_ill_sorted_formulas():
+    # f is an edge where I wants a vertex: no answer would mean anything
+    bad = parse_sexpr("(forall edge f (exists edge e (and (I e f) (= e e))))")
+    assert lint_formula(bad)
+    with pytest.raises(ValueError, match="'f' has sort edge"):
+        evaluate_formula(bad, cycle(4))
+
+
+def test_memo_keeps_apart_subformulas_that_differ_in_names_or_sorts():
+    # each pair of inner set quantifiers is one shape up to which free name
+    # sits where, or up to a sort; sharing a memo entry would make it False
+    differ = "(exists vertex-set U (and (subseteq U {}) (not (subseteq U {}))))"
+    twins = [
+        f"(exists vertex-set S (exists vertex-set T (and {differ.format('S', 'T')} "
+        f"(not {differ.format('T', 'S')}))))",
+        "(exists vertex-set S (and (forall vertex-set U (subseteq U S)) "
+        "(not (forall vertex-set U (subseteq S U)))))",
+        "(and (forall vertex-set U (exists vertex x (= x x))) "
+        "(not (forall vertex-set U (exists edge x (= x x)))))",
+    ]
+    g = build_graph(2, [])
+    for text in twins:
+        f = parse_sexpr(text)
+        assert naive_eval(f, g, {})
+        assert evaluate_formula(f, g), text
+
+
 def test_agreement_with_oracle_small_corpus():
     # every connected graph on up to five vertices, both variants
     for g in atlas_connected(5):
@@ -279,6 +306,8 @@ def random_formula(rng: random.Random, scope: dict, depth: int):
         inner = {**scope, name: sort}
         if sort in SET_SORTS and rng.random() < 0.7:
             return (head, sort, name, guarded_body(rng, head, sort, name, inner, depth - 1))
+        if sort not in SET_SORTS and rng.random() < 0.6:
+            return (head, sort, name, element_guarded_body(rng, head, sort, name, inner, depth - 1))
         return (head, sort, name, random_formula(rng, inner, depth - 1))
     if r < 0.7:
         return ("not", random_formula(rng, scope, depth - 1))
@@ -313,9 +342,53 @@ def guarded_body(rng: random.Random, head: str, sort: str, s: str, scope: dict, 
     return ("implies", hyp, random_formula(rng, scope, max(depth - 1, 0)))
 
 
+def element_guarded_body(rng: random.Random, head: str, sort: str, x: str, scope: dict, depth: int):
+    """exists: (and …); forall: mostly (implies (and …) …), sometimes the
+    bare (and …), which has no guards. The conjuncts mix element guards
+    on x, guard shapes hidden under not or or, and free-form parts."""
+    shapes = element_guard_atoms(sort, x, scope)
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if shapes and kind < 0.55:
+            parts.append(rng.choice(shapes))
+        elif shapes and kind < 0.75:
+            hidden = rng.choice(shapes)
+            other = random_formula(rng, scope, max(depth - 1, 0))
+            parts.append(("not", hidden) if kind < 0.65 else ("or", hidden, other))
+        else:
+            parts.append(random_formula(rng, scope, max(depth - 1, 0)))
+    if len(parts) > 2 and rng.random() < 0.5:
+        parts = [parts[0], ("and",) + tuple(parts[1:])]
+    hyp = ("and",) + tuple(parts) if len(parts) > 1 else parts[0]
+    if head == "exists" or rng.random() < 0.25:
+        return hyp
+    return ("implies", hyp, random_formula(rng, scope, max(depth - 1, 0)))
+
+
+def element_guard_atoms(sort: str, x: str, scope: dict) -> list:
+    """The guard shapes on element x over the other names in scope:
+    (in x S), (I x v) or (I e x), (= x y), (= y x) and (not (= x y))."""
+    out = []
+    for y, sy in scope.items():
+        if y == x:
+            continue
+        if sy == sort + "-set":
+            out.append(("in", x, y))
+        elif (sort, sy) == ("edge", "vertex"):
+            out.append(("I", x, y))
+        elif (sort, sy) == ("vertex", "edge"):
+            out.append(("I", y, x))
+        elif sy == sort:
+            out += [("=", x, y), ("=", y, x), ("not", ("=", x, y))]
+    return out
+
+
 def element_forall(rng: random.Random, elem: str, s: str, scope: dict, depth: int):
     """(forall x χ) with χ often reading s as (in x s), or as (in y s)
-    under an inner binder of y, which may rebind x itself."""
+    under an inner binder of y, which may rebind x itself. The other part
+    of χ is often (in y T) for an outer set T, so the guard's outcome
+    depends on a set bound further out."""
     x = rng.choice(NAME_POOL[elem])
     inner = {**scope, x: elem}
     chi = random_formula(rng, inner, depth)
@@ -325,7 +398,11 @@ def element_forall(rng: random.Random, elem: str, s: str, scope: dict, depth: in
         if r < 0.35:
             y = rng.choice(NAME_POOL[elem])
             inner = {**inner, y: elem}
-        chi = (rng.choice(("and", "or", "implies")), ("in", y, s), random_formula(rng, inner, depth))
+        outer = [t for t, st in inner.items() if st == elem + "-set" and t != s]
+        other = random_formula(rng, inner, depth)
+        if outer and rng.random() < 0.4:
+            other = ("in", y, rng.choice(outer))
+        chi = (rng.choice(("and", "or", "implies")), ("in", y, s), other)
         if r < 0.35:
             chi = (rng.choice(("forall", "exists")), elem, y, chi)
     return ("forall", elem, x, chi)
@@ -340,28 +417,51 @@ def subterms(node):
             yield from subterms(c)
 
 
+def free_names(node) -> set:
+    if node[0] in ("forall", "exists"):
+        return free_names(node[3]) - {node[2]}
+    if node[0] in ("=", "in", "subseteq", "I"):
+        return {node[1], node[2]}
+    return set().union(*(free_names(c) for c in node[1:]))
+
+
 def formula_features(node, scope: dict, out: set) -> set:
     """Add to out a tag for each guard-related shape node contains."""
     head = node[0]
     if head in ("forall", "exists"):
         _, sort, name, body = node
+        hyp, _ = _guard_split(node)
         if sort in SET_SORTS:
             if scope.get(name) == sort:
                 out.add("shadowed set")
             if head == "forall" and body[0] == "implies":
                 out.add("forall implies")
-            hyp = body if head == "exists" else body[1] if body[0] == "implies" else None
-            for c in _conjuncts(hyp) if hyp else ():
+            for c in hyp:
                 if c[0] == "subseteq" and c[1] == name:
                     out.add("subseteq guard")
                 if c[0] == "forall" and c[1] == ELEM_OF[sort] and c[2] != name:
                     if _reads_bit(c[3], name, c[2]):
                         out.add("bit guard")
+                        if any(scope.get(t) in SET_SORTS for t in free_names(c) - {name}):
+                            out.add("bit guard reads outer set")
                     elif any(n[0] == "in" and n[2] == name and n[1] != c[2] for n in subterms(c[3])):
                         out.add("foreign (in y S)")
                     elif any(q[0] in ("forall", "exists") and q[2] == c[2] and ("in", c[2], name) in subterms(q[3])
                              for q in subterms(c[3])):
                         out.add("shadowed element")
+        else:
+            inner = {**scope, name: sort}
+            shapes = element_guard_atoms(sort, name, inner)
+            if head == "forall" and any(c in shapes for c in _conjuncts(body)):
+                out.add("bare forall over guard shapes")
+            for c in hyp:
+                if c in shapes:
+                    tag = {"in": "in", "=": "=", "not": "not ="}.get(c[0]) or ("I x v" if c[1] == name else "I e x")
+                    out.add("element guard " + tag)
+                    if name in scope:
+                        out.add("shadowed element guard")
+                if c[0] in ("not", "or") and any(h in shapes for h in c[1:]) and c not in shapes:
+                    out.add("guard under " + c[0])
         formula_features(body, {**scope, name: sort}, out)
     elif head not in ("=", "in", "subseteq", "I"):
         if head == "and" and any(c[0] == "and" for c in node[1:]):
@@ -383,4 +483,8 @@ def test_evaluator_matches_naive_on_random_formulas():
             g = build_graph(n, rng.sample(pool, rng.randint(0, min(4, len(pool)))))
             assert evaluate_formula(f, g) == naive_eval(f, g, {}), (trial, g.n, g.edges, to_sexpr(f))
     assert seen >= {"shadowed set", "forall implies", "subseteq guard", "bit guard",
-                    "foreign (in y S)", "shadowed element", "nested and"}, seen
+                    "foreign (in y S)", "shadowed element", "nested and",
+                    "bit guard reads outer set", "element guard in", "element guard I x v",
+                    "element guard I e x", "element guard =", "element guard not =",
+                    "shadowed element guard", "guard under not", "guard under or",
+                    "bare forall over guard shapes"}, seen

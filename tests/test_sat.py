@@ -276,6 +276,19 @@ def test_clause_cap_rejection(monkeypatch):
                                 f"at least {cap + 1} size-{k} disjoint edge subsets")
 
 
+def test_over_cap_quasi_encoding_is_refused_before_any_clause(monkeypatch, tmp_path):
+    # K25 has 2,656,500 disjoint edge triples; the count stops past the cap
+    def no_clauses(*args):
+        raise AssertionError("encoding started")
+
+    monkeypatch.setattr(sat, "encode_order_axioms", no_clauses)
+    with pytest.raises(EncodingTooLarge) as e:
+        encode_outer_quasi(complete(25), 3)
+    assert e.value.count == sat.CLAUSE_CAP + 1
+    with pytest.raises(EncodingTooLarge):
+        recognize(complete(25), 3, "outer-quasi", emit_cnf=str(tmp_path / "k25.cnf"))
+
+
 def cap_oracle_graphs(rng, k):
     """Random graphs with room for k pairwise disjoint edges."""
     for _ in range(6):
