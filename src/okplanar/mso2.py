@@ -554,6 +554,8 @@ def lint_formula(node) -> list[str]:
                 return
             walk(n[1], scope)
             walk(n[2], scope)
+        elif head in _RELS and len(n) != 3:
+            out.append(f"{head} arity {len(n) - 1}")
         elif head == "=":
             var_sort(scope, n[1], ("vertex", "edge"), "=")
             var_sort(scope, n[2], ("vertex", "edge"), "=")
@@ -646,8 +648,8 @@ class _Compiled:
 
     Vertices are 0..n-1; edges are indexed into g.edges; sets are bitmasks.
     Every quantifier visits only the values its guards allow (see
-    _element_quantifier and _set_quantifier). Set quantifiers memoize by
-    shape (see _shape), so subformulas equal up to names share a table.
+    _element_quantifier and _set_quantifier). Each set quantifier owns its
+    memo tables, keyed by the values of the free names it reads.
     """
 
     def __init__(self, g: Graph):
@@ -659,10 +661,7 @@ class _Compiled:
         self.full = {"vertex": (1 << g.n) - 1, "edge": (1 << g.m) - 1}
         self.bit_table = _bit_table(max(g.n, g.m))
         self.nslots = 0
-        self.shapes: dict = {}
-        self.shape_ids: dict = {}
-        self.memo: dict = {}
-        self.bounds_memo: dict = {}
+        self.free_names: dict = {}
 
     def compile(self, node) -> Callable:
         fn = self._build(node, {})
@@ -673,26 +672,18 @@ class _Compiled:
         self.nslots += 1
         return self.nslots - 1
 
-    def _shape(self, node) -> tuple[int, tuple[str, ...]]:
-        """(shape id, sorted free names) of node. Two nodes share an id when
-        they are equal up to renaming bound names and the i-th free name of
-        one to the i-th of the other, so the memo is shared between the
-        per-disjunct copies of the same subformula."""
-        got = self.shapes.get(id(node))
-        if got is not None:
-            return got
-        head = node[0]
-        if head in _RELS:
-            free = tuple(sorted({node[1], node[2]}))
-            key = (head, free.index(node[1]), free.index(node[2]))
-        else:
-            quant = head in _QUANT
-            kids = [self._shape(c) for c in ((node[3],) if quant else node[1:])]
-            free = tuple(sorted({x for _, f in kids for x in f} - {node[2] if quant else None}))
-            pos = {x: i for i, x in enumerate(free)}  # the bound name gets -1
-            key = (head, node[1] if quant else None,
-                   *((k, tuple(pos.get(x, -1) for x in f)) for k, f in kids))
-        got = self.shapes[id(node)] = (self.shape_ids.setdefault(key, len(self.shape_ids)), free)
+    def _free(self, node) -> frozenset[str]:
+        """The free names of node, cached per node for one compile."""
+        got = self.free_names.get(id(node))
+        if got is None:
+            head = node[0]
+            if head in _RELS:
+                got = frozenset(node[1:])
+            elif head in _QUANT:
+                got = self._free(node[3]) - {node[2]}
+            else:
+                got = frozenset().union(*map(self._free, node[1:]))
+            self.free_names[id(node)] = got
         return got
 
     def _rest(self, rest: list, then, scope: dict) -> Callable:
@@ -774,7 +765,8 @@ class _Compiled:
         Every set outside the resulting interval lo ⊆ S ⊆ hi falsifies a
         guard, so only the sets in it are visited, and the guards are not
         re-evaluated on them. The interval is memoized on the values of
-        the names the guards read, the result on those of every free name.
+        the free names the guards read, the result on those of every free
+        name, each in a table of this quantifier's own.
         """
         head, sort, s, _ = node
         slot = self._slot()
@@ -794,11 +786,11 @@ class _Compiled:
             guards.append(c)
         test = self._rest(rest, then, inner)
         full = self.full[_ELEM_OF[sort]]
-        skey, free = self._shape(node)
-        read = {x for c in guards for x in self._shape(c)[1]}
+        free = self._free(node)
+        read = frozenset().union(*map(self._free, guards))
         key_slots = [scope[x] for x in free]
-        bound_slots = [scope[x] for x in free if x in read]
-        memo, bounds_memo = self.memo, self.bounds_memo
+        bound_slots = [scope[x] for x in free & read]
+        memo, bounds_memo = {}, {}
 
         def interval(env):
             """(lo, hi & ~lo), or None when no set passes the guards."""
@@ -821,7 +813,7 @@ class _Compiled:
             return None if lo & ~hi else (lo, hi & ~lo)
 
         def scan(env):
-            key = (skey,) + tuple(env[t] for t in bound_slots)
+            key = tuple(env[t] for t in bound_slots)
             if key not in bounds_memo:
                 bounds_memo[key] = interval(env)
             got = bounds_memo[key]
@@ -838,7 +830,7 @@ class _Compiled:
                 sub = (sub - span) & span  # next submask of span, ascending
 
         def ev(env):
-            key = (skey,) + tuple(env[t] for t in key_slots)
+            key = tuple(env[t] for t in key_slots)
             hit = memo.get(key)
             if hit is None:
                 hit = memo[key] = scan(env)

@@ -89,6 +89,14 @@ def test_generate_families(capsys, tmp_path):
     assert parse_instance(out).graph.edges == complete(4).edges
 
 
+def test_generate_out_writes_the_printed_bytes(capsys, tmp_path):
+    argv = ["generate", "--kind", "grid", "--rows", "3", "--cols", "4"]
+    code, printed = run(capsys, *argv)
+    out = tmp_path / "grid.txt"
+    assert run(capsys, *argv, "--out", str(out)) == (0, "")
+    assert code == 0 and out.read_text() == printed
+
+
 def test_generate_seed_determinism(capsys):
     a = run(capsys, "generate", "--kind", "random-okp", "--n", "30", "--k", "2", "--seed", "8")
     b = run(capsys, "generate", "--kind", "random-okp", "--n", "30", "--k", "2", "--seed", "8")
@@ -166,6 +174,13 @@ def test_recognize_engines_agree(capsys, tmp_path, k5):
     doc = validated(out, "recognize")
     assert code == 0 and sorted(doc["witness"]["order"]) == list(range(5))
     assert doc["witness"]["max_mutual"] <= 2
+
+
+def test_recognize_timeout_keeps_the_report(capsys, k5):
+    argv = ["recognize", "--k", "3", "--variant", "quasi", k5]
+    plain = run(capsys, *argv)
+    assert run(capsys, *argv, "--timeout", "60") == plain
+    assert plain[0] == 0 and validated(plain[1], "recognize")["in_class"]
 
 
 def test_recognize_emit_cnf(capsys, tmp_path):
@@ -418,6 +433,22 @@ def test_solve_cnf_names_the_malformed_line(capsys, tmp_path, text, bad):
     assert main(["solve-cnf", str(cnf)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: DIMACS {bad}\n"
+
+
+def test_solve_cnf_normalizes_its_input(capsys, tmp_path):
+    clauses = [[1, 1, -2], [3, -3], [-1], [2, -3]]
+    cnf = tmp_path / "sat.cnf"
+    cnf.write_text("p cnf 3 4\n1 1 -2 0\n3 -3 0\n-1 0\n2 -3\n")
+    code, out = run(capsys, "solve-cnf", str(cnf))
+    lines = out.splitlines()
+    assert code == 10 and lines[0] == "s SATISFIABLE"
+    model = {int(tok) for line in lines[1:] for tok in line.split()[1:]} - {0}
+    assert sorted(map(abs, model)) == [1, 2, 3]
+    assert all(any(lit in model for lit in c) for c in clauses)
+    cnf.write_text("p cnf 1 2\n1 1 0\n-1 -1 0\n")
+    assert run(capsys, "solve-cnf", str(cnf)) == (20, "s UNSATISFIABLE\n")
+    cnf.write_text("p cnf 1 2\n1 0\n-1\n")  # UNSAT only if the last clause is read
+    assert run(capsys, "solve-cnf", str(cnf))[0] == 20
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

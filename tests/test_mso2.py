@@ -100,7 +100,8 @@ def test_parse_pretty_parse_is_fixed_point():
 
 
 def test_parser_rejects_malformed_text():
-    for bad in ["", "(and)", "(in x)", "(frobnicate x y)", "(= a b) (= c d)", "(exists vertex x"]:
+    for bad in ["", "(", "(and)", "(in x)", "(in x", "(frobnicate x y)", "(= a b) (= c d)",
+                "(exists vertex x", "(forall vertex"]:
         with pytest.raises(ValueError):
             parse_sexpr(bad)
 
@@ -120,6 +121,31 @@ def test_lint_reports_violations():
     assert any("sort" in v or "compares" in v for v in lint_formula(bad_sort))
     mixed = ("exists", "vertex-set", "A", ("exists", "edge-set", "F", ("subseteq", "A", "F")))
     assert any("mixes" in v for v in lint_formula(mixed))
+
+
+def test_lint_refuses_malformed_nodes_and_the_evaluator_with_it():
+    # a relation takes exactly two names: the evaluator reads only the first
+    # two, so one with more or fewer must not get past lint
+    for bad, msg in [
+        (("=", "x"), "= arity 1"),
+        (("exists", "vertex", "x", ("=", "x", "x", "x")), "= arity 3"),
+        (("exists", "vertex", "x", ("exists", "vertex-set", "S", ("in", "x", "S", "S"))),
+         "in arity 3"),
+    ]:
+        assert lint_formula(bad) == [msg]
+        with pytest.raises(ValueError, match=msg):
+            evaluate_formula(bad, cycle(4))
+    eq = ("=", "x", "x")
+    for bad, msg in [
+        (("not", "x"), "malformed node 'x'"),
+        (("exists", "vertex", "x"), "exists arity 2"),
+        (("forall", "vertex-bag", "x", eq), "unknown sort 'vertex-bag'"),
+        (("exists", "vertex", "x", ("and", eq)), "and with 1 children"),
+        (("exists", "vertex", "x", ("or", eq)), "or with 1 children"),
+        (("exists", "vertex", "x", ("not", eq, eq)), "not arity != 1"),
+        (("exists", "vertex", "x", ("implies", eq)), "implies arity != 2"),
+    ]:
+        assert lint_formula(bad) == [msg]
 
 
 def test_latex_rendering_fragments():
@@ -185,8 +211,9 @@ def test_evaluator_rejects_ill_sorted_formulas():
 
 
 def test_memo_keeps_apart_subformulas_that_differ_in_names_or_sorts():
-    # each pair of inner set quantifiers is one shape up to which free name
-    # sits where, or up to a sort; sharing a memo entry would make it False
+    # each pair of inner set quantifiers is equal up to which free name sits
+    # where, or up to a sort; a memo key missing a free name's value, or
+    # one entry serving both, would make it False
     differ = "(exists vertex-set U (and (subseteq U {}) (not (subseteq U {}))))"
     twins = [
         f"(exists vertex-set S (exists vertex-set T (and {differ.format('S', 'T')} "

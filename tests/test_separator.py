@@ -2,6 +2,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -156,6 +157,27 @@ def test_separator_really_separates():
     for seed in range(12):
         d = random_outer_k_planar(20, 2, seed=seed)
         assert_separates(d.graph, balanced_separator(d))
+
+
+def test_check_separation_rejects_each_broken_invariant():
+    # each mutation keeps the invariants checked before the one it breaks
+    d = cycle_plus(12, [(0, 6)])
+    sep = balanced_separator(d)
+    a, b, s = sep.a_side, sep.b_side, sep.separator
+    assert (sorted(a - b), sorted(b - a), sorted(s)) == ([1, 2, 3, 4, 5], [7, 8, 9, 10, 11], [0, 6])
+    grown = s | {2, 3, 8, 9}
+    mutations = [
+        (replace(sep, a_side=a - {3}), "A and B do not cover all vertices"),
+        (replace(sep, separator=s - {6}), "separator is not the intersection of the sides"),
+        (replace(sep, a_side=a | grown, b_side=b | grown, separator=grown),
+         "separator has 6 > 2k+3 = 3 vertices"),
+        (replace(sep, a_side=frozenset(range(12)) - {9}, b_side=s | {9}),
+         "exclusive sides 9/1 exceed ceil(2n/3) = 8"),
+        (replace(sep, b_side=b - {6}, separator=s - {6}),
+         "edge (6, 7) joins the two exclusive sides"),
+    ]
+    assert check_separation(d, 0, sep) is None
+    assert [check_separation(d, 0, bad) for bad, _ in mutations] == [msg for _, msg in mutations]
 
 
 def test_witness_mentions_scan_vertices():
