@@ -7,6 +7,11 @@ integers throughout. Arrays indexed by literal have 2n + 1 slots: literal x
 sits at slot x and -x wraps to slot 2n + 1 - x, so a literal and its
 negation never share a slot. Arrays indexed by variable have n + 1 slots;
 slot 0 of both kinds is unused.
+
+The solver adopts the clause lists it is given rather than copying them:
+each clause is stored once, and moving its watches reorders the literals
+within the caller's list. Callers that read their clauses after the solve
+must pass copies.
 """
 from __future__ import annotations
 
@@ -33,6 +38,14 @@ def _luby(x: int) -> int:
 
 
 class CdclSolver:
+    """A CDCL search over clauses given as lists of nonzero signed literals.
+
+    The solver owns the lists it is given and may reorder the literals
+    within them. Only a clause with a repeated literal is replaced, by a
+    new merged list; a clause holding x and -x is dropped, and units and
+    the empty clause are kept apart from the stored clauses.
+    """
+
     def __init__(self, num_vars: int, clauses: list[list[int]]):
         # tolerate headers that undercount
         num_vars = max(num_vars, max(map(abs, chain.from_iterable(clauses)), default=0))
@@ -69,7 +82,6 @@ class CdclSolver:
                 else:
                     self.ok = False
                 continue
-            c = list(c)
             watches[c[0]].append(c)
             watches[c[1]].append(c)
             store.append(c)

@@ -513,8 +513,9 @@ def lint_formula(node) -> list[str]:
     """Check the AST stays inside the primitive vocabulary.
 
     Allowed: quantifiers over the four sorts, the four relations with
-    sort-correct arguments, the four connectives, every variable bound by
-    an enclosing quantifier. Returns a list of violations, empty if clean.
+    sort-correct arguments, the four connectives, every variable a string
+    bound by an enclosing quantifier. Returns a list of violations, empty if
+    clean.
     """
     out: list[str] = []
 
@@ -537,6 +538,9 @@ def lint_formula(node) -> list[str]:
             if n[1] not in SORTS:
                 out.append(f"unknown sort {n[1]!r}")
                 return
+            if not isinstance(n[2], str):
+                out.append(f"{head} name {n[2]!r} is not a string")
+                return
             walk(n[3], {**scope, n[2]: n[1]})
         elif head in ("and", "or"):
             if len(n) < 3:
@@ -556,6 +560,8 @@ def lint_formula(node) -> list[str]:
             walk(n[2], scope)
         elif head in _RELS and len(n) != 3:
             out.append(f"{head} arity {len(n) - 1}")
+        elif head in _RELS and (bad := [a for a in n[1:] if not isinstance(a, str)]):
+            out.extend(f"{head} name {a!r} is not a string" for a in bad)
         elif head == "=":
             var_sort(scope, n[1], ("vertex", "edge"), "=")
             var_sort(scope, n[2], ("vertex", "edge"), "=")

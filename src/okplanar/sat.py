@@ -13,7 +13,6 @@ import os
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import NamedTuple
 
 from .cdcl import CdclSolver
@@ -105,12 +104,13 @@ def encode_order_axioms(n: int) -> tuple[CnfFormula, VarMap]:
         for v in range(u + 1, n):
             vm.order_var[(u, v)] = vm.new_var()
     x = vm.order_var
+    nx = {pair: -var for pair, var in x.items()}  # one negated literal per pair
     cnf.comments.append("c block order-transitivity")
     for u in range(n):
         for v in range(u + 1, n):
             for w in range(v + 1, n):
-                cnf.add([-x[(u, v)], -x[(v, w)], x[(u, w)]])
-                cnf.add([x[(u, v)], x[(v, w)], -x[(u, w)]])
+                cnf.add([nx[(u, v)], nx[(v, w)], x[(u, w)]])
+                cnf.add([x[(u, v)], x[(v, w)], nx[(u, w)]])
     cnf.comments.append("c block anchor-vertex-0-first")
     for v in range(1, n):
         cnf.add([x[(0, v)]])
@@ -130,7 +130,10 @@ def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap) -> None:
     8 alternating arrangements of the four endpoints; any single orientation
     alone would let mirrored crossings slip through undetected.
     """
-    x = vm.before
+    # not_before[a][b] = -x_{a,b}, one int per ordered pair for every clause
+    not_before = [[0] * vm.n for _ in range(vm.n)]
+    for (a, b), var in vm.order_var.items():
+        not_before[a][b], not_before[b][a] = -var, var
     cnf.comments.append("c block crossing-detect")
     edges = g.edges
     pairs = [
@@ -144,9 +147,11 @@ def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap) -> None:
         u, u2 = e
         v, v2 = f
         for a, c in ((u, u2), (u2, u)):
+            na, nc = not_before[a], not_before[c]
             for b, d in ((v, v2), (v2, v)):
-                cnf.add([-x(a, b), -x(b, c), -x(c, d), y])
-                cnf.add([-x(b, a), -x(a, d), -x(d, c), y])
+                nb = not_before[b]
+                cnf.add([na[b], nb[c], nc[d], y])
+                cnf.add([nb[a], na[d], not_before[d][c], y])
     cnf.num_vars = vm.num_vars
     for (e, f), var in vm.cross_var.items():
         cnf.comments.append(f"c cross {e[0]} {e[1]} {f[0]} {f[1]} {var}")
@@ -262,9 +267,26 @@ def _check_mutual_cap(edges: tuple[Edge, ...], k: int) -> None:
 
 def _mutual_cap_clauses(edges: tuple[Edge, ...], k: int, neg: list[list[int]]) -> list[list[int]]:
     """Per k-set of pairwise disjoint edges, in lexicographic order of edge
-    indices: not all its pairs cross, listed as itertools.combinations does."""
-    return [[neg[p][q] for p, q in combinations((*chosen, d), 2)]
-            for chosen, cand in _disjoint_stems(edges, k) for d in _bits(cand)]
+    indices: not all its pairs cross, listed as itertools.combinations does.
+
+    Each stem fixes a template that holds its own pairs and one slot per
+    stem edge for that edge's pair with the last edge d; a clause is a copy
+    of the template with the slots filled from the stem edges' rows.
+    """
+    clauses = []
+    for chosen, cand in _disjoint_stems(edges, k):
+        template, slots = [], []
+        for p, i in enumerate(chosen):
+            row = neg[i]
+            template += [row[j] for j in chosen[p + 1:]]
+            slots.append((len(template), row))
+            template.append(0)
+        for d in _bits(cand):
+            clause = template[:]
+            for at, row in slots:
+                clause[at] = row[d]
+            clauses.append(clause)
+    return clauses
 
 
 def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
@@ -372,7 +394,9 @@ def solve(
 
     Runs the executable named by `solver` when given, speaking the
     SAT-competition conventions (exit 10/20, "s ..." verdict, "v ..." model
-    lines); otherwise runs the embedded solver.
+    lines); otherwise runs the embedded solver, which adopts f.clauses: it
+    stores those lists without copying them and may reorder the literals
+    within each, so f's DIMACS text after the solve can differ from before.
     """
     if not solver:
         return CdclSolver(f.num_vars, f.clauses).solve(timeout_s=timeout_s)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from itertools import combinations
 
 import networkx as nx
@@ -146,6 +147,14 @@ def test_lint_refuses_malformed_nodes_and_the_evaluator_with_it():
         (("exists", "vertex", "x", ("implies", eq)), "implies arity != 2"),
     ]:
         assert lint_formula(bad) == [msg]
+    # a name that is not a string is a violation, not a TypeError
+    for bad, msg in [
+        (("=", ["x"], "x"), "= name ['x'] is not a string"),
+        (("exists", "vertex", ["x"], eq), "exists name ['x'] is not a string"),
+    ]:
+        assert lint_formula(bad) == [msg]
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            evaluate_formula(bad, cycle(4))
 
 
 def test_latex_rendering_fragments():

@@ -499,6 +499,21 @@ def test_solver_rejects_literal_zero():
         CdclSolver(2, [[0, 1], [-1]])
 
 
+def test_solver_adopts_the_callers_clause_lists():
+    # each clause is held once: the solver stores the caller's list itself
+    repeated, tautology, plain = [1, 1, 2], [1, -1, 3], [2, 3]
+    solver = CdclSolver(3, [repeated, tautology, plain])
+    assert solver.clauses == [[1, 2], [2, 3]]
+    assert solver.clauses[1] is plain
+    assert solver.clauses[0] is not repeated and repeated == [1, 1, 2]
+    assert not any(c is tautology for c in solver.clauses)
+    cnf = encode(planar_3tree_levels(3), 3, "outer-quasi")[0]
+    solver = CdclSolver(cnf.num_vars, cnf.clauses)
+    originals = [c for c in cnf.clauses if len(c) > 1]
+    assert len(solver.clauses) == len(originals)
+    assert all(kept is c for kept, c in zip(solver.clauses, originals))
+
+
 def test_activity_rescale_keeps_branching_on_the_highest_activity():
     nv, clauses = pigeonhole(6, 5)
     solver = CdclSolver(nv, clauses)
