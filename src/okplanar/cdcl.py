@@ -1,6 +1,6 @@
 """Embedded CNF solver: conflict-driven clause learning.
 
-Used whenever no external DIMACS solver is configured. Implements the
+The one solver behind recognize's sat engine and solve-cnf. Implements the
 standard kit: two watched literals, first-UIP learning, VSIDS branching with
 exponential decay, phase saving, Luby restarts. Literals are DIMACS signed
 integers throughout. Arrays indexed by literal have 2n + 1 slots: literal x

@@ -4,8 +4,8 @@ Every report command prints one JSON document (stable key order, no
 timestamps, all randomness behind --seed) so repeated runs on the same
 inputs are byte-identical. Exit codes: 0 success, 2 when the computed
 verdict is "not in the class" (that is a result, not a failure), 1 for
-errors. solve-cnf keeps the SAT-competition convention (10/20) so the
-package can serve as an external solver in subprocess tests.
+errors. solve-cnf keeps the SAT-competition convention (exit 10/20, "s" and
+"v" lines) so it can exchange DIMACS with other solvers.
 """
 from __future__ import annotations
 
@@ -154,8 +154,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_recognize(args: argparse.Namespace) -> int:
     variant = canonical_variant(args.variant)
     g = read_instance(args.file).graph
-    found, certificate = recognize(g, args.k, variant, args.engine, args.solver, args.timeout,
-                                   args.emit_cnf)
+    found, certificate = recognize(g, args.k, variant, args.engine, args.timeout, args.emit_cnf)
     witness = None
     if found is not None:
         d, rep = found
@@ -473,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--variant", required=True)
     sp.add_argument("--engine", choices=ENGINES, default="sat")
-    sp.add_argument("--solver", help="external DIMACS solver executable")
     sp.add_argument("--timeout", type=_seconds, default=None)
     sp.add_argument("--emit-cnf", help="also write the encoding as DIMACS")
     sp.add_argument("--out")

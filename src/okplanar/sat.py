@@ -9,9 +9,6 @@ spuriously-true y can always be flipped false and soundness holds.
 """
 from __future__ import annotations
 
-import os
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,10 +43,6 @@ class EncodingTooLarge(Exception):
     def __init__(self, msg: str, count: int):
         super().__init__(msg)
         self.count = count
-
-
-class SolverError(Exception):
-    pass
 
 
 @dataclass
@@ -385,55 +378,6 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     return num_vars, clauses
 
 
-def solve(
-    f: CnfFormula,
-    solver: str | None = None,
-    timeout_s: float | None = None,
-) -> list[int] | None:
-    """Model (signed DIMACS literals) or None for UNSAT.
-
-    Runs the executable named by `solver` when given, speaking the
-    SAT-competition conventions (exit 10/20, "s ..." verdict, "v ..." model
-    lines); otherwise runs the embedded solver, which adopts f.clauses: it
-    stores those lists without copying them and may reorder the literals
-    within each, so f's DIMACS text after the solve can differ from before.
-    """
-    if not solver:
-        return CdclSolver(f.num_vars, f.clauses).solve(timeout_s=timeout_s)
-    with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
-        fh.write(dimacs_text(f))
-        path = fh.name
-    try:
-        try:
-            proc = subprocess.run(
-                [solver, path],
-                capture_output=True,
-                text=True,
-                timeout=timeout_s,
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise SolverError(f"solver timed out after {timeout_s}s") from exc
-        except OSError as exc:
-            raise SolverError(f"cannot run solver {solver!r}: {exc}") from exc
-        out = proc.stdout
-        if proc.returncode == 20 or "s UNSATISFIABLE" in out:
-            return None
-        if proc.returncode == 10 or "s SATISFIABLE" in out:
-            model = []
-            for line in out.splitlines():
-                if line.startswith("v"):
-                    model += [int(t) for t in line[1:].split() if int(t) != 0]
-            if not model and f.num_vars > 0:
-                raise SolverError("solver reported SAT but gave no v-lines")
-            return model
-        raise SolverError(
-            f"unrecognized solver output (exit {proc.returncode}): "
-            f"{out[:500]}{proc.stderr[:500]}"
-        )
-    finally:
-        os.unlink(path)
-
-
 def decode_model(
     model: list[int], vm: VarMap, g: Graph
 ) -> tuple[ConvexDrawing, CrossingReport]:
@@ -471,35 +415,40 @@ class Recognition(NamedTuple):
     certificate: dict | None = None
 
 
-def recognize(g: Graph, k: int, variant: str, engine: str = "sat", solver: str | None = None,
+def recognize(g: Graph, k: int, variant: str, engine: str = "sat",
               timeout_s: float | None = None, emit_cnf: str | None = None) -> Recognition:
     """Is there a circular order whose drawing is in the class?
 
     A NO that recognition.refute proves in linear time is answered with its
     certificate, re-checked by check_refutation, before either engine runs;
     emit_cnf still gets its DIMACS file. Every other instance goes to
-    search_order.
+    search_order. timeout_s bounds the sat engine's solve, so it is refused
+    with the brute engine, whose enumeration has no deadline.
     """
     variant = canonical_variant(variant)
     check_k(k, variant)
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
+    if engine == "brute" and timeout_s is not None:
+        raise ValueError("timeout_s bounds the sat engine's solve; the brute engine takes none")
     certificate = refute(g, k, variant)
     if certificate is None:
-        return search_order(g, k, variant, engine, solver, timeout_s, emit_cnf)
+        return search_order(g, k, variant, engine, timeout_s, emit_cnf)
     check_refutation(g, k, variant, certificate)
     if emit_cnf:
         emit_dimacs(encode(g, k, variant)[0], emit_cnf)
     return Recognition(None, certificate)
 
 
-def search_order(g: Graph, k: int, variant: str, engine: str = "sat", solver: str | None = None,
+def search_order(g: Graph, k: int, variant: str, engine: str = "sat",
                  timeout_s: float | None = None, emit_cnf: str | None = None) -> Recognition:
     """The engines behind recognize, with no refutation first.
 
-    The sat engine encodes, solves (timeout_s bounds the solve only) and
-    decodes; the brute engine enumerates orders. The encoding is built once,
-    only when the sat engine runs or emit_cnf names a DIMACS file to write.
+    The sat engine encodes, solves with the embedded CdclSolver (timeout_s
+    bounds the solve only) and decodes; the brute engine enumerates orders.
+    The encoding is built once, only when the sat engine runs or emit_cnf
+    names a DIMACS file to write. The solver adopts the encoding's clause
+    lists, so the file is written before the solve.
     """
     if engine == "sat" or emit_cnf:
         cnf, vm = encode(g, k, variant)
@@ -509,5 +458,5 @@ def search_order(g: Graph, k: int, variant: str, engine: str = "sat", solver: st
         d = brute_force_recognize(g, k, variant)
         return Recognition(None if d is None else (d, crossing_report(d)))
     # test for None: an encoding with no variables has the empty model []
-    model = solve(cnf, solver=solver, timeout_s=timeout_s)
+    model = CdclSolver(cnf.num_vars, cnf.clauses).solve(timeout_s=timeout_s)
     return Recognition(None if model is None else decode_model(model, vm, g))

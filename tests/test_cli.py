@@ -3,8 +3,6 @@ from __future__ import annotations
 
 import json
 import math
-import stat
-import sys
 
 import pytest
 
@@ -254,15 +252,6 @@ def test_recognize_brute_emits_the_sat_encoding(capsys, tmp_path, k5, monkeypatc
     assert run(capsys, "solve-cnf", str(cnf))[0] == 20
 
 
-def test_recognize_solver_flag(capsys, tmp_path, k5):
-    script = tmp_path / "extsolver"
-    script.write_text(f"#!/bin/sh\nexec {sys.executable} -m okplanar.cli solve-cnf \"$1\"\n")
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    code, out = run(capsys, "recognize", "--k", "3", "--variant", "quasi",
-                    "--solver", str(script), k5)
-    assert code == 0 and json.loads(out)["in_class"]
-
-
 # --------------------------------------------------- separator and levels
 
 
@@ -401,7 +390,8 @@ def test_usage_errors_exit_one(capsys, k5):
         ["saturate", "--k", "3"],  # neither --order nor --n
         ["saturate", "--order", k5, "--k", "3", "--n", "9"],  # --order fixes n
         ["saturate", "--order", k5, "--k", "3", "--seed", "4"],  # and the start
-        ["repro", "props", "--solver", "x"],  # repro always runs the embedded solver
+        ["recognize", "--k", "3", "--variant", "quasi", "--solver", "x", k5],  # no such option
+        ["repro", "props", "--solver", "x"],  # neither command takes a solver
         ["frobnicate"],
         [],
     ]
@@ -416,6 +406,8 @@ def test_usage_errors_exit_one(capsys, k5):
     (["generate", "--kind", "bipartite", "--p", "-1", "--q", "2"],
      "part sizes must be nonnegative, got -1 and 2"),
     (["separator", "K5", "--leaf-size", "4"], "--leaf-size needs --recursive"),
+    (["recognize", "--k", "3", "--variant", "quasi", "--engine", "brute", "--timeout", "5", "K5"],
+     "the brute engine takes none"),
 ])
 def test_rejected_arguments_print_nothing_and_name_the_problem(capsys, k5, argv, msg):
     assert main([k5 if a == "K5" else a for a in argv]) == 1

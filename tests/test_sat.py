@@ -1,10 +1,7 @@
-"""CNF encodings: clause counts, class verdicts, oracle agreement, solver I/O."""
+"""CNF encodings: clause counts, class verdicts, oracle agreement, DIMACS text."""
 from __future__ import annotations
 
-import os
 import random
-import stat
-import sys
 from hashlib import sha256
 from itertools import combinations, permutations, product
 from math import comb
@@ -23,7 +20,6 @@ from okplanar.maximal import saturate
 from okplanar.recognition import brute_force_recognize, check_refutation
 from okplanar.sat import (
     EncodingTooLarge,
-    SolverError,
     decode_model,
     dimacs_text,
     emit_dimacs,
@@ -36,7 +32,6 @@ from okplanar.sat import (
     parse_dimacs,
     recognize,
     search_order,
-    solve,
 )
 
 from oracles import in_class
@@ -107,10 +102,16 @@ def test_outer_planar_verdicts():
     assert recognize(complete(5), 1, "outer-planar").found is None
     for n in range(3, 9):
         assert recognize(cycle(n), 0, "outer-planar").found is not None
+    # one vertex: an encoding with no variables, whose model is empty
+    found = recognize(build_graph(1, []), 0, "outer-planar").found
+    assert found is not None and list(found[0].order) == [0]
     with pytest.raises(ValueError):
         encode_outer_planar(complete(3), -1)
     with pytest.raises(ValueError, match="unknown engine"):
         recognize(complete(3), 1, "outer-planar", engine="exhaustive")
+    # the timeout bounds the solve; brute force has none to bound
+    with pytest.raises(ValueError, match="the brute engine takes none"):
+        recognize(complete(4), 1, "outer-planar", engine="brute", timeout_s=5)
 
 
 def test_outer_quasi_verdicts():
@@ -118,6 +119,8 @@ def test_outer_quasi_verdicts():
     assert recognize(complete(6), 3, "outer-quasi").found is None
     assert recognize(complete_bipartite(4, 4), 3, "outer-quasi").found is not None
     assert recognize(complete_bipartite(3, 5), 3, "outer-quasi").found is None
+    found = recognize(build_graph(1, []), 2, "outer-quasi").found
+    assert found is not None and list(found[0].order) == [0]
     with pytest.raises(ValueError):
         encode_outer_quasi(complete(3), 1)
 
@@ -140,7 +143,7 @@ def test_closed_rejections():
     triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     for g in (isolated, triangles):
         cnf, _ = encode_closed(g, 1, "outer-planar")
-        assert solve(cnf) is None
+        assert CdclSolver(cnf.num_vars, cnf.clauses).solve() is None
         text = dimacs_text(cnf)
         assert parse_dimacs(text) == (cnf.num_vars, cnf.clauses)
         assert ([] in cnf.clauses) == ("\n0\n" in text) == (g is isolated)
@@ -242,7 +245,7 @@ def test_refuted_instances_reach_no_engine(monkeypatch, g, k, variant, engine, k
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("encode", "solve", "brute_force_recognize"):
+    for name in ("encode", "CdclSolver", "brute_force_recognize"):
         monkeypatch.setattr(sat, name, counted(name))
     r = recognize(g, k, variant, engine=engine)
     assert calls == []
@@ -531,45 +534,3 @@ def test_activity_rescale_keeps_branching_on_the_highest_activity():
     solver._decide = checked_decide
     assert solver.solve() is None
     assert picks and all(got == best for got, best in picks)
-
-
-def solve_cnf_script(tmp_path):
-    """A fake external solver: the package CLI's own solve-cnf command."""
-    script = tmp_path / "extsolver"
-    script.write_text(
-        f"#!/bin/sh\nexec {sys.executable} -m okplanar.cli solve-cnf \"$1\"\n"
-    )
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    return str(script)
-
-
-def test_external_solver_subprocess(tmp_path):
-    script = solve_cnf_script(tmp_path)
-    r = recognize(complete(5), 3, "outer-quasi", solver=script).found
-    assert r is not None
-    assert search_order(complete(6), 3, "outer-quasi", solver=script).found is None
-
-
-def test_external_solver_on_an_encoding_without_variables(tmp_path):
-    # one vertex: 0 variables, and the solver's model is the bare "v 0"
-    script = solve_cnf_script(tmp_path)
-    g = build_graph(1, [])
-    for variant, k in (("outer-planar", 0), ("outer-quasi", 2)):
-        embedded = recognize(g, k, variant).found
-        assert embedded is not None
-        assert recognize(g, k, variant, solver=script).found == embedded
-
-
-def test_external_solver_env_var(monkeypatch):
-    # no environment variable picks the solver: only solver= runs one
-    monkeypatch.setenv("OKP_SAT_SOLVER", "/no/such/solver")
-    assert recognize(complete(4), 1, "outer-planar").found is not None
-
-
-def test_external_solver_crash_reported(tmp_path):
-    script = tmp_path / "broken"
-    script.write_text("#!/bin/sh\necho garbage\nexit 3\n")
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    cnf, vm = encode_outer_planar(complete(4), 1)
-    with pytest.raises(SolverError):
-        solve(cnf, solver=str(script))
