@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .drawing import ConvexDrawing, class_violation, crossing_report
+from .drawing import ConvexDrawing, drawing_chords, planar_violation
 from .graphs import Graph
 
 
@@ -109,7 +109,7 @@ def verify_degeneracy_bound(
     deg_bound = outer_k_planar_degeneracy_bound(k)
     results = []
     for idx, d in enumerate(corpus):
-        why = class_violation(d, crossing_report(d), k, "outer-planar")
+        why = planar_violation(dict(zip(d.graph.edges, drawing_chords(d).counts)), k)
         if why is not None:
             raise BoundViolation(f"corpus[{idx}] is not outer {k}-planar: it {why}")
         res = degeneracy(d.graph)

@@ -10,52 +10,14 @@ errors. solve-cnf keeps the SAT-competition convention (exit 10/20, "s" and
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
-from . import __version__
-from .bounds import (
-    BoundViolation,
-    degeneracy,
-    outer_k_planar_chromatic_bound,
-    outer_k_planar_degeneracy_bound,
-    verify_degeneracy_bound,
-)
-from .cdcl import CdclSolver
-from .drawing import (
-    class_violation,
-    crossing_report,
-    drawing_chords,
-    drawing_svg,
-    identity_drawing,
-    is_closed_drawing,
-)
-from .generators import (
-    complete,
-    complete_bipartite,
-    grid,
-    planar_3tree_levels,
-    random_outer_k_planar,
-)
-from .graphs import build_graph
-from .io import format_drawing, format_graph, read_instance, sha256_file
-from .maximal import (
-    QuasiPlanarityError,
-    build_levels,
-    find_long_edge,
-    frame_edges,
-    is_maximal,
-    levels_svg,
-    maximal_edge_count,
-    saturate,
-    verify_level_properties,
-)
-from .mso2 import emit_formula, evaluate_formula
-from .recognition import canonical_variant, check_k
-from .sat import ENGINES, parse_dimacs, recognize
-from .separator import balanced_separator, check_separation, recursive_decompose
+from . import ENGINES, __version__
+
+# Package modules are imported inside the command that runs them, so a
+# command loads only what it uses and the parser loads none of them.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,13 +45,15 @@ def _add_input(sp: argparse.ArgumentParser) -> None:
 
 
 def _emit(args: argparse.Namespace, command: str, inputs: dict, payload: dict) -> None:
+    from .io import format_report, sha256_file
+
     doc = {
         "command": command,
         "tool_version": __version__,
         "inputs": {p: sha256_file(p) for p in inputs},
     }
     doc.update(payload)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = format_report(doc) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
@@ -123,6 +87,10 @@ def schema_path(command: str) -> Path:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .drawing import class_violation, crossing_report, drawing_svg, is_closed_drawing
+    from .io import read_instance
+    from .recognition import canonical_variant, check_k
+
     variant = canonical_variant(args.variant)
     check_k(args.k, variant)
     d = read_instance(args.file).drawing()
@@ -152,6 +120,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_recognize(args: argparse.Namespace) -> int:
+    from .io import read_instance
+    from .recognition import canonical_variant
+    from .sat import recognize
+
     variant = canonical_variant(args.variant)
     g = read_instance(args.file).graph
     found, certificate = recognize(g, args.k, variant, args.engine, args.timeout, args.emit_cnf)
@@ -183,6 +155,10 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def cmd_separator(args: argparse.Namespace) -> int:
+    from .drawing import drawing_chords
+    from .io import read_instance
+    from .separator import balanced_separator, check_separation, recursive_decompose
+
     if args.leaf_size is not None and not args.recursive:
         raise ValueError("--leaf-size needs --recursive")
     d = read_instance(args.file).drawing()
@@ -221,6 +197,16 @@ def cmd_separator(args: argparse.Namespace) -> int:
 
 
 def cmd_levels(args: argparse.Namespace) -> int:
+    from .drawing import class_violation, crossing_report
+    from .io import read_instance
+    from .maximal import (
+        build_levels,
+        find_long_edge,
+        is_maximal,
+        levels_svg,
+        verify_level_properties,
+    )
+
     if args.k < 2:
         raise ValueError(f"levels need k >= 2, got {args.k}")
     d = read_instance(args.file).drawing()
@@ -256,6 +242,12 @@ def cmd_levels(args: argparse.Namespace) -> int:
 
 
 def cmd_saturate(args: argparse.Namespace) -> int:
+    from .drawing import identity_drawing
+    from .generators import random_outer_k_planar
+    from .graphs import build_graph
+    from .io import format_drawing, read_instance
+    from .maximal import QuasiPlanarityError, is_maximal, maximal_edge_count, saturate
+
     if args.k < 2:
         raise ValueError(f"saturation needs k >= 2, got {args.k}")
     inputs: set[str] = set()
@@ -308,6 +300,18 @@ def cmd_saturate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .drawing import identity_drawing
+    from .generators import (
+        complete,
+        complete_bipartite,
+        grid,
+        planar_3tree_levels,
+        random_outer_k_planar,
+    )
+    from .graphs import build_graph
+    from .io import format_drawing, format_graph
+    from .maximal import frame_edges
+
     def need(name: str):
         val = getattr(args, name.replace("-", "_"))
         if val is None:
@@ -339,6 +343,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import (
+        BoundViolation,
+        degeneracy,
+        outer_k_planar_chromatic_bound,
+        outer_k_planar_degeneracy_bound,
+        verify_degeneracy_bound,
+    )
+    from .io import read_instance
+
     payload: dict = {
         "k": args.k,
         "degeneracy_bound": outer_k_planar_degeneracy_bound(args.k),
@@ -378,6 +391,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_mso2(args: argparse.Namespace) -> int:
+    from .io import read_instance
+    from .mso2 import emit_formula, evaluate_formula
+    from .recognition import canonical_variant
+
     variant = canonical_variant(args.variant)
     if not variant.startswith("closed"):
         # formulas quantify over a Hamiltonian boundary, so only the
@@ -396,18 +413,27 @@ def cmd_mso2(args: argparse.Namespace) -> int:
     return 2 if value is False else 0
 
 
+def _family(name: str, *args: int):
+    """generators.<name>(*args), importing generators only when a row is built."""
+    from . import generators
+
+    return getattr(generators, name)(*args)
+
+
 _PROP_ROWS = (
-    ("K5", lambda: complete(5), True, False),
-    ("K44", lambda: complete_bipartite(4, 4), True, False),
-    ("grid44", lambda: grid(4, 4), True, False),
-    ("K6", lambda: complete(6), False, False),
-    ("K35", lambda: complete_bipartite(3, 5), False, False),
-    ("3tree-3-levels", lambda: planar_3tree_levels(3), True, True),
-    ("3tree-4-levels", lambda: planar_3tree_levels(4), False, True),
+    ("K5", lambda: _family("complete", 5), True, False),
+    ("K44", lambda: _family("complete_bipartite", 4, 4), True, False),
+    ("grid44", lambda: _family("grid", 4, 4), True, False),
+    ("K6", lambda: _family("complete", 6), False, False),
+    ("K35", lambda: _family("complete_bipartite", 3, 5), False, False),
+    ("3tree-3-levels", lambda: _family("planar_3tree_levels", 3), True, True),
+    ("3tree-4-levels", lambda: _family("planar_3tree_levels", 4), False, True),
 )
 
 
 def cmd_repro(args: argparse.Namespace) -> int:
+    from .sat import recognize
+
     rows = []
     ok = True
     for name, make, expect, sensitive in _PROP_ROWS:
@@ -435,6 +461,9 @@ def cmd_repro(args: argparse.Namespace) -> int:
 
 
 def cmd_solve_cnf(args: argparse.Namespace) -> int:
+    from .cdcl import CdclSolver
+    from .sat import parse_dimacs
+
     with open(args.path) as fh:
         num_vars, clauses = parse_dimacs(fh.read())
     model = CdclSolver(num_vars, clauses).solve(timeout_s=args.timeout)
@@ -542,10 +571,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:  # built once per process; parse_args leaves it unchanged
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

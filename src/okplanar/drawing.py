@@ -132,12 +132,20 @@ def class_violation(d: ConvexDrawing, rep: CrossingReport, k: int, variant: str)
     crossings per edge."""
     if variant.startswith("closed") and not is_closed_drawing(d):
         return "is not closed: boundary gap"
-    if variant.endswith("quasi"):
-        if rep.max_mutual > k - 1:
-            return f"has {rep.max_mutual} mutually crossing edges: {rep.witness_mutual}"
-    elif rep.max_per_edge > k:
-        worst = max(rep.per_edge, key=rep.per_edge.get)
-        return f"crosses edge {worst} {rep.per_edge[worst]} > {k} times"
+    if not variant.endswith("quasi"):
+        return planar_violation(rep.per_edge, k)
+    if rep.max_mutual > k - 1:
+        return f"has {rep.max_mutual} mutually crossing edges: {rep.witness_mutual}"
+    return None
+
+
+def planar_violation(per_edge: dict[Edge, int], k: int) -> str | None:
+    """The planar half of class_violation, from per-edge crossing counts
+    alone: names the first edge with the most crossings if that is more
+    than k, else None."""
+    worst = max(per_edge, key=per_edge.get, default=None)
+    if worst is not None and per_edge[worst] > k:
+        return f"crosses edge {worst} {per_edge[worst]} > {k} times"
     return None
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .drawing import ConvexDrawing, make_drawing
 from .graphs import Graph, build_graph
@@ -106,3 +107,64 @@ def sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def format_report(doc) -> str:
+    """The JSON text of a report: equal to json.dumps(doc, indent=2,
+    sort_keys=True), written in one pass.
+
+    Any indent sends json.dumps to its pure-Python encoder; this writer
+    quotes strings with the C escaper and renders a list of plain ints in
+    one join. It accepts str, int, bool, None, list, tuple and dict with
+    str keys, subclasses included. Anything else raises TypeError: a
+    non-str key, and a float too, since no report holds one. There is no
+    check for reference cycles.
+    """
+    parts: list[str] = []
+    _write(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write(o, nl: str, out) -> None:
+    """Append o's JSON text to out; nl is the newline plus the indent of
+    the line o starts on."""
+    if isinstance(o, str):
+        out(_quote(o))
+    elif o is None:
+        out("null")
+    elif o is True:
+        out("true")
+    elif o is False:
+        out("false")
+    elif isinstance(o, int):
+        out(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in o):  # not bool: True must not print as 1
+            out("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out(sep)
+            sep = "," + inner
+            _write(x, inner, out)
+        out(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, val in sorted(o.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out(sep + _quote(key) + ": ")
+            sep = "," + inner
+            _write(val, inner, out)
+        out(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+

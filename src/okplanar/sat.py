@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from . import ENGINES
 from .cdcl import CdclSolver
 from .drawing import (
     ConvexDrawing,
@@ -35,8 +36,6 @@ Edge = tuple[int, int]
 # size guards: order axioms grow cubically in n; the quasi cap counts clauses
 N_LIMIT = 80
 CLAUSE_CAP = 2_000_000
-
-ENGINES = ("sat", "brute")
 
 
 class EncodingTooLarge(Exception):
@@ -427,10 +426,7 @@ def recognize(g: Graph, k: int, variant: str, engine: str = "sat",
     """
     variant = canonical_variant(variant)
     check_k(k, variant)
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
-    if engine == "brute" and timeout_s is not None:
-        raise ValueError("timeout_s bounds the sat engine's solve; the brute engine takes none")
+    _check_engine(engine, timeout_s)
     certificate = refute(g, k, variant)
     if certificate is None:
         return search_order(g, k, variant, engine, timeout_s, emit_cnf)
@@ -438,6 +434,13 @@ def recognize(g: Graph, k: int, variant: str, engine: str = "sat",
     if emit_cnf:
         emit_dimacs(encode(g, k, variant)[0], emit_cnf)
     return Recognition(None, certificate)
+
+
+def _check_engine(engine: str, timeout_s: float | None) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
+    if engine == "brute" and timeout_s is not None:
+        raise ValueError("timeout_s bounds the sat engine's solve; the brute engine takes none")
 
 
 def search_order(g: Graph, k: int, variant: str, engine: str = "sat",
@@ -448,8 +451,10 @@ def search_order(g: Graph, k: int, variant: str, engine: str = "sat",
     bounds the solve only) and decodes; the brute engine enumerates orders.
     The encoding is built once, only when the sat engine runs or emit_cnf
     names a DIMACS file to write. The solver adopts the encoding's clause
-    lists, so the file is written before the solve.
+    lists, so the file is written before the solve. An unknown engine, or a
+    timeout_s with the brute engine, is refused as in recognize.
     """
+    _check_engine(engine, timeout_s)
     if engine == "sat" or emit_cnf:
         cnf, vm = encode(g, k, variant)
         if emit_cnf:

@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -482,3 +486,24 @@ def test_reports_are_byte_stable(capsys, tmp_path, k5):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second, argv
+
+
+def test_one_parser_per_process_prints_what_lone_runs_print(capsys, tmp_path):
+    """main builds its parser once; a usage error and then two saturate runs
+    that differ only in --seed each print the bytes a fresh process prints."""
+    import okplanar.cli
+
+    src = Path(okplanar.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argvs = [
+        ["saturate", "--n", "6", "--k", "x"],
+        ["saturate", "--n", "6", "--k", "3", "--seed", "1"],
+        ["saturate", "--n", "6", "--k", "3"],
+    ]
+    for argv, code in zip(argvs, (1, 0, 0)):
+        lone = subprocess.run([sys.executable, "-m", "okplanar.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True)
+        assert main(argv) == lone.returncode == code, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (lone.stdout, lone.stderr), argv
+    assert okplanar.cli._parser is not None

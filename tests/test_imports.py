@@ -1,4 +1,5 @@
-"""What importing the command-line tool loads, checked in a fresh interpreter."""
+"""What importing the command-line tool, and running one command, loads,
+checked in a fresh interpreter."""
 from __future__ import annotations
 
 import os
@@ -7,12 +8,36 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+OKP30 = Path(__file__).resolve().parent / "golden" / "inputs" / "okp30.txt"
+
+
+def loaded(probe: str) -> str:
+    """stdout of probe run with -S, which skips site and the modules its
+    .pth files may import on their own."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, check=True).stdout
 
 
 def test_cli_import_loads_no_process_or_temp_file_modules():
-    # -S skips site, whose .pth files may import tempfile on their own
     probe = "import sys, okplanar.cli; print(sorted({'subprocess', 'tempfile'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n"
+    assert loaded(probe) == "[]\n"
+
+
+def test_the_parser_loads_no_package_module():
+    probe = ("import sys, okplanar.cli; okplanar.cli.build_parser(); "
+             "print(sorted(m for m in sys.modules if m.startswith('okplanar')))")
+    assert loaded(probe) == "['okplanar', 'okplanar.cli']\n"
+
+
+def test_separator_runs_load_no_sat_solver_or_formula_module(tmp_path):
+    report = str(tmp_path / "report.json")
+    probe = "\n".join([
+        "import sys",
+        "from okplanar.cli import main",
+        "for extra in ([], ['--recursive']):",
+        f"    assert main(['separator', {str(OKP30)!r}, *extra, '--out', {report!r}]) == 0",
+        "wanted = {'okplanar.sat', 'okplanar.cdcl', 'okplanar.mso2', 'okplanar.separator'}",
+        "print(sorted(wanted & set(sys.modules)))",
+    ])
+    assert loaded(probe) == "['okplanar.separator']\n"

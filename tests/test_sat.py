@@ -112,6 +112,11 @@ def test_outer_planar_verdicts():
     # the timeout bounds the solve; brute force has none to bound
     with pytest.raises(ValueError, match="the brute engine takes none"):
         recognize(complete(4), 1, "outer-planar", engine="brute", timeout_s=5)
+    # search_order, which skips the refutation, refuses the same pairings
+    with pytest.raises(ValueError, match="the brute engine takes none"):
+        search_order(complete(4), 1, "outer-planar", "brute", timeout_s=0.01)
+    with pytest.raises(ValueError, match="unknown engine"):
+        search_order(complete(3), 1, "outer-planar", "exhaustive")
 
 
 def test_outer_quasi_verdicts():
