@@ -1,19 +1,27 @@
-"""Time the SAT setup layers of recognize: encode, solver construction, solve.
+"""Time two layers of okplanar on fixed instance series.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_series.py --label change
-    python3 scripts/bench_series.py --label parent --src OTHER_CHECKOUT/src
+    python3 scripts/bench_series.py --series sat_setup --label change
+    python3 scripts/bench_series.py --series maximal --label parent --src OTHER_CHECKOUT/src
 
 Imports okplanar from --src (default: this checkout's src/), runs each
-instance REPEATS times and merges one entry under --label into
-BENCH_sat_setup.json at the root of this checkout, keeping the entries of
-other labels. Each repeat encodes afresh, because the solver adopts the
-encoding's clause lists and its search reorders the literals within them.
-Per instance it records
-the clause count, the median seconds of encode, of CdclSolver construction
-and of solve, the verdict, and the tracemalloc peak of encode plus
-construction, taken in one more untimed pass. Stdlib only.
+instance REPEATS times and merges one entry under --label into the series'
+BENCH_<series>.json at the root of this checkout, keeping the entries of
+other labels. Stdlib only.
+
+sat_setup: the SAT setup layers of recognize. Each repeat encodes afresh,
+because the solver adopts the encoding's clause lists and its search
+reorders the literals within them. Per instance it records the clause
+count, the median seconds of encode, of CdclSolver construction and of
+solve, the verdict, and the tracemalloc peak of encode plus construction,
+taken in one more untimed pass.
+
+maximal: saturate and then is_maximal, from an empty start with n doubling
+at k = 3 and k = 6, plus one seeded start. Per instance it records the
+median seconds of each step and the absent chords each one queries (every
+candidate chord for saturate, every absent chord of the maximal result for
+is_maximal), next to the final edge count.
 """
 from __future__ import annotations
 
@@ -27,19 +35,23 @@ import time
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-OUT = os.path.join(ROOT, "BENCH_sat_setup.json")
 REPEATS = 5
 
 # (name, generator call, k, variant)
-INSTANCES = [
+SAT_INSTANCES = [
     ("3tree-3 quasi k=3", ("planar_3tree_levels", 3), 3, "outer-quasi"),
     ("3tree-4 quasi k=3", ("planar_3tree_levels", 4), 3, "outer-quasi"),
     ("grid 5x7 planar k=2", ("grid", 5, 7), 2, "outer-planar"),
     ("grid 5x7 closed-planar k=2", ("grid", 5, 7), 2, "closed-outer-planar"),
 ]
 
+# (n, k, seed of a random_outer_k_planar(n, k - 2) start, None for empty)
+MAXIMAL_INSTANCES = [(n, k, None) for k in (3, 6) for n in (40, 80, 160)] + [(160, 4, 1)]
 
-def measure(generators, sat, cdcl, spec, k, variant):
+
+def sat_setup_row(spec, k, variant):
+    from okplanar import cdcl, generators, sat
+
     g = getattr(generators, spec[0])(*spec[1:])
     encode_s, init_s, solve_s, verdicts = [], [], [], set()
     for _ in range(REPEATS):
@@ -74,22 +86,68 @@ def measure(generators, sat, cdcl, spec, k, variant):
     }
 
 
+def maximal_row(n, k, seed):
+    from okplanar.drawing import identity_drawing
+    from okplanar.generators import random_outer_k_planar
+    from okplanar.graphs import build_graph
+    from okplanar.maximal import is_maximal, saturate
+
+    if seed is None:
+        start = identity_drawing(build_graph(n, []))
+    else:
+        start = random_outer_k_planar(n, k - 2, seed)
+    saturate_s, is_maximal_s = [], []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        full = saturate(start, k)
+        t1 = time.perf_counter()
+        maximal = is_maximal(full, k)
+        t2 = time.perf_counter()
+        if not maximal:
+            raise SystemExit(f"saturate(n={n}, k={k}) is not maximal")
+        saturate_s.append(t1 - t0)
+        is_maximal_s.append(t2 - t1)
+    pairs = n * (n - 1) // 2
+    return {
+        "start_edges": start.graph.m,
+        "final_edges": full.graph.m,
+        "saturate_queries": pairs - start.graph.m,
+        "is_maximal_queries": pairs - full.graph.m,
+        "saturate_s": round(statistics.median(saturate_s), 4),
+        "is_maximal_s": round(statistics.median(is_maximal_s), 4),
+    }
+
+
+def sat_setup_rows():
+    for name, spec, k, variant in SAT_INSTANCES:
+        yield {"instance": name, **sat_setup_row(spec, k, variant)}
+
+
+def maximal_rows():
+    for n, k, seed in MAXIMAL_INSTANCES:
+        start = "empty" if seed is None else f"seeded {seed}"
+        yield {"instance": f"n={n} k={k} {start}", **maximal_row(n, k, seed)}
+
+
+SERIES = {"sat_setup": sat_setup_rows, "maximal": maximal_rows}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--series", choices=sorted(SERIES), default="sat_setup")
     ap.add_argument("--label", required=True, help="entry name, such as parent or change")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding okplanar")
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
-    from okplanar import cdcl, generators, sat
+    out = os.path.join(ROOT, f"BENCH_{args.series}.json")
 
     rows = []
-    for name, spec, k, variant in INSTANCES:
-        row = {"instance": name, **measure(generators, sat, cdcl, spec, k, variant)}
+    for row in SERIES[args.series]():
         print(json.dumps(row), flush=True)
         rows.append(row)
     doc = {}
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
+    if os.path.exists(out):
+        with open(out) as fh:
             doc = json.load(fh)
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
@@ -97,7 +155,7 @@ def main() -> int:
         "repeats": REPEATS,
         "instances": rows,
     }
-    with open(OUT, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     return 0

@@ -162,18 +162,11 @@ def cmd_separator(args: argparse.Namespace) -> int:
     if args.leaf_size is not None and not args.recursive:
         raise ValueError("--leaf-size needs --recursive")
     d = read_instance(args.file).drawing()
-    eff_k = max(drawing_chords(d).counts, default=0)
-    common = {
-        "n": d.n,
-        "m": d.graph.m,
-        "effective_k": eff_k,
-        "size_bound": 2 * eff_k + 3,
-    }
     if args.recursive:
+        eff_k = max(drawing_chords(d).counts, default=0)
         leaf = args.leaf_size if args.leaf_size is not None else 2 * eff_k + 3
         node = recursive_decompose(d, leaf_size=leaf)
         payload = {
-            **common,
             "recursive": True,
             "leaf_size": leaf,
             "depth": node.depth(),
@@ -181,8 +174,8 @@ def cmd_separator(args: argparse.Namespace) -> int:
         }
     else:
         sep = balanced_separator(d)
+        eff_k = sep.k
         payload = {
-            **common,
             "recursive": False,
             "separator": sorted(sep.separator),
             "a_side": sorted(sep.a_side),
@@ -192,6 +185,7 @@ def cmd_separator(args: argparse.Namespace) -> int:
             "witness": sep.witness,
             "valid": check_separation(d, eff_k, sep) is None,
         }
+    payload.update(n=d.n, m=d.graph.m, effective_k=eff_k, size_bound=2 * eff_k + 3)
     _emit(args, "separator", {args.file}, payload)
     return 0
 

@@ -4,9 +4,10 @@ A drawing here is a graph together with one clockwise circular order of all
 vertices on a circle; edges are straight chords. Two chords cross iff their
 endpoint pairs interleave along the circle, so everything is order-theoretic
 and exact: no coordinates, no floating point. The crossing kernel is
-polynomial: per-chord crossers are bitmask operations, and the largest
-pairwise-crossing edge set, a maximum clique of the crossing (circle) graph,
-is a longest-increasing-subsequence search over cut points.
+polynomial: per-chord crossers are bitmask operations, the largest
+pairwise-crossing edge set (a maximum clique of the crossing graph) is a
+chain search over cut points, and "do t pairwise crossing chords cross this
+one?" is a chain walk along its shorter side that stops at t.
 """
 from __future__ import annotations
 
@@ -199,22 +200,47 @@ class ChordSet:
         inside = self.prefix[q] ^ self.prefix[p + 1]
         return inside & ~(self.incident[p] | self.incident[q])
 
-    def mutual_through(self, p: int, q: int, mask: int) -> int:
-        """Largest pairwise-crossing family among the chords of mask that
-        cross (p, q).
+    def mutual_through(self, p: int, q: int, mask: int, need: int) -> bool:
+        """Do need chords of mask cross (p, q) and pairwise cross each other?
 
-        Each such chord has one end x strictly inside p..q and its other end
-        y outside, counted on from q. Two of them cross iff their (x, y)
-        pairs increase together, so a family is a chain of those pairs.
+        Each crosser has one end x on the shorter arc between p and q,
+        walked clockwise from p to q after swapping them if necessary, and its
+        other end y beyond q. Two crossers cross iff their (x, y - q mod n)
+        pairs increase together, so the walk grows a patience-sort chain
+        (far ends descending at one x) and stops once it is need long.
         """
-        if p > q:
+        cm = mask & self.crossers(p, q)
+        if cm.bit_count() < need:
+            return False
+        if need <= 0:
+            return True
+        n, chords, incident = self.n, self.chords, self.incident
+        p, q = min(p, q), max(p, q)
+        walk = range(p + 1, q)
+        if 2 * (q - p) > n:
             p, q = q, p
-        pairs = []
-        for i in _bits(mask & self.crossers(p, q)):
-            a, b = self.chords[i]
-            x, y = (a, b) if p < a < q else (b, a)
-            pairs.append((x, (y - q) % self.n))
-        return _longest_chain(pairs)
+            walk = [*range(p + 1, n), *range(q)]
+        tails: list[int] = []
+        for x in walk:
+            here = incident[x] & cm
+            if not here:
+                continue
+            ys = []
+            while here:
+                low = here & -here
+                a, b = chords[low.bit_length() - 1]
+                ys.append((a + b - x - q) % n)
+                here ^= low
+            ys.sort(reverse=True)
+            for y in ys:
+                i = bisect_left(tails, y)
+                if i < len(tails):
+                    tails[i] = y
+                elif i + 1 < need:
+                    tails.append(y)
+                else:
+                    return True
+        return False
 
     def mutual_size(self) -> int:
         """Size of the largest pairwise-crossing family.
@@ -253,7 +279,7 @@ class ChordSet:
             i = cand.bit_length() - 1
             cand ^= 1 << i
             p, q = self.chords[i]
-            if count + 1 + self.mutual_through(p, q, cand) >= size:
+            if self.mutual_through(p, q, cand, size - count - 1):
                 chosen |= 1 << i
                 count += 1
                 cand &= self.crossers(p, q)

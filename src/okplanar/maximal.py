@@ -11,8 +11,8 @@ replacement_split() performs the two-sided reduction with full bookkeeping.
 
 Every crossing question goes to the chord kernel (drawing.ChordSet). Levels
 must be crossing-free, so a pairwise-crossing family takes at most one edge
-per level; property P2 (one crossing edge from each lower level) is then a
-polynomial max-mutual search, not a search over one-edge-per-level tuples.
+per level; property P2 (one crossing edge from each lower level) is then one
+threshold query (ChordSet.mutual_through), as is a blocked saturation chord.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .drawing import (
-    ChordSet,
     ConvexDrawing,
     Edge,
     _bits,
@@ -82,13 +81,6 @@ def frame_edges(n: int, k: int) -> frozenset[Edge]:
     return frozenset(out)
 
 
-def _blocked(cs: ChordSet, p: int, q: int, k: int) -> bool:
-    """Would chord (p, q) complete k pairwise crossing edges? True exactly
-    when k-1 of its crossers pairwise cross each other."""
-    cm = cs.crossers(p, q)
-    return cm.bit_count() >= k - 1 and cs.mutual_through(p, q, cm) >= k - 1
-
-
 def saturate(d: ConvexDrawing, k: int) -> ConvexDrawing:
     """Add chords until none fits without creating k pairwise crossing edges.
 
@@ -116,7 +108,7 @@ def saturate(d: ConvexDrawing, k: int) -> ConvexDrawing:
     cands.sort()
     added: list[Edge] = []
     for _, p, q in cands:
-        if not _blocked(cs, p, q, k):
+        if not cs.mutual_through(p, q, -1, k - 1):  # -1: every chord
             cs.add(p, q)
             added.append((p, q))
     if not added:
@@ -141,7 +133,7 @@ def is_maximal(d: ConvexDrawing, k: int) -> bool:
     present = set(cs.chords)
     for p in range(d.n):
         for q in range(p + 1, d.n):
-            if (p, q) not in present and not _blocked(cs, p, q, k):
+            if (p, q) not in present and not cs.mutual_through(p, q, -1, k - 1):
                 return False
     return True
 
@@ -266,7 +258,7 @@ def verify_level_properties(ld: LevelDecomposition, d: ConvexDrawing) -> dict:
     from each earlier level. A crossing-free level gives at most one edge to
     any pairwise-crossing family, so this holds exactly when the edges of
     levels below i that cross e contain i-1 pairwise crossing ones: one
-    max-mutual search through e on the chord kernel. Connectivity of each
+    threshold query through e on the chord kernel. Connectivity of each
     level is only demanded when the drawing is maximal; below that the
     guarantee does not hold and the per-level results are informational.
     Failures are report content, not exceptions.
@@ -309,7 +301,7 @@ def verify_level_properties(ld: LevelDecomposition, d: ConvexDrawing) -> dict:
         below = 0
         for i, (lvl, mask) in enumerate(zip(ld.levels, masks), 1):
             for e in lvl:
-                if cs.mutual_through(*cs.chords[index[e]], below) < i - 1:
+                if not cs.mutual_through(*cs.chords[index[e]], below, i - 1):
                     return {"edge": list(e), "level": i}
             below |= mask
         return None

@@ -53,6 +53,7 @@ class Separation:
     separator: frozenset[int]
     case_tag: str
     witness: dict
+    k: int  # the sub-drawing's maximum per-edge crossing count
 
 
 class SeparatorError(Exception):
@@ -106,7 +107,7 @@ def _separate(order: Sequence[int], edges: Sequence[Edge], cs: ChordSet, k: int)
     def split(excl, s: frozenset[int], tag: str, wit: dict) -> Separation:
         """A = excl ∪ s and B = (V - excl) ∪ s, excl given as positions."""
         ex = frozenset(at(t) for t in excl)
-        return Separation(ex | s, (everyone - ex) | s, s, tag, wit)
+        return Separation(ex | s, (everyone - ex) | s, s, tag, wit, k)
 
     def along(p1: int, p2: int, tag: str, wit: dict, inside: bool = True) -> Separation:
         """Separate along chord (p1, p2); A-exclusive is the arc p1 -> p2.

@@ -264,6 +264,7 @@ def test_max_mutual_vs_clique_oracle():
     # n = 45 against branch and bound on the scalar crossing graph, for the
     # whole drawing and for the crossers of random chords
     rng = random.Random(83)
+    walks = set()  # (p > q, short side is the outside arc) of every query
     for trial in range(60):
         n = rng.randrange(8, 46)
         density = rng.choice((0.05, 0.1, 0.2, 0.3))
@@ -279,7 +280,30 @@ def test_max_mutual_vs_clique_oracle():
                 sum(1 << b for b, j in enumerate(members) if adj[i] >> j & 1)
                 for i in members
             ]
-            assert cs.mutual_through(p, q, cm) == max_clique_bitset(sub)[0], (trial, p, q)
+            best = max_clique_bitset(sub)[0]
+            walks.add((p > q, 2 * abs(q - p) > n))
+            for need in range(best + 2):
+                for a, b in ((p, q), (q, p)):
+                    assert cs.mutual_through(a, b, cm, need) == (need <= best), (trial, a, b, need)
+            assert cs.mutual_through(p, q, cm, -1)
+            assert not cs.mutual_through(p, q, cm, cm.bit_count() + 1)
+    assert walks == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_mutual_through_walks_either_side():
+    # on 12 positions (1, 9) has the short outside arc 10, 11, 0, where
+    # (3, 10), (5, 11), (0, 7) leave as three pairwise crossing chords;
+    # (4, 8) has the short inside arc 5, 6, 7, where (5, 10), (6, 11), (0, 7)
+    # leave pairwise crossing; (3, 6) is crossed by three chords, no two of
+    # which cross, and (0, 1) by none
+    cs = ChordSet.of(12, [(3, 10), (5, 11), (0, 7), (5, 10), (6, 11), (1, 9), (2, 4)])
+    everyone = (1 << cs.m) - 1
+    for p, q, best in ((1, 9, 3), (4, 8, 3), (3, 6, 1), (0, 1, 0)):
+        for a, b in ((p, q), (q, p)):
+            for need in range(-1, best + 3):
+                assert cs.mutual_through(a, b, everyone, need) == (need <= best), (a, b, need)
+    without = everyone & ~(1 << 2)  # every triangle above holds (0, 7)
+    assert cs.mutual_through(1, 9, without, 2) and not cs.mutual_through(1, 9, without, 3)
 
 
 def test_witness_is_greatest_largest_family():

@@ -23,10 +23,13 @@ from okplanar.drawing import (
     edges_cross,
     identity_drawing,
     make_drawing,
+    positions_interleave,
 )
 from okplanar.generators import grid, grid_snake_order, random_outer_k_planar
 from okplanar.graphs import build_graph
 from okplanar.maximal import LevelDecomposition, levels_svg
+
+from test_drawing import max_clique_bitset, scalar_crossing_graph
 
 
 def complete_drawing(n):
@@ -236,6 +239,66 @@ def test_saturation_count_is_start_independent():
                 sat = saturate(start, k)
                 assert sat.graph.m == maximal_edge_count(n, k), (n, k, seed)
                 assert is_maximal(sat, k)
+
+
+def scalar_is_maximal(d, k):
+    """No absent chord joins without k pairwise crossing edges, by branch
+    and bound on the scalar crossing graph of each one-chord extension."""
+    present = set(d.graph.edges)
+    for u in range(d.n):
+        for v in range(u + 1, d.n):
+            if (u, v) not in present:
+                more = make_drawing(build_graph(d.n, [*d.graph.edges, (u, v)]), d.order)
+                if max_clique_bitset(scalar_crossing_graph(more))[0] < k:
+                    return False
+    return True
+
+
+def random_in_class(rng, n, k):
+    """A random drawing with no k pairwise crossing edges: the chords of a
+    random prefix of all pairs, in random order, each kept unless it would
+    complete k pairwise crossing ones on the scalar crossing graph."""
+    order = rng.sample(range(n), n)
+    pos = {v: i for i, v in enumerate(order)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    edges, adj = [], []
+    for u, v in pairs[: rng.randrange(len(pairs) // 2, len(pairs) + 1)]:
+        row = sum(
+            1 << i for i, (a, b) in enumerate(edges)
+            if len({a, b, u, v}) == 4 and positions_interleave(pos[a], pos[b], pos[u], pos[v])
+        )
+        through = [i for i in range(len(edges)) if row >> i & 1]
+        sub = [sum(1 << b for b, j in enumerate(through) if adj[i] >> j & 1) for i in through]
+        if max_clique_bitset(sub)[0] < k - 1:
+            bit = 1 << len(edges)
+            for i in through:
+                adj[i] |= bit
+            edges.append((u, v))
+            adj.append(row)
+    return make_drawing(build_graph(n, edges), order)
+
+
+def test_is_maximal_matches_scalar_oracle():
+    # three kinds of in-class drawing on n <= 11 at k = 2..5: saturated
+    # (from an empty or a random start), saturated minus one edge, and
+    # random; every saturate output is maximal by the oracle too
+    rng = random.Random(97)
+    verdicts = []
+    for k in range(2, 6):
+        for _ in range(6):
+            n = rng.randrange(max(4, 2 * k - 2), 12)
+            start = make_drawing(build_graph(n, []), rng.sample(range(n), n))
+            if rng.random() < 0.5:
+                start = random_outer_k_planar(n, k - 2, seed=rng.randrange(1 << 30))
+            sat = saturate(start, k)
+            cut = rng.choice(sat.graph.edges)
+            minus = make_drawing(build_graph(n, [e for e in sat.graph.edges if e != cut]), sat.order)
+            for d in (sat, minus, random_in_class(rng, n, k)):
+                verdicts.append(scalar_is_maximal(d, k))
+                assert is_maximal(d, k) == verdicts[-1], (k, d.order, d.graph.edges)
+    assert all(verdicts[0::3])  # every saturate output
+    assert {True, False} <= set(verdicts[2::3])  # random drawings reach both
 
 
 def test_find_long_edge_examples():

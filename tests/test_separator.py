@@ -294,7 +294,7 @@ def _local(sep, old_ids):
     new = {v: i for i, v in enumerate(old_ids)}
     to = lambda side: frozenset(new[v] for v in side)
     return Separation(to(sep.a_side), to(sep.b_side), to(sep.separator), sep.case_tag,
-                      sep.witness)
+                      sep.witness, sep.k)
 
 
 def assert_valid_induced(d, vertices, sep):
