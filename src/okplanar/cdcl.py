@@ -8,10 +8,10 @@ sits at slot x and -x wraps to slot 2n + 1 - x, so a literal and its
 negation never share a slot. Arrays indexed by variable have n + 1 slots;
 slot 0 of both kinds is unused.
 
-The solver adopts the clause lists it is given rather than copying them:
-each clause is stored once, and moving its watches reorders the literals
-within the caller's list. Callers that read their clauses after the solve
-must pass copies.
+The solver adopts every clause list as given, repairing and copying none:
+each is stored once, and moving its watches reorders the literals within
+the caller's list, so callers that read their clauses after the solve must
+pass copies. Untrusted DIMACS text is repaired in sat.parse_dimacs.
 """
 from __future__ import annotations
 
@@ -40,15 +40,16 @@ def _luby(x: int) -> int:
 class CdclSolver:
     """A CDCL search over clauses given as lists of nonzero signed literals.
 
-    The solver owns the lists it is given and may reorder the literals
-    within them. Only a clause with a repeated literal is replaced, by a
-    new merged list; a clause holding x and -x is dropped, and units and
-    the empty clause are kept apart from the stored clauses.
+    Each clause names only variables in 1..num_vars, none twice. The solver
+    owns every list and may reorder its literals; units and the empty clause
+    are kept apart from the stored clauses. Literal 0 or a variable above
+    num_vars raises ValueError: either would alias another literal's slot.
     """
 
     def __init__(self, num_vars: int, clauses: list[list[int]]):
-        # tolerate headers that undercount
-        num_vars = max(num_vars, max(map(abs, chain.from_iterable(clauses)), default=0))
+        top = max(map(abs, chain.from_iterable(clauses)), default=0)
+        if top > num_vars:
+            raise ValueError(f"variable {top} exceeds num_vars {num_vars}")
         self.nv = num_vars
         self.clauses: list[list[int]] = []
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
@@ -72,10 +73,6 @@ class CdclSolver:
         for c in clauses:
             if 0 in c:
                 raise ValueError(f"literal 0 in clause {c}")
-            if len(set(map(abs, c))) < len(c):  # a variable repeats
-                c = list(dict.fromkeys(c))  # merge repeated literals
-                if len(set(map(abs, c))) < len(c):
-                    continue  # x or -x: always true
             if len(c) < 2:
                 if c:
                     self.units.append(c[0])

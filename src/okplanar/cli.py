@@ -581,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return 1
     except Exception as exc:  # CLI boundary: every failure becomes exit 1
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

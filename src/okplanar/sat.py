@@ -75,11 +75,6 @@ class CnfFormula:
     clauses: list[list[int]] = field(default_factory=list)
     comments: list[str] = field(default_factory=list)
 
-    def add(self, clause: list[int]) -> None:
-        if not clause:
-            raise ValueError("empty clause at generation time")
-        self.clauses.append(clause)
-
 
 def encode_order_axioms(n: int) -> tuple[CnfFormula, VarMap]:
     """One variable per pair u < v; no cyclic triple; 0 first, 1 before 2.
@@ -101,14 +96,14 @@ def encode_order_axioms(n: int) -> tuple[CnfFormula, VarMap]:
     for u in range(n):
         for v in range(u + 1, n):
             for w in range(v + 1, n):
-                cnf.add([nx[(u, v)], nx[(v, w)], x[(u, w)]])
-                cnf.add([x[(u, v)], x[(v, w)], nx[(u, w)]])
+                cnf.clauses.append([nx[(u, v)], nx[(v, w)], x[(u, w)]])
+                cnf.clauses.append([x[(u, v)], x[(v, w)], nx[(u, w)]])
     cnf.comments.append("c block anchor-vertex-0-first")
     for v in range(1, n):
-        cnf.add([x[(0, v)]])
+        cnf.clauses.append([x[(0, v)]])
     if n >= 3:
         cnf.comments.append("c block reflection-1-before-2")
-        cnf.add([x[(1, 2)]])
+        cnf.clauses.append([x[(1, 2)]])
     cnf.num_vars = vm.num_vars
     for (u, v), var in x.items():
         cnf.comments.append(f"c ord {u} {v} {var}")
@@ -142,34 +137,33 @@ def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap) -> None:
             na, nc = not_before[a], not_before[c]
             for b, d in ((v, v2), (v2, v)):
                 nb = not_before[b]
-                cnf.add([na[b], nb[c], nc[d], y])
-                cnf.add([nb[a], na[d], not_before[d][c], y])
+                cnf.clauses.append([na[b], nb[c], nc[d], y])
+                cnf.clauses.append([nb[a], na[d], not_before[d][c], y])
     cnf.num_vars = vm.num_vars
     for (e, f), var in vm.cross_var.items():
         cnf.comments.append(f"c cross {e[0]} {e[1]} {f[0]} {f[1]} {var}")
 
 
 def _seq_counter_le(cnf: CnfFormula, vm: VarMap, lits: list[int], k: int, tag: str) -> None:
-    """Sequential counter: at most k of lits are true."""
+    """Sequential counter: at most k of lits are true; the caller syncs cnf.num_vars."""
     m = len(lits)
     if m <= k:
         return
     if k == 0:
         for l in lits:
-            cnf.add([-l])
+            cnf.clauses.append([-l])
         return
     s = [[vm.new_aux(tag) for _ in range(k)] for _ in range(m)]
-    cnf.add([-lits[0], s[0][0]])
+    cnf.clauses.append([-lits[0], s[0][0]])
     for j in range(1, k):
-        cnf.add([-s[0][j]])
+        cnf.clauses.append([-s[0][j]])
     for i in range(1, m):
-        cnf.add([-lits[i], s[i][0]])
-        cnf.add([-s[i - 1][0], s[i][0]])
+        cnf.clauses.append([-lits[i], s[i][0]])
+        cnf.clauses.append([-s[i - 1][0], s[i][0]])
         for j in range(1, k):
-            cnf.add([-lits[i], -s[i - 1][j - 1], s[i][j]])
-            cnf.add([-s[i - 1][j], s[i][j]])
-        cnf.add([-lits[i], -s[i - 1][k - 1]])
-    cnf.num_vars = vm.num_vars
+            cnf.clauses.append([-lits[i], -s[i - 1][j - 1], s[i][j]])
+            cnf.clauses.append([-s[i - 1][j], s[i][j]])
+        cnf.clauses.append([-lits[i], -s[i - 1][k - 1]])
 
 
 def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
@@ -183,6 +177,7 @@ def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     edges = g.edges
     for e, row, mask in zip(edges, _neg_cross_matrix(edges, vm), _disjointness_masks(edges)):
         _seq_counter_le(cnf, vm, [-row[j] for j in _bits(mask)], k, tag=f"cap{e[0]}-{e[1]}")
+    cnf.num_vars = vm.num_vars
     vm.variant, vm.k = "outer-planar", k
     _aux_comments(cnf, vm)
     return cnf, vm
@@ -303,10 +298,10 @@ def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
         cnf.clauses.append([s[(u, v)] for v in sorted(g.adj[u])])
     for (u, v), var in s.items():
         if v:
-            cnf.add([-var, x(u, v)])
+            cnf.clauses.append([-var, x(u, v)])
         for w in range(n):
             if w != u and w != v:  # nothing between u and v; nothing after u
-                cnf.add([-var, -x(u, w), -x(w, v)] if v else [-var, x(w, u)])
+                cnf.clauses.append([-var, -x(u, w), -x(w, v)] if v else [-var, x(w, u)])
     cnf.num_vars = vm.num_vars
     for (u, v), var in s.items():
         cnf.comments.append(f"c succ {u} {v} {var}")
@@ -351,10 +346,10 @@ def emit_dimacs(f: CnfFormula, path: str) -> None:
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    """The header's variable count and the clauses; ValueError names a bad line."""
+    """The variable count and clauses of DIMACS text, repaired to the form
+    CdclSolver requires; ValueError names a malformed line."""
     num_vars = 0
-    clauses = []
-    cur: list[int] = []
+    lits: list[int] = []
     for no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("c"):
@@ -362,19 +357,24 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
         try:
             if line.startswith("p"):
                 num_vars = int(line.split()[2])
-                continue
-            lits = [int(tok) for tok in line.split()]
+            else:
+                lits += map(int, line.split())
         except (IndexError, ValueError):
             raise ValueError(f"DIMACS line {no} is malformed: {line!r}") from None
-        for v in lits:
-            if v == 0:
-                clauses.append(cur)
-                cur = []
-            else:
-                cur.append(v)
-    if cur:
-        clauses.append(cur)
-    return num_vars, clauses
+    if lits and lits[-1]:
+        lits.append(0)  # a final clause without its 0 is still read
+    clauses, cur = [], []
+    for v in lits:
+        if v:
+            cur.append(v)
+            continue
+        vs = set(map(abs, cur))
+        if len(vs) < len(cur):  # a variable repeats: merge repeated literals
+            cur = list(dict.fromkeys(cur))
+        if len(vs) == len(cur):  # else it holds x and -x: always true, dropped
+            clauses.append(cur)
+        cur = []
+    return max(num_vars, max(map(abs, lits), default=0)), clauses  # a header may undercount
 
 
 def decode_model(
@@ -450,9 +450,10 @@ def search_order(g: Graph, k: int, variant: str, engine: str = "sat",
     The sat engine encodes, solves with the embedded CdclSolver (timeout_s
     bounds the solve only) and decodes; the brute engine enumerates orders.
     The encoding is built once, only when the sat engine runs or emit_cnf
-    names a DIMACS file to write. The solver adopts the encoding's clause
-    lists, so the file is written before the solve. An unknown engine, or a
-    timeout_s with the brute engine, is refused as in recognize.
+    names a DIMACS file to write. The solver adopts the encoding's lists
+    unrepaired and reorders them, so the file is written before the solve.
+    An unknown engine, or a timeout_s with the brute engine, is refused as
+    in recognize.
     """
     _check_engine(engine, timeout_s)
     if engine == "sat" or emit_cnf:

@@ -447,6 +447,20 @@ def test_solve_cnf_normalizes_its_input(capsys, tmp_path):
     assert run(capsys, "solve-cnf", str(cnf))[0] == 20
 
 
+def test_error_without_text_names_the_exception(capsys, monkeypatch):
+    # the parser is built once per process and holds the cmd_* functions, so
+    # patch a function the command imports when it runs
+    import okplanar.bounds
+
+    def exhausted(k):
+        raise MemoryError()
+
+    monkeypatch.setattr(okplanar.bounds, "outer_k_planar_degeneracy_bound", exhausted)
+    assert main(["bounds", "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: MemoryError\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("command", ["recognize", "solve-cnf"])
 def test_timeout_must_be_positive(capsys, tmp_path, k5, command, value):

@@ -14,7 +14,7 @@ from okplanar.drawing import (
     is_closed_drawing,
     make_drawing,
 )
-from okplanar.generators import complete, complete_bipartite, planar_3tree_levels
+from okplanar.generators import complete, complete_bipartite, grid, planar_3tree_levels
 from okplanar.graphs import build_graph
 from okplanar.maximal import saturate
 from okplanar.recognition import brute_force_recognize, check_refutation
@@ -372,9 +372,42 @@ def test_dimacs_trivial_formulas():
     from okplanar.sat import CnfFormula
 
     assert dimacs_text(CnfFormula(num_vars=0)) == "p cnf 0 0\n"
-    f = CnfFormula(num_vars=1)
-    f.add([1])
+    f = CnfFormula(num_vars=1, clauses=[[1]])
     assert dimacs_text(f) == "p cnf 1 1\n1 0\n"
+
+
+def assert_solver_contract(num_vars, clauses):
+    """What CdclSolver adopts without repair: nonzero literals, no variable
+    twice in a clause, and every variable in 1..num_vars."""
+    for c in clauses:
+        vs = set(map(abs, c))
+        assert 0 not in c and len(vs) == len(c), c
+        assert all(1 <= v <= num_vars for v in vs), (c, num_vars)
+
+
+def test_parse_dimacs_repairs_untrusted_clauses():
+    # a repeated literal merges in first-seen order, a clause holding x and
+    # -x is dropped, the header's 2 rises to the 5 of a dropped clause, a
+    # line holding only 0 is an empty clause, a clause may span lines, and
+    # the final clause may lack its 0
+    text = "c note\np cnf 2 6\n2 1 2 -3 0\n5 -5 0\n0\n1\n-2 0\n-1 -1 0\n-2 2 -2 0\n4 -1\n"
+    num_vars, clauses = parse_dimacs(text)
+    assert (num_vars, clauses) == (5, [[2, 1, -3], [], [1, -2], [-1], [4, -1]])
+    assert_solver_contract(num_vars, clauses)
+    assert parse_dimacs("p cnf 3 1\n1 -2 0\n") == (3, [[1, -2]])  # no repair needed
+    assert parse_dimacs("") == (0, [])
+
+
+def test_encoder_meets_the_solver_contract():
+    for cnf in pinned_encodings():
+        assert_solver_contract(cnf.num_vars, cnf.clauses)
+    isolated = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3)])  # the empty clause
+    variants = ("outer-planar", "outer-quasi", "closed-outer-planar", "closed-outer-quasi")
+    for g in (complete(6), complete_bipartite(3, 3), grid(3, 3), planar_3tree_levels(2), isolated):
+        for variant in variants:
+            for k in (0, 1, 3) if variant.endswith("planar") else (2, 3):
+                cnf = encode(g, k, variant)[0]
+                assert_solver_contract(cnf.num_vars, cnf.clauses)
 
 
 def test_decode_rejects_drawing_outside_the_class():
@@ -508,18 +541,26 @@ def test_solver_rejects_literal_zero():
 
 
 def test_solver_adopts_the_callers_clause_lists():
-    # each clause is held once: the solver stores the caller's list itself
-    repeated, tautology, plain = [1, 1, 2], [1, -1, 3], [2, 3]
-    solver = CdclSolver(3, [repeated, tautology, plain])
-    assert solver.clauses == [[1, 2], [2, 3]]
-    assert solver.clauses[1] is plain
-    assert solver.clauses[0] is not repeated and repeated == [1, 1, 2]
-    assert not any(c is tautology for c in solver.clauses)
+    # each clause is held once: every list the solver stores is the caller's
+    # own, units and the empty clause apart
+    first, unit, twin, same, empty = [1, 2], [-1], [2, -3, 1], [2, -3, 1], []
+    solver = CdclSolver(3, [first, unit, twin, same])
+    assert [id(c) for c in solver.clauses] == [id(first), id(twin), id(same)]
+    assert solver.units == [-1] and solver.ok
+    assert not CdclSolver(3, [first, empty]).ok
     cnf = encode(planar_3tree_levels(3), 3, "outer-quasi")[0]
     solver = CdclSolver(cnf.num_vars, cnf.clauses)
     originals = [c for c in cnf.clauses if len(c) > 1]
     assert len(solver.clauses) == len(originals)
     assert all(kept is c for kept, c in zip(solver.clauses, originals))
+
+
+def test_solver_rejects_a_variable_above_num_vars():
+    # -3 would wrap to slot 2 * 2 + 1 - 3 = 2 and share literal 2's watches
+    with pytest.raises(ValueError, match="variable 3 exceeds num_vars 2"):
+        CdclSolver(2, [[3, 1]])
+    with pytest.raises(ValueError, match="variable 3 exceeds num_vars 2"):
+        CdclSolver(2, [[1, 2], [-3]])
 
 
 def test_activity_rescale_keeps_branching_on_the_highest_activity():
