@@ -19,9 +19,11 @@ taken in one more untimed pass.
 
 maximal: saturate and then is_maximal, from an empty start with n doubling
 at k = 3 and k = 6, plus one seeded start. Per instance it records the
-median seconds of each step and the absent chords each one queries (every
-candidate chord for saturate, every absent chord of the maximal result for
-is_maximal), next to the final edge count.
+median seconds of each step, next to the final edge count, and the calls
+each step makes to the chord kernel's two mutual-crossing queries,
+ChordSet.mutual_through and ChordSet.mutual_size. Those are counted in one
+more untimed pass with both methods wrapped; the timed repeats run them
+unwrapped.
 """
 from __future__ import annotations
 
@@ -86,6 +88,30 @@ def sat_setup_row(spec, k, variant):
     }
 
 
+def counted_queries(step, *args) -> dict:
+    """Run step(*args) once with the chord kernel's mutual-crossing queries
+    wrapped; returns the calls of each query."""
+    from okplanar.drawing import ChordSet
+
+    calls = dict.fromkeys(("mutual_through", "mutual_size"), 0)
+    plain = {name: getattr(ChordSet, name) for name in calls}
+
+    def wrap(name):
+        def counted(self, *a):
+            calls[name] += 1
+            return plain[name](self, *a)
+        return counted
+
+    for name in calls:
+        setattr(ChordSet, name, wrap(name))
+    try:
+        step(*args)
+        return calls
+    finally:
+        for name, method in plain.items():
+            setattr(ChordSet, name, method)
+
+
 def maximal_row(n, k, seed):
     from okplanar.drawing import identity_drawing
     from okplanar.generators import random_outer_k_planar
@@ -107,12 +133,11 @@ def maximal_row(n, k, seed):
             raise SystemExit(f"saturate(n={n}, k={k}) is not maximal")
         saturate_s.append(t1 - t0)
         is_maximal_s.append(t2 - t1)
-    pairs = n * (n - 1) // 2
     return {
         "start_edges": start.graph.m,
         "final_edges": full.graph.m,
-        "saturate_queries": pairs - start.graph.m,
-        "is_maximal_queries": pairs - full.graph.m,
+        "saturate_queries": counted_queries(saturate, start, k),
+        "is_maximal_queries": counted_queries(is_maximal, full, k),
         "saturate_s": round(statistics.median(saturate_s), 4),
         "is_maximal_s": round(statistics.median(is_maximal_s), 4),
     }

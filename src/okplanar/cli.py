@@ -359,7 +359,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if not files:
             raise ValueError(f"no *.txt instances under {args.corpus}")
         inputs.update(files)
-        drawings = [read_instance(f).drawing() for f in files]
+        drawings = []
+        for f in files:
+            try:
+                drawings.append(read_instance(f).drawing())
+            except ValueError as exc:
+                raise ValueError(f"{f}: {exc}") from None
         try:
             summary, results = verify_degeneracy_bound(drawings, args.k)
         except BoundViolation as exc:

@@ -66,9 +66,17 @@ def parse_instance(text: str) -> Instance:
     for no, body in lines[1 : 1 + m]:
         u, v = ints(no, body, 2)
         edges.append((u, v))
-    graph = build_graph(n, edges)
-    if graph.m != m:
-        raise ValueError("duplicate edge in file")
+    try:
+        graph = build_graph(n, edges)
+    except ValueError as exc:  # build_graph stops at the first loop or stray end
+        no = next(no for (no, _), (u, v) in zip(lines[1:], edges)
+                  if u == v or not (0 <= u < n and 0 <= v < n))
+        raise ValueError(f"line {no}: {exc}") from None
+    if graph.m != m:  # name the first line that repeats an earlier edge
+        first: dict[frozenset[int], int] = {}
+        no = next(no for (no, _), e in zip(lines[1:], edges)
+                  if first.setdefault(frozenset(e), no) != no)
+        raise ValueError(f"line {no}: duplicate edge in file")
 
     rest = lines[1 + m :]
     order: tuple[int, ...] | None = None

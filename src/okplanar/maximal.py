@@ -6,8 +6,10 @@ every short chord (a "frame" edge) is present, the edges crossing a long
 chord split into at most k-2 crossing-free levels, and swapping everything on
 one side of a long chord for one fresh vertex per level yields a smaller
 maximal drawing. saturate() reaches a maximal drawing greedily,
-maximal_edge_count() gives the edge count every maximal drawing lands on, and
-replacement_split() performs the two-sided reduction with full bookkeeping.
+maximal_edge_count() gives the edge count that every maximal drawing has
+(Nakamigawa, TCS 2000) and no drawing in the class exceeds (Capoyleas and
+Pach, JCTB 1992), so maximality is a count, and replacement_split()
+performs the two-sided reduction with full bookkeeping.
 
 Every crossing question goes to the chord kernel (drawing.ChordSet). Levels
 must be crossing-free, so a pairwise-crossing family takes at most one edge
@@ -87,10 +89,11 @@ def saturate(d: ConvexDrawing, k: int) -> ConvexDrawing:
     Candidates run in a fixed order, circular chord length ascending then
     lexicographic by position, so the result is deterministic. One pass
     suffices: rejection is permanent, since the blocking crossings only ever
-    grow as edges are added.
+    grow as edges are added. The pass stops once the drawing holds
+    maximal_edge_count(n, k) edges: by Capoyleas-Pach no drawing in the
+    class has more, so every later candidate would be rejected anyway.
     """
-    if k < 2:
-        raise ValueError(f"quasi-planarity needs k >= 2, got {k}")
+    room = maximal_edge_count(d.n, k) - d.graph.m  # also rejects k < 2
     cs = drawing_chords(d)
     if cs.mutual_size() > k - 1:
         rep = crossing_report(d)  # only to name the witness
@@ -108,6 +111,8 @@ def saturate(d: ConvexDrawing, k: int) -> ConvexDrawing:
     cands.sort()
     added: list[Edge] = []
     for _, p, q in cands:
+        if len(added) == room:
+            break
         if not cs.mutual_through(p, q, -1, k - 1):  # -1: every chord
             cs.add(p, q)
             added.append((p, q))
@@ -124,18 +129,14 @@ def is_maximal(d: ConvexDrawing, k: int) -> bool:
     """No absent chord can join without creating k pairwise crossing edges.
 
     Also False when the drawing itself already has k mutually crossing edges.
+    No absent chord is queried: fewer than maximal_edge_count(n, k) edges
+    means not maximal (Nakamigawa), and a drawing in the class with that
+    many admits no more (Capoyleas-Pach).
     """
-    if k < 2:
-        raise ValueError(f"quasi-planarity needs k >= 2, got {k}")
-    cs = drawing_chords(d)
-    if cs.mutual_size() > k - 1:
-        return False
-    present = set(cs.chords)
-    for p in range(d.n):
-        for q in range(p + 1, d.n):
-            if (p, q) not in present and not cs.mutual_through(p, q, -1, k - 1):
-                return False
-    return True
+    return (
+        d.graph.m == maximal_edge_count(d.n, k)
+        and drawing_chords(d).mutual_size() <= k - 1
+    )
 
 
 def find_long_edge(d: ConvexDrawing, k: int) -> Edge | None:

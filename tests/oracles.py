@@ -2,7 +2,13 @@
 through the package's one rule, for claims the library itself never makes."""
 from __future__ import annotations
 
-from okplanar.drawing import ConvexDrawing, class_violation, crossing_report, make_drawing
+from okplanar.drawing import (
+    ConvexDrawing,
+    class_violation,
+    crossing_report,
+    drawing_chords,
+    make_drawing,
+)
 from okplanar.generators import complete
 from okplanar.graphs import induced_subgraph
 from okplanar.recognition import brute_force_recognize, check_k
@@ -31,3 +37,18 @@ def induced_drawing(d: ConvexDrawing, vertices) -> tuple[ConvexDrawing, list[int
     order; returns (drawing, old_ids) with old_ids[new] the vertex in d."""
     sub, old_ids = induced_subgraph(d.graph, sorted(set(vertices), key=d.pos.__getitem__))
     return make_drawing(sub, range(sub.n)), old_ids
+
+
+def scan_is_maximal(d: ConvexDrawing, k: int) -> bool:
+    """is_maximal by definition: the drawing has no k pairwise crossing
+    edges, and every absent chord would complete k of them (one blocked
+    query per absent chord on the chord kernel)."""
+    cs = drawing_chords(d)
+    if cs.mutual_size() > k - 1:
+        return False
+    present = set(cs.chords)
+    for p in range(d.n):
+        for q in range(p + 1, d.n):
+            if (p, q) not in present and not cs.mutual_through(p, q, -1, k - 1):
+                return False
+    return True

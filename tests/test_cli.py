@@ -72,6 +72,16 @@ def test_instance_comments_and_errors():
     ):
         with pytest.raises(ValueError):
             parse_instance(bad)
+    # edge errors name the offending line, comments and blanks counted
+    for bad, line in (
+        ("3 1\n0 0\n", 2),  # loop
+        ("3 1\n0 5\n", 2),  # endpoint out of range
+        ("3 2\n0 1\n1 0\n", 3),  # duplicate edge
+        ("# c\n4 3\n0 1\n\n1 2\n2 1  # again\n", 6),  # duplicate after a blank
+        ("4 3\n0 1\n1 0\n3 3\n", 4),  # a loop outranks an earlier duplicate
+    ):
+        with pytest.raises(ValueError, match=rf"^line {line}: "):
+            parse_instance(bad)
 
 
 def test_generate_families(capsys, tmp_path):
@@ -351,6 +361,16 @@ def test_bounds_plain_and_corpus(capsys, tmp_path):
     assert code == 0 and doc["corpus"]["violation"] is None
     assert [r["file"] for r in doc["corpus"]["instances"]] == ["g0.txt", "g1.txt", "g2.txt"]
     assert doc["corpus"]["summary"]["max_degeneracy"] <= 4
+
+
+def test_bounds_corpus_names_the_file_it_cannot_parse(capsys, tmp_path):
+    (tmp_path / "x.txt").write_text(format_drawing(random_outer_k_planar(8, 2, 1)))
+    (tmp_path / "bad.txt").write_text("junk\n")
+    assert main(["bounds", "--k", "2", "--corpus", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    bad = tmp_path / "bad.txt"
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 1: expected integers, got 'junk'\n"
 
 
 # -------------------------------------------------------------------- mso2

@@ -19,7 +19,9 @@ from okplanar import (
     verify_level_properties,
 )
 from okplanar.drawing import (
+    ChordSet,
     crossing_report,
+    drawing_chords,
     edges_cross,
     identity_drawing,
     make_drawing,
@@ -29,6 +31,7 @@ from okplanar.generators import grid, grid_snake_order, random_outer_k_planar
 from okplanar.graphs import build_graph
 from okplanar.maximal import LevelDecomposition, levels_svg
 
+from oracles import scan_is_maximal
 from test_drawing import max_clique_bitset, scalar_crossing_graph
 
 
@@ -299,6 +302,61 @@ def test_is_maximal_matches_scalar_oracle():
                 assert is_maximal(d, k) == verdicts[-1], (k, d.order, d.graph.edges)
     assert all(verdicts[0::3])  # every saturate output
     assert {True, False} <= set(verdicts[2::3])  # random drawings reach both
+
+
+def test_is_maximal_matches_absent_chord_scan():
+    # the edge-count certificate against the blocked query on every absent
+    # chord, for every chord set on n <= 6 points in identity order
+    for n in range(1, 7):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for mask in range(1 << len(pairs)):
+            d = identity_drawing(build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+            for k in (2, 3, 4):
+                assert is_maximal(d, k) == scan_is_maximal(d, k), (n, d.graph.edges, k)
+
+
+def full_pass_saturate(d, k):
+    """saturate's greedy with no early stop: every absent chord is queried
+    in saturate's candidate order. Returns the resulting edge tuple."""
+    cs, n = drawing_chords(d), d.n
+    present = set(cs.chords)
+    cands = sorted(
+        (min(q - p, n - (q - p)), p, q)
+        for p in range(n) for q in range(p + 1, n) if (p, q) not in present
+    )
+    for _, p, q in cands:
+        if not cs.mutual_through(p, q, -1, k - 1):
+            cs.add(p, q)
+    return build_graph(n, [(d.order[p], d.order[q]) for p, q in cs.chords]).edges
+
+
+def test_saturate_matches_full_pass_greedy(monkeypatch):
+    # stopping at maximal_edge_count leaves the output edge for edge as the
+    # full pass makes it, from empty and from random outer (k-2)-planar
+    # starts; and saturate asks no query after the one that fills the count
+    answers = []
+    query = ChordSet.mutual_through
+
+    def recorded(cs, *args):
+        answers.append(query(cs, *args))
+        return answers[-1]
+
+    monkeypatch.setattr(ChordSet, "mutual_through", recorded)
+    rng = random.Random(25)
+    for k in range(2, 7):
+        for n in (1, 2 * k - 1, 2 * k, 13, 27, 40):
+            starts = [
+                identity_drawing(build_graph(n, [])),
+                make_drawing(build_graph(n, []), rng.sample(range(n), n)),
+                random_outer_k_planar(n, k - 2, seed=rng.randrange(1 << 30)),
+                random_outer_k_planar(n, max(k - 3, 0), seed=rng.randrange(1 << 30)),
+            ]
+            for start in starts:
+                answers.clear()
+                sat = saturate(start, k)
+                assert answers[-1:] == ([False] if sat.graph.m > start.graph.m else [])
+                assert sat.graph.edges == full_pass_saturate(start, k), (n, k, start.order)
+                assert sat.order == start.order
 
 
 def test_find_long_edge_examples():
