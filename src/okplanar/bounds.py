@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .drawing import ConvexDrawing, drawing_chords, planar_violation
+from .drawing import ConvexDrawing, drawing_chords, planar_violation, resolve_class
 from .graphs import Graph
 
 
@@ -84,8 +84,7 @@ def outer_k_planar_degeneracy_bound(k: int) -> int:
     floor(sqrt(4k+1)) + 1, computed with integer square root so perfect
     squares (k = 2, 6, 12, ...) land exactly.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    resolve_class("outer-planar", k)
     return math.isqrt(4 * k + 1) + 1
 
 

@@ -87,12 +87,16 @@ def schema_path(command: str) -> Path:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .drawing import class_violation, crossing_report, drawing_svg, is_closed_drawing
+    from .drawing import (
+        class_violation,
+        crossing_report,
+        drawing_svg,
+        is_closed_drawing,
+        resolve_class,
+    )
     from .io import read_instance
-    from .recognition import canonical_variant, check_k
 
-    variant = canonical_variant(args.variant)
-    check_k(args.k, variant)
+    variant = resolve_class(args.variant, args.k)
     d = read_instance(args.file).drawing()
     rep = crossing_report(d)
     # a boundary cycle needs n >= 3; only the closed variants insist on one
@@ -120,11 +124,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_recognize(args: argparse.Namespace) -> int:
+    from .drawing import resolve_class
     from .io import read_instance
-    from .recognition import canonical_variant
     from .sat import recognize
 
-    variant = canonical_variant(args.variant)
+    variant = resolve_class(args.variant, args.k)
     g = read_instance(args.file).graph
     found, certificate = recognize(g, args.k, variant, args.engine, args.timeout, args.emit_cnf)
     witness = None
@@ -191,7 +195,7 @@ def cmd_separator(args: argparse.Namespace) -> int:
 
 
 def cmd_levels(args: argparse.Namespace) -> int:
-    from .drawing import class_violation, crossing_report
+    from .drawing import class_violation, crossing_report, resolve_class
     from .io import read_instance
     from .maximal import (
         build_levels,
@@ -201,8 +205,7 @@ def cmd_levels(args: argparse.Namespace) -> int:
         verify_level_properties,
     )
 
-    if args.k < 2:
-        raise ValueError(f"levels need k >= 2, got {args.k}")
+    resolve_class("outer-quasi", args.k)
     d = read_instance(args.file).drawing()
     rep = crossing_report(d)
     payload = {
@@ -236,14 +239,13 @@ def cmd_levels(args: argparse.Namespace) -> int:
 
 
 def cmd_saturate(args: argparse.Namespace) -> int:
-    from .drawing import identity_drawing
+    from .drawing import identity_drawing, resolve_class
     from .generators import random_outer_k_planar
     from .graphs import build_graph
     from .io import format_drawing, read_instance
     from .maximal import QuasiPlanarityError, is_maximal, maximal_edge_count, saturate
 
-    if args.k < 2:
-        raise ValueError(f"saturation needs k >= 2, got {args.k}")
+    resolve_class("outer-quasi", args.k)
     inputs: set[str] = set()
     if args.order:
         if args.n is not None or args.seed is not None:
@@ -390,11 +392,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_mso2(args: argparse.Namespace) -> int:
+    from .drawing import resolve_class
     from .io import read_instance
     from .mso2 import emit_formula, evaluate_formula
-    from .recognition import canonical_variant
 
-    variant = canonical_variant(args.variant)
+    variant = resolve_class(args.variant, args.k)
     if not variant.startswith("closed"):
         # formulas quantify over a Hamiltonian boundary, so only the
         # closed classes have one; the open names map to their closures

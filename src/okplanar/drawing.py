@@ -8,6 +8,10 @@ polynomial: per-chord crossers are bitmask operations, the largest
 pairwise-crossing edge set (a maximum clique of the crossing graph) is a
 chain search over cut points, and "do t pairwise crossing chords cross this
 one?" is a chain walk along its shorter side that stops at t.
+
+The module also owns the four drawing classes: the table of accepted
+variant names, the k range of each class (resolve_class) and the one
+membership rule (class_violation).
 """
 from __future__ import annotations
 
@@ -124,6 +128,40 @@ def is_closed_drawing(d: ConvexDrawing) -> bool:
         raise ValueError("closed drawings need n >= 3")
     o = d.order
     return all(d.graph.has_edge(o[i], o[(i + 1) % d.n]) for i in range(d.n))
+
+
+# every accepted variant name -> its canonical name; the four canonical
+# names map to themselves
+VARIANTS = {
+    "outer-planar": "outer-planar",
+    "outer-quasi": "outer-quasi",
+    "closed-outer-planar": "closed-outer-planar",
+    "closed-outer-quasi": "closed-outer-quasi",
+    "planar": "outer-planar",
+    "quasi": "outer-quasi",
+    "outer-quasi-planar": "outer-quasi",
+    "closed-planar": "closed-outer-planar",
+    "closed-quasi": "closed-outer-quasi",
+    "closed-outer-quasi-planar": "closed-outer-quasi",
+}
+
+
+def resolve_class(variant: str, k: int) -> str:
+    """The canonical name behind an accepted variant name, once k is known
+    to lie in that class's range: k >= 0 for the planar classes (at most k
+    crossings per edge), k >= 2 for the quasi ones (no k pairwise crossing
+    edges). ValueError for an unknown name or a k out of range."""
+    try:
+        canon = VARIANTS[variant]
+    except KeyError:
+        raise ValueError(
+            f"unknown variant {variant!r}; choose from " + ", ".join(sorted(VARIANTS))
+        ) from None
+    if canon.endswith("quasi") and k < 2:
+        raise ValueError(f"quasi variants need k >= 2, got {k}")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    return canon
 
 
 def class_violation(d: ConvexDrawing, rep: CrossingReport, k: int, variant: str) -> str | None:

@@ -61,7 +61,8 @@ def parse_instance(text: str) -> Instance:
     if n < 0 or m < 0:
         raise ValueError(f"line {no}: negative counts in header")
     if len(lines) < 1 + m:
-        raise ValueError(f"header declares {m} edges, file has {len(lines) - 1} data lines")
+        raise ValueError(f"line {no}: header declares {m} edges, "
+                         f"file has {len(lines) - 1} data lines")
     edges = []
     for no, body in lines[1 : 1 + m]:
         u, v = ints(no, body, 2)
@@ -84,8 +85,9 @@ def parse_instance(text: str) -> Instance:
         no, body = rest[0]
         if body != "order":
             raise ValueError(f"line {no}: expected 'order' or end of file, got {body!r}")
-        if len(rest) != 2:
-            raise ValueError("order section needs exactly one line of vertex ids")
+        if len(rest) != 2:  # name the first extra line, or the bare 'order' line
+            no = rest[2][0] if len(rest) > 2 else no
+            raise ValueError(f"line {no}: order section needs exactly one line of vertex ids")
         no, body = rest[1]
         vals = ints(no, body, n)
         if sorted(vals) != list(range(n)):

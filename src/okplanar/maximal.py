@@ -31,6 +31,7 @@ from .drawing import (
     crossing_report,
     drawing_chords,
     make_drawing,
+    resolve_class,
 )
 from .graphs import build_graph, is_connected
 
@@ -55,8 +56,7 @@ def maximal_edge_count(n: int, k: int) -> int:
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if k < 2:
-        raise ValueError(f"quasi-planarity needs k >= 2, got {k}")
+    resolve_class("outer-quasi", k)
     if n <= 2 * k - 1:
         return n * (n - 1) // 2
     return 2 * (k - 1) * n - math.comb(2 * k - 1, 2)
@@ -72,8 +72,7 @@ def frame_edges(n: int, k: int) -> frozenset[Edge]:
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got {n}")
-    if k < 2:
-        raise ValueError(f"quasi-planarity needs k >= 2, got {k}")
+    resolve_class("outer-quasi", k)
     out: set[Edge] = set()
     for i in range(n):
         for step in range(1, k):
@@ -146,8 +145,7 @@ def find_long_edge(d: ConvexDrawing, k: int) -> Edge | None:
     most 2k-1 vertices; that dichotomy is what the replacement recursion
     bottoms out on.
     """
-    if k < 2:
-        raise ValueError(f"quasi-planarity needs k >= 2, got {k}")
+    resolve_class("outer-quasi", k)
     for u, v in d.graph.edges:
         p, q = d.pos[u], d.pos[v]
         if p > q:
@@ -202,8 +200,7 @@ def build_levels(d: ConvexDrawing, long_edge: Edge, k: int) -> LevelDecompositio
     pairwise crossing edges, which together with the long edge itself rules
     out outer k-quasi-planarity, so such input is rejected.
     """
-    if k < 2:
-        raise ValueError(f"quasi-planarity needs k >= 2, got {k}")
+    resolve_class("outer-quasi", k)
     u, v = long_edge
     if not d.graph.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge of the drawing")

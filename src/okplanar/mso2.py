@@ -20,8 +20,8 @@ from functools import cache
 from itertools import combinations
 from typing import Callable
 
+from .drawing import resolve_class
 from .graphs import Graph
-from .recognition import VARIANTS
 
 SORTS = ("vertex", "edge", "vertex-set", "edge-set")
 
@@ -309,22 +309,15 @@ class EmittedFormula:
 def emit_formula(k: int, variant: str) -> EmittedFormula:
     """Build the closed-class formula for (k, variant), fully expanded.
 
-    The planar variant needs k >= 1 and quantifies an edge e plus k+1
-    distinct others, at least one of which must not cross e; the quasi
-    variant needs k >= 2 and quantifies k distinct edges, at least one
-    pair of which must not cross.
+    The planar variant (k >= 0) quantifies an edge e plus k+1 distinct
+    others, at least one of which must not cross e; the quasi variant
+    (k >= 2) quantifies k distinct edges, at least one pair of which must
+    not cross. drawing.resolve_class refuses any other k.
     """
-    canon = VARIANTS.get(variant, "")
+    canon = resolve_class(variant, k)
     if not canon.startswith("closed"):
         raise ValueError(f"unknown closed variant {variant!r}")
-    if canon == "closed-outer-planar":
-        if k < 1:
-            raise ValueError(f"closed-outer-planar needs k >= 1, got {k}")
-        body = _planar_body(k)
-    else:
-        if k < 2:
-            raise ValueError(f"closed-outer-quasi needs k >= 2, got {k}")
-        body = _quasi_body(k)
+    body = _quasi_body(k) if canon.endswith("quasi") else _planar_body(k)
     ast = _ex("edge-set", "Estar", _all(_hamiltonian("Estar"), body))
     return EmittedFormula(k=k, variant=canon, sexpr=to_sexpr(ast), latex=to_latex(ast), ast=ast)
 
@@ -370,29 +363,9 @@ def to_sexpr(node, indent: int = 0) -> str:
     raise ValueError(f"unknown node head {head!r}")
 
 
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    cur = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                out.append("".join(cur))
-                cur = []
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
-
-
 def parse_sexpr(text: str) -> tuple:
     """Parse one S-expression formula into the tuple AST."""
-    tokens = _tokenize(text)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
     def parse_node() -> tuple:

@@ -4,51 +4,18 @@ This is the ground-truth oracle the SAT back end is tested against: it
 enumerates circular orders with vertex 0 pinned to position 0 and reflections
 quotiented away (order[1] < order[n-1]), so (n-1)!/2 orders at most, and
 returns the first witness drawing in lexicographic order. The module also
-owns the variant registry that the command line, the MSO2 emitter and the
-brute force all resolve variant names through, and the linear-time
-refutations that answer NO, with a checkable certificate, before any search.
+holds the linear-time refutations that answer NO, with a checkable
+certificate, before any search. Variant names and k ranges resolve through
+drawing.resolve_class.
 """
 from __future__ import annotations
 
 from .bounds import degeneracy, outer_k_planar_degeneracy_bound
-from .drawing import ChordSet, ConvexDrawing, make_drawing
+from .drawing import ChordSet, ConvexDrawing, make_drawing, resolve_class
 from .graphs import Graph, induced_subgraph, is_connected
 from .maximal import maximal_edge_count
 
-# every accepted variant name -> its canonical name; the four canonical
-# names map to themselves
-VARIANTS = {
-    "outer-planar": "outer-planar",
-    "outer-quasi": "outer-quasi",
-    "closed-outer-planar": "closed-outer-planar",
-    "closed-outer-quasi": "closed-outer-quasi",
-    "planar": "outer-planar",
-    "quasi": "outer-quasi",
-    "outer-quasi-planar": "outer-quasi",
-    "closed-planar": "closed-outer-planar",
-    "closed-quasi": "closed-outer-quasi",
-    "closed-outer-quasi-planar": "closed-outer-quasi",
-}
-
 DEFAULT_CAP = 11
-
-
-def canonical_variant(name: str) -> str:
-    """The canonical name behind any accepted variant name."""
-    try:
-        return VARIANTS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown variant {name!r}; choose from " + ", ".join(sorted(VARIANTS))
-        ) from None
-
-
-def check_k(k: int, variant: str) -> None:
-    """Reject a k outside the range of a canonical variant."""
-    if variant.endswith("quasi") and k < 2:
-        raise ValueError(f"quasi variants need k >= 2, got {k}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
 
 
 def refute(g: Graph, k: int, variant: str) -> dict | None:
@@ -70,7 +37,7 @@ def refute(g: Graph, k: int, variant: str) -> dict | None:
     quasi ones the suffix with the largest excess of edges over the bound.
     Vertex lists are ascending, so reports built from them are stable.
     """
-    variant = canonical_variant(variant)
+    variant = resolve_class(variant, k)
     n = g.n
     if variant.startswith("closed") and n >= 3:
         cert = _connectivity_refutation(g)
@@ -151,8 +118,7 @@ def check_refutation(g: Graph, k: int, variant: str, cert: dict) -> None:
     removed, or the degrees and edges of the induced subgraph, compared
     with the certificate's figures and with the class bound for k.
     """
-    variant = canonical_variant(variant)
-    check_k(k, variant)
+    variant = resolve_class(variant, k)
     kind = cert.get("kind")
     if kind in ("disconnected", "cut-vertex"):
         if not variant.startswith("closed") or g.n < 3:
@@ -197,8 +163,7 @@ def brute_force_recognize(g: Graph, k: int, variant: str) -> ConvexDrawing | Non
     not monotone along this enumeration. Closed variants additionally walk
     only boundary-adjacent extensions.
     """
-    variant = canonical_variant(variant)
-    check_k(k, variant)
+    variant = resolve_class(variant, k)
     closed = variant.startswith("closed")
     quasi = variant.endswith("quasi")
     n = g.n

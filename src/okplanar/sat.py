@@ -21,15 +21,10 @@ from .drawing import (
     class_violation,
     crossing_report,
     make_drawing,
+    resolve_class,
 )
 from .graphs import Graph
-from .recognition import (
-    brute_force_recognize,
-    canonical_variant,
-    check_k,
-    check_refutation,
-    refute,
-)
+from .recognition import brute_force_recognize, check_refutation, refute
 
 Edge = tuple[int, int]
 
@@ -168,8 +163,7 @@ def _seq_counter_le(cnf: CnfFormula, vm: VarMap, lits: list[int], k: int, tag: s
 
 def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     """SAT iff some circular order crosses every edge at most k times."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    resolve_class("outer-planar", k)
     _check_size(g)
     cnf, vm = encode_order_axioms(max(g.n, 1))
     encode_crossing_links(g, cnf, vm)
@@ -185,8 +179,7 @@ def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
 
 def encode_outer_quasi(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     """SAT iff some circular order has no k pairwise-crossing edges."""
-    if k < 2:
-        raise ValueError("quasi variants need k >= 2")
+    resolve_class("outer-quasi", k)
     _check_size(g)
     _check_mutual_cap(g.edges, k)
     cnf, vm = encode_order_axioms(max(g.n, 1))
@@ -311,7 +304,7 @@ def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
 
 def encode(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
     """The encoding of any variant name; closed ones wrap their open one."""
-    variant = canonical_variant(variant)
+    variant = resolve_class(variant, k)
     if variant.startswith("closed-"):
         return encode_closed(g, k, variant.removeprefix("closed-"))
     if variant == "outer-planar":
@@ -424,8 +417,7 @@ def recognize(g: Graph, k: int, variant: str, engine: str = "sat",
     search_order. timeout_s bounds the sat engine's solve, so it is refused
     with the brute engine, whose enumeration has no deadline.
     """
-    variant = canonical_variant(variant)
-    check_k(k, variant)
+    variant = resolve_class(variant, k)
     _check_engine(engine, timeout_s)
     certificate = refute(g, k, variant)
     if certificate is None:

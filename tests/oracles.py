@@ -8,17 +8,17 @@ from okplanar.drawing import (
     crossing_report,
     drawing_chords,
     make_drawing,
+    resolve_class,
 )
 from okplanar.generators import complete
 from okplanar.graphs import induced_subgraph
-from okplanar.recognition import brute_force_recognize, check_k
+from okplanar.recognition import brute_force_recognize
 
 
 def in_class(d: ConvexDrawing, k: int, variant: str) -> bool:
-    """Is d in the canonical variant's class at k? ValueError for a k
-    outside the variant's range."""
-    check_k(k, variant)
-    return class_violation(d, crossing_report(d), k, variant) is None
+    """Is d in the variant's class at k? ValueError for a k outside the
+    variant's range."""
+    return class_violation(d, crossing_report(d), k, resolve_class(variant, k)) is None
 
 
 def largest_clique_in_class(k: int) -> int:

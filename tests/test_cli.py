@@ -63,22 +63,23 @@ def test_instance_comments_and_errors():
     for bad in (
         "",
         "garbage\n",
-        "3 2\n0 1\n",  # fewer edge lines than declared
         "3 2\n0 1\n0 1\n",  # duplicate edge
         "3 1\n0 1\nfoo\n",  # junk trailing section
         "3 1\n0 1\norder\n0 1 1\n",  # not a permutation
-        "3 1\n0 1\norder\n0 1 2\n5 5\n",  # junk after the order line
         "2 1\n0 3\n",  # endpoint out of range
     ):
         with pytest.raises(ValueError):
             parse_instance(bad)
-    # edge errors name the offending line, comments and blanks counted
+    # errors name the offending line, comments and blanks counted
     for bad, line in (
         ("3 1\n0 0\n", 2),  # loop
         ("3 1\n0 5\n", 2),  # endpoint out of range
         ("3 2\n0 1\n1 0\n", 3),  # duplicate edge
         ("# c\n4 3\n0 1\n\n1 2\n2 1  # again\n", 6),  # duplicate after a blank
         ("4 3\n0 1\n1 0\n3 3\n", 4),  # a loop outranks an earlier duplicate
+        ("3 2\n0 1\n", 1),  # fewer edge lines than declared: the header
+        ("3 1\n0 1\norder\n0 1 2\n5 5\n", 5),  # junk after the order line
+        ("3 1\n0 1\norder\n", 3),  # an order section with no ids
     ):
         with pytest.raises(ValueError, match=rf"^line {line}: "):
             parse_instance(bad)

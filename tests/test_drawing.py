@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import okplanar
+from okplanar import sat
+from okplanar.cli import main
 from okplanar.drawing import (
+    VARIANTS,
     ChordSet,
     crossing_report,
     drawing_chords,
@@ -18,8 +21,13 @@ from okplanar.drawing import (
     identity_drawing,
     is_closed_drawing,
     make_drawing,
+    resolve_class,
 )
 from okplanar.graphs import build_graph
+from okplanar.io import format_drawing
+from okplanar.maximal import build_levels, find_long_edge, frame_edges, maximal_edge_count
+from okplanar.mso2 import emit_formula
+from okplanar.recognition import brute_force_recognize, refute
 
 from oracles import in_class
 
@@ -350,6 +358,43 @@ def test_closed_checker():
     assert is_closed_drawing(make_drawing(complete(4), [2, 0, 3, 1]))
     with pytest.raises(ValueError):
         is_closed_drawing(identity_drawing(build_graph(2, [(0, 1)])))
+
+
+def refuses(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("k", range(-1, 4))
+@pytest.mark.parametrize("variant", [*VARIANTS, "nope"])
+def test_every_layer_refuses_what_resolve_class_refuses(variant, k, tmp_path, capsys):
+    want = refuses(lambda: resolve_class(variant, k))
+    quasi = refuses(lambda: resolve_class("outer-quasi", k))
+    k4 = complete(4)
+    for call in (lambda: refute(k4, k, variant), lambda: brute_force_recognize(k4, k, variant),
+                 lambda: sat.encode(k4, k, variant), lambda: sat.recognize(k4, k, variant)):
+        assert refuses(call) == want
+    if VARIANTS.get(variant, "closed").startswith("closed"):  # "nope" too
+        assert refuses(lambda: emit_formula(k, variant)) == want
+    # the 6-cycle plus chord (0, 3), which has two vertices on each side
+    d = identity_drawing(build_graph(6, [*cycle(6).edges, (0, 3)]))
+    for call in (lambda: maximal_edge_count(6, k), lambda: frame_edges(6, k),
+                 lambda: find_long_edge(d, k), lambda: build_levels(d, (0, 3), k)):
+        assert refuses(call) == quasi
+    path = tmp_path / "c6-chord.txt"
+    path.write_text(format_drawing(d))
+    for argv, refused in [
+        (["check", str(path), "--k", str(k), "--variant", variant], want),
+        (["recognize", str(path), "--k", str(k), "--variant", variant], want),
+        (["mso2", "--k", str(k), "--variant", variant], want),
+        (["levels", str(path), "--k", str(k)], quasi),
+        (["saturate", "--n", "6", "--k", str(k)], quasi),
+    ]:
+        assert (main(argv) == 1) == refused, argv
+        capsys.readouterr()
 
 
 def test_make_drawing_rejects_non_permutation():

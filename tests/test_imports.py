@@ -41,3 +41,18 @@ def test_separator_runs_load_no_sat_solver_or_formula_module(tmp_path):
         "print(sorted(wanted & set(sys.modules)))",
     ])
     assert loaded(probe) == "['okplanar.separator']\n"
+
+
+def test_check_and_mso2_runs_load_no_recognition_layer(tmp_path):
+    report = str(tmp_path / "report.json")
+    k4 = str(OKP30.with_name("k4.txt"))
+    probe = "\n".join([
+        "import sys",
+        "from okplanar.cli import main",
+        f"assert main(['check', {k4!r}, '--k', '2', '--variant', 'quasi', '--out', {report!r}]) == 2",
+        f"assert main(['mso2', '--k', '1', '--variant', 'closed-planar', '--eval', {k4!r},"
+        f" '--out', {report!r}]) == 0",
+        "wanted = {'okplanar.recognition', 'okplanar.maximal', 'okplanar.sat'}",
+        "print(sorted(wanted & set(sys.modules)))",
+    ])
+    assert loaded(probe) == "[]\n"

@@ -49,8 +49,6 @@ def atlas_connected(n_max: int) -> list[Graph]:
 
 def test_emit_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        emit_formula(0, "closed-outer-planar")
-    with pytest.raises(ValueError):
         emit_formula(1, "closed-outer-quasi")
     with pytest.raises(ValueError):
         emit_formula(2, "outer-planar")
@@ -257,6 +255,21 @@ def test_agreement_on_seeded_six_vertex_graphs():
             got = evaluate_formula(emit_formula(k, variant), g)
             want = brute_force_recognize(g, k, variant) is not None
             assert got == want, (g.edges, variant, k)
+
+
+def test_closed_outer_zero_planar_agrees_with_oracle():
+    # k = 0 is in the planar range: the formula says no two edges cross
+    rng = random.Random(2600)
+    formula = emit_formula(0, "closed-planar")
+    verdicts = set()
+    for trial in range(100):
+        n = rng.randint(3, 6)
+        pool = list(combinations(range(n), 2))
+        g = build_graph(n, rng.sample(pool, rng.randint(n - 1, min(len(pool), 10))))
+        want = brute_force_recognize(g, 0, "closed-outer-planar") is not None
+        assert evaluate_formula(formula, g) == want, (g.n, g.edges)
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_truth_is_monotone_in_k():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from okplanar.recognition import VARIANTS
+from okplanar.drawing import VARIANTS
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
