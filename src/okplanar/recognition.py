@@ -159,9 +159,9 @@ def brute_force_recognize(g: Graph, k: int, variant: str) -> ConvexDrawing | Non
     Planar variants prune on prefix crossing counts: once two placed chords
     cross more than k times the branch dies. Crossings between placed chords
     never un-happen when more vertices are placed, so the prune is sound.
-    Quasi variants check complete orders only; mutual-crossing cliques are
-    not monotone along this enumeration. Closed variants additionally walk
-    only boundary-adjacent extensions.
+    Quasi variants keep no crossing counts: their search checks complete
+    orders only, with one mutual-crossing search per leaf. Closed variants
+    additionally walk only boundary-adjacent extensions.
     """
     variant = resolve_class(variant, k)
     closed = variant.startswith("closed")
@@ -179,8 +179,7 @@ def brute_force_recognize(g: Graph, k: int, variant: str) -> ConvexDrawing | Non
     used[0] = True
     pos = {0: 0}
     chords: list[tuple[int, int]] = []  # placed edges as position pairs
-    counts: list[int] = []
-    limit = k if not quasi else None
+    counts: list[int] = []  # per placed chord, its crossings; planar only
 
     def place(i: int) -> ConvexDrawing | None:
         if i == n:
@@ -196,33 +195,28 @@ def brute_force_recognize(g: Graph, k: int, variant: str) -> ConvexDrawing | Non
                 continue  # reflection quotient: order[1] < order[n-1]
             if closed and not g.has_edge(order[i - 1], v):
                 continue
-            new_chords = []
-            for u in g.adj[v]:
-                p = pos.get(u)
-                if p is not None:
-                    new_chords.append(p)
-            new_chords.sort()
+            new_chords = sorted(pos[u] for u in g.adj[v] if u in pos)
             ok = True
-            added = 0
             bumped: list[int] = []
             pre_m = len(chords)  # chords at position i share vertex v, never cross
-            for p in new_chords:
-                cnt = 0
-                for ci in range(pre_m):
-                    a, b = chords[ci]
-                    if a < p < b:
-                        counts[ci] += 1
-                        bumped.append(ci)
-                        cnt += 1
-                        if limit is not None and counts[ci] > limit:
-                            ok = False
-                if limit is not None and cnt > limit:
-                    ok = False
-                chords.append((p, i))
-                counts.append(cnt)
-                added += 1
-                if not ok:
-                    break
+            if quasi:
+                chords.extend((p, i) for p in new_chords)
+            else:
+                for p in new_chords:
+                    cnt = 0
+                    for ci in range(pre_m):
+                        a, b = chords[ci]
+                        if a < p < b:
+                            counts[ci] += 1
+                            bumped.append(ci)
+                            cnt += 1
+                            if counts[ci] > k:
+                                ok = False
+                    chords.append((p, i))
+                    counts.append(cnt)
+                    ok = ok and cnt <= k
+                    if not ok:
+                        break
             if ok:
                 order[i] = v
                 used[v] = True
@@ -234,8 +228,8 @@ def brute_force_recognize(g: Graph, k: int, variant: str) -> ConvexDrawing | Non
                 del pos[v]
             for ci in bumped:
                 counts[ci] -= 1
-            del chords[len(chords) - added :]
-            del counts[len(counts) - added :]
+            del chords[pre_m:]
+            del counts[pre_m:]
         return None
 
     return place(1)

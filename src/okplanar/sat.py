@@ -47,12 +47,6 @@ class VarMap:
     succ_var: dict[tuple[int, int], int] = field(default_factory=dict)
     aux: list[tuple[str, int]] = field(default_factory=list)
     num_vars: int = 0
-    variant: str | None = None
-    k: int | None = None
-
-    def before(self, u: int, v: int) -> int:
-        """The literal "u before v"; only the pair u < v owns a variable."""
-        return self.order_var[(u, v)] if u < v else -self.order_var[(v, u)]
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -112,10 +106,7 @@ def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap) -> None:
     8 alternating arrangements of the four endpoints; any single orientation
     alone would let mirrored crossings slip through undetected.
     """
-    # not_before[a][b] = -x_{a,b}, one int per ordered pair for every clause
-    not_before = [[0] * vm.n for _ in range(vm.n)]
-    for (a, b), var in vm.order_var.items():
-        not_before[a][b], not_before[b][a] = -var, var
+    not_before = _not_before(vm)
     cnf.comments.append("c block crossing-detect")
     edges = g.edges
     pairs = [
@@ -139,26 +130,38 @@ def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap) -> None:
         cnf.comments.append(f"c cross {e[0]} {e[1]} {f[0]} {f[1]} {var}")
 
 
-def _seq_counter_le(cnf: CnfFormula, vm: VarMap, lits: list[int], k: int, tag: str) -> None:
-    """Sequential counter: at most k of lits are true; the caller syncs cnf.num_vars."""
-    m = len(lits)
-    if m <= k:
+def _not_before(vm: VarMap) -> list[list[int]]:
+    """not_before[a][b] = -x_{a,b}, one int per ordered pair for every clause."""
+    not_before = [[0] * vm.n for _ in range(vm.n)]
+    for (a, b), var in vm.order_var.items():
+        not_before[a][b], not_before[b][a] = -var, var
+    return not_before
+
+
+def _seq_counter_le(cnf: CnfFormula, vm: VarMap, negs: list[int], k: int, tag: str) -> None:
+    """Sequential counter: at most k of the literals negated in negs are
+    true; the caller syncs cnf.num_vars. Each counter row is negated once."""
+    if len(negs) <= k:
         return
+    clauses = cnf.clauses
     if k == 0:
-        for l in lits:
-            cnf.clauses.append([-l])
+        clauses += ([nl] for nl in negs)
         return
-    s = [[vm.new_aux(tag) for _ in range(k)] for _ in range(m)]
-    cnf.clauses.append([-lits[0], s[0][0]])
+    row = [vm.new_aux(tag) for _ in range(k)]
+    nrow = [-s for s in row]
+    clauses.append([negs[0], row[0]])
     for j in range(1, k):
-        cnf.clauses.append([-s[0][j]])
-    for i in range(1, m):
-        cnf.clauses.append([-lits[i], s[i][0]])
-        cnf.clauses.append([-s[i - 1][0], s[i][0]])
+        clauses.append([nrow[j]])
+    for nl in negs[1:]:
+        nprev = nrow
+        row = [vm.new_aux(tag) for _ in range(k)]
+        nrow = [-s for s in row]
+        clauses.append([nl, row[0]])
+        clauses.append([nprev[0], row[0]])
         for j in range(1, k):
-            cnf.clauses.append([-lits[i], -s[i - 1][j - 1], s[i][j]])
-            cnf.clauses.append([-s[i - 1][j], s[i][j]])
-        cnf.clauses.append([-lits[i], -s[i - 1][k - 1]])
+            clauses.append([nl, nprev[j - 1], row[j]])
+            clauses.append([nprev[j], row[j]])
+        clauses.append([nl, nprev[k - 1]])
 
 
 def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
@@ -170,9 +173,8 @@ def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     cnf.comments.append("c block per-edge-crossing-cap")
     edges = g.edges
     for e, row, mask in zip(edges, _neg_cross_matrix(edges, vm), _disjointness_masks(edges)):
-        _seq_counter_le(cnf, vm, [-row[j] for j in _bits(mask)], k, tag=f"cap{e[0]}-{e[1]}")
+        _seq_counter_le(cnf, vm, [row[j] for j in _bits(mask)], k, tag=f"cap{e[0]}-{e[1]}")
     cnf.num_vars = vm.num_vars
-    vm.variant, vm.k = "outer-planar", k
     _aux_comments(cnf, vm)
     return cnf, vm
 
@@ -186,7 +188,6 @@ def encode_outer_quasi(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     encode_crossing_links(g, cnf, vm)
     cnf.comments.append("c block mutual-crossing-cap")
     cnf.clauses += _mutual_cap_clauses(g.edges, k, _neg_cross_matrix(g.edges, vm))
-    vm.variant, vm.k = "outer-quasi", k
     _aux_comments(cnf, vm)
     return cnf, vm
 
@@ -277,7 +278,7 @@ def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
         raise ValueError(f"unknown inner variant {variant!r}")
     cnf, vm = encode(g, k, variant)
     n = g.n
-    x = vm.before
+    not_before = _not_before(vm)
     cnf.comments.append("c block boundary-successor")
     # s_{u,v} on each directed edge: v follows u, or u is last when v = 0.
     # Each vertex needs one, and the order fixes who follows whom, so every
@@ -290,15 +291,15 @@ def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
         # an isolated vertex has no successor edge: its empty clause is UNSAT
         cnf.clauses.append([s[(u, v)] for v in sorted(g.adj[u])])
     for (u, v), var in s.items():
+        nvar, nu = -var, not_before[u]
         if v:
-            cnf.clauses.append([-var, x(u, v)])
+            cnf.clauses.append([nvar, not_before[v][u]])
         for w in range(n):
             if w != u and w != v:  # nothing between u and v; nothing after u
-                cnf.clauses.append([-var, -x(u, w), -x(w, v)] if v else [-var, x(w, u)])
+                cnf.clauses.append([nvar, nu[w], not_before[w][v]] if v else [nvar, nu[w]])
     cnf.num_vars = vm.num_vars
     for (u, v), var in s.items():
         cnf.comments.append(f"c succ {u} {v} {var}")
-    vm.variant = "closed-" + variant
     return cnf, vm
 
 
@@ -370,16 +371,13 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     return max(num_vars, max(map(abs, lits), default=0)), clauses  # a header may undercount
 
 
-def decode_model(
-    model: list[int], vm: VarMap, g: Graph
-) -> tuple[ConvexDrawing, CrossingReport]:
-    """Order the vertices by the x-relation and re-verify the property.
+def decode_model(model: list[int], vm: VarMap, g: Graph) -> ConvexDrawing:
+    """The drawing whose order the model's x-relation ranks.
 
     The pair variables make every model a tournament, and distinct scores
     make it a linear order (Landau): they are then 0..n-1, the top scorer
-    precedes all others, and the rest is again such a tournament.
-    The re-verification runs the actual drawing checkers, so an encoder bug
-    cannot smuggle a bad witness through.
+    precedes all others, and the rest is again such a tournament. Class
+    membership is not checked here; search_order re-checks every witness.
     """
     true_vars = {l for l in model if l > 0}
     n = g.n
@@ -388,19 +386,12 @@ def decode_model(
         wins[u if var in true_vars else v] += 1
     if len(set(wins)) != n:
         raise ValueError("model violates the order axioms: tied rank counts")
-    ranked = sorted(range(n), key=lambda u: -wins[u])
-    d = make_drawing(g, ranked)
-    rep = crossing_report(d)
-    if vm.variant is not None:
-        violation = class_violation(d, rep, vm.k, vm.variant)
-        if violation is not None:
-            raise ValueError(f"decoded drawing {violation}")
-    return d, rep
+    return make_drawing(g, sorted(range(n), key=lambda u: -wins[u]))
 
 
 class Recognition(NamedTuple):
-    """found: (witness drawing, its crossing report), None if not in class.
-    certificate: the checked refutation behind a NO answered without a
+    """found: (witness drawing, its crossing report), None if not in class;
+    search_order has re-checked the witness against the class. certificate: the checked refutation behind a NO answered without a
     search (see recognition.refute), else None."""
 
     found: tuple[ConvexDrawing, CrossingReport] | None
@@ -446,7 +437,12 @@ def search_order(g: Graph, k: int, variant: str, engine: str = "sat",
     unrepaired and reorders them, so the file is written before the solve.
     An unknown engine, or a timeout_s with the brute engine, is refused as
     in recognize.
+
+    This is the one witness gate: a drawing from either engine is re-checked
+    with class_violation, and one outside the class raises ValueError, so
+    an encoder or search bug cannot smuggle a bad witness through.
     """
+    variant = resolve_class(variant, k)
     _check_engine(engine, timeout_s)
     if engine == "sat" or emit_cnf:
         cnf, vm = encode(g, k, variant)
@@ -454,7 +450,14 @@ def search_order(g: Graph, k: int, variant: str, engine: str = "sat",
             emit_dimacs(cnf, emit_cnf)
     if engine == "brute":
         d = brute_force_recognize(g, k, variant)
-        return Recognition(None if d is None else (d, crossing_report(d)))
-    # test for None: an encoding with no variables has the empty model []
-    model = CdclSolver(cnf.num_vars, cnf.clauses).solve(timeout_s=timeout_s)
-    return Recognition(None if model is None else decode_model(model, vm, g))
+    else:
+        # test for None: an encoding with no variables has the empty model []
+        model = CdclSolver(cnf.num_vars, cnf.clauses).solve(timeout_s=timeout_s)
+        d = None if model is None else decode_model(model, vm, g)
+    if d is None:
+        return Recognition(None)
+    rep = crossing_report(d)
+    violation = class_violation(d, rep, k, variant)
+    if violation is not None:
+        raise ValueError(f"{engine} engine witness {violation}")
+    return Recognition((d, rep))

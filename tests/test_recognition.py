@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,6 +10,7 @@ from okplanar import recognition
 from okplanar.drawing import (
     crossing_report,
     is_closed_drawing,
+    make_drawing,
 )
 from okplanar.generators import complete, complete_bipartite, grid
 from okplanar.graphs import build_graph, induced_subgraph, is_connected
@@ -55,6 +57,34 @@ def test_witnesses_verify():
         dq = brute_force_recognize(g, kq, "outer-quasi")
         if dq is not None:
             assert in_class(dq, kq, "outer-quasi")
+
+
+def first_order_in_class(g, k, variant):
+    """The permutation oracle: the lexicographically first order with vertex
+    0 first and order[1] < order[n-1] whose drawing is in the class."""
+    for rest in permutations(range(1, g.n)):
+        if rest[0] < rest[-1] and in_class(make_drawing(g, (0, *rest)), k, variant):
+            return (0, *rest)
+    return None
+
+
+def test_brute_force_returns_the_lexicographically_first_witness():
+    rng = random.Random(2718)
+    found = refuted = 0
+    for n in range(3, 8):
+        pairs = list(combinations(range(n), 2))
+        for _ in range(30):
+            g = build_graph(n, rng.sample(pairs, rng.randint(n - 1, len(pairs))))
+            for variant, k in (("outer-planar", rng.randint(0, 2)),
+                               ("outer-quasi", rng.randint(2, 4)),
+                               ("closed-outer-planar", rng.randint(0, 2)),
+                               ("closed-outer-quasi", rng.randint(2, 4))):
+                d = brute_force_recognize(g, k, variant)
+                want = first_order_in_class(g, k, variant)
+                assert (d and d.order) == want, (g.edges, k, variant)
+                found += want is not None
+                refuted += want is None
+    assert found > 250 and refuted > 250  # 323 and 277 of the 600 cases
 
 
 def test_cap_enforced(monkeypatch):

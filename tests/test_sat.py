@@ -10,12 +10,14 @@ import pytest
 
 from okplanar import cdcl, sat
 from okplanar.cdcl import CdclSolver, SolverTimeout
+from okplanar.cli import main
 from okplanar.drawing import (
     is_closed_drawing,
     make_drawing,
 )
 from okplanar.generators import complete, complete_bipartite, grid, planar_3tree_levels
 from okplanar.graphs import build_graph
+from okplanar.io import format_graph
 from okplanar.maximal import saturate
 from okplanar.recognition import brute_force_recognize, check_refutation
 from okplanar.sat import (
@@ -337,9 +339,9 @@ def test_per_edge_crossing_cap_matches_a_combinations_oracle():
             oracle, ovm = encode_order_axioms(g.n)
             encode_crossing_links(g, oracle, ovm)
             for e in g.edges:
-                lits = [-neg_y(ovm, e, f) for f in g.edges if disjoint(e, f)]
-                sat._seq_counter_le(oracle, ovm, lits, k, tag=f"cap{e[0]}-{e[1]}")
-                counted += len(lits) > k
+                negs = [neg_y(ovm, e, f) for f in g.edges if disjoint(e, f)]
+                sat._seq_counter_le(oracle, ovm, negs, k, tag=f"cap{e[0]}-{e[1]}")
+                counted += len(negs) > k
             assert (cnf.clauses, vm.aux) == (oracle.clauses, ovm.aux), (g.edges, k)
         assert counted > 0
 
@@ -410,16 +412,30 @@ def test_encoder_meets_the_solver_contract():
                 assert_solver_contract(cnf.num_vars, cnf.clauses)
 
 
-def test_decode_rejects_drawing_outside_the_class():
-    # a well-formed order whose drawing breaks each rule of the class
+def test_search_order_refuses_a_witness_outside_the_class(monkeypatch, tmp_path, capsys):
+    # each engine answers with a well-formed order whose drawing breaks one
+    # rule of the class; every graph is in its class and survives refute,
+    # so the solver finds a model and both engines reach the gate
+    crossing_pair = build_graph(4, [(0, 2), (1, 3)])
     for g, variant, k, order, why in (
-        (complete(4), "outer-planar", 0, (0, 1, 2, 3), "crosses edge"),
-        (complete(4), "outer-quasi", 2, (0, 1, 2, 3), "mutually crossing"),
+        (crossing_pair, "outer-planar", 0, (0, 1, 2, 3), "crosses edge"),
+        (crossing_pair, "outer-quasi", 2, (0, 1, 2, 3), "mutually crossing"),
         (cycle(4), "closed-outer-planar", 4, (0, 2, 1, 3), "not closed"),
     ):
-        cnf, vm = encode(g, k, variant)
-        with pytest.raises(ValueError, match=why):
-            decode_model(order_units(vm, order), vm, g)
+        bad = make_drawing(g, order)
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(g))
+        argv = ["recognize", str(path), "--k", str(k), "--variant", variant]
+        for engine, name in (("sat", "decode_model"), ("brute", "brute_force_recognize")):
+            assert search_order(g, k, variant, engine).found is not None
+            with monkeypatch.context() as m:
+                m.setattr(sat, name, lambda *args: bad)
+                with pytest.raises(ValueError, match=f"^{engine} engine witness .*{why}"):
+                    search_order(g, k, variant, engine)
+                assert main([*argv, "--engine", engine]) == 1
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith(f"error: {engine} engine witness ")
+                assert why in err
 
 
 def test_decode_rejects_a_cyclic_triple():
