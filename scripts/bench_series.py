@@ -4,6 +4,7 @@ Usage, from the root of a checkout:
 
     python3 scripts/bench_series.py --series sat_setup --label change
     python3 scripts/bench_series.py --series maximal --label parent --src OTHER_CHECKOUT/src
+    python3 scripts/bench_series.py --series mso2 --label change
 
 Imports okplanar from --src (default: this checkout's src/), runs each
 instance REPEATS times and merges one entry under --label into the series'
@@ -24,6 +25,14 @@ each step makes to the chord kernel's two mutual-crossing queries,
 ChordSet.mutual_through and ChordSet.mutual_size. Those are counted in one
 more untimed pass with both methods wrapped; the timed repeats run them
 unwrapped.
+
+mso2: evaluate_formula for the mso2 workload's five closed classes, each on
+one seeded graph with a planted spanning cycle per m from 4 to 10, on
+min(m, 7) vertices. Per instance it records the verdict, the median seconds
+of evaluate_formula (lint, normal form, compile and evaluation), and the
+entries into compiled element and set quantifiers, counted in one more
+untimed pass with _Compiled's two quantifier builders wrapped. Writing the
+entry fails when another label's verdicts differ.
 """
 from __future__ import annotations
 
@@ -31,6 +40,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -49,6 +59,10 @@ SAT_INSTANCES = [
 
 # (n, k, seed of a random_outer_k_planar(n, k - 2) start, None for empty)
 MAXIMAL_INSTANCES = [(n, k, None) for k in (3, 6) for n in (40, 80, 160)] + [(160, 4, 1)]
+
+MSO2_CLASSES = (("closed-planar", 1), ("closed-planar", 2), ("closed-planar", 3),
+                ("closed-quasi", 2), ("closed-quasi", 3))
+MSO2_SIZES = [(min(m, 7), m) for m in range(4, 11)]
 
 
 def sat_setup_row(spec, k, variant):
@@ -143,6 +157,71 @@ def maximal_row(n, k, seed):
     }
 
 
+def hamiltonian_graph(n: int, m: int):
+    """A graph on n vertices and m edges: a spanning cycle through a seeded
+    random order plus m - n seeded chords."""
+    from okplanar.graphs import build_graph
+
+    rng = random.Random(m)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)}
+    rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    return build_graph(n, sorted(edges | set(rng.sample(rest, m - n))))
+
+
+def counted_entries(formula, g) -> dict:
+    """Evaluate formula on g once with every compiled quantifier wrapped;
+    returns the entries of each kind."""
+    from okplanar.mso2 import _Compiled, evaluate_formula
+
+    calls = dict.fromkeys(("element", "set"), 0)
+    plain = {kind: getattr(_Compiled, f"_{kind}_quantifier") for kind in calls}
+
+    def wrap(kind):
+        def build(self, node, scope):
+            ev = plain[kind](self, node, scope)
+
+            def counted(env):
+                calls[kind] += 1
+                return ev(env)
+            return counted
+        return build
+
+    for kind in calls:
+        setattr(_Compiled, f"_{kind}_quantifier", wrap(kind))
+    try:
+        evaluate_formula(formula, g)
+        return calls
+    finally:
+        for kind, method in plain.items():
+            setattr(_Compiled, f"_{kind}_quantifier", method)
+
+
+def mso2_row(variant, k, n, m):
+    from okplanar.mso2 import emit_formula, evaluate_formula
+
+    formula, g = emit_formula(k, variant), hamiltonian_graph(n, m)
+    seconds, verdicts = [], set()
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        verdicts.add(evaluate_formula(formula, g))
+        seconds.append(time.perf_counter() - t0)
+    if len(verdicts) != 1:
+        raise SystemExit(f"verdict changed between repeats: {sorted(verdicts)}")
+    return {
+        "verdict": verdicts.pop(),
+        "evaluate_s": round(statistics.median(seconds), 4),
+        "quantifier_entries": counted_entries(formula, g),
+    }
+
+
+def mso2_rows():
+    for variant, k in MSO2_CLASSES:
+        for n, m in MSO2_SIZES:
+            yield {"instance": f"{variant} k={k} n={n} m={m}", **mso2_row(variant, k, n, m)}
+
+
 def sat_setup_rows():
     for name, spec, k, variant in SAT_INSTANCES:
         yield {"instance": name, **sat_setup_row(spec, k, variant)}
@@ -154,7 +233,7 @@ def maximal_rows():
         yield {"instance": f"n={n} k={k} {start}", **maximal_row(n, k, seed)}
 
 
-SERIES = {"sat_setup": sat_setup_rows, "maximal": maximal_rows}
+SERIES = {"sat_setup": sat_setup_rows, "maximal": maximal_rows, "mso2": mso2_rows}
 
 
 def main() -> int:
@@ -174,6 +253,11 @@ def main() -> int:
     if os.path.exists(out):
         with open(out) as fh:
             doc = json.load(fh)
+    verdicts = {row["instance"]: row.get("verdict") for row in rows}
+    for label, run in doc.get("runs", {}).items():
+        theirs = {row["instance"]: row.get("verdict") for row in run["instances"]}
+        if label != args.label and theirs.keys() == verdicts.keys() and theirs != verdicts:
+            raise SystemExit(f"verdicts differ from the {label!r} entry; {out} left unchanged")
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),

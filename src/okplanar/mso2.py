@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .drawing import resolve_class
 from .graphs import Graph
@@ -30,6 +30,7 @@ _ELEM_OF = {"vertex-set": "vertex", "edge-set": "edge"}
 
 EVAL_MAX_N = 7
 EVAL_MAX_M = 10
+FORMULA_NODE_CAP = 60_000  # closed-quasi k = 30 has 49,679 nodes; k = 33 is refused
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +307,31 @@ class EmittedFormula:
         return {"k": self.k, "variant": self.variant, "sexpr": self.sexpr, "latex": self.latex}
 
 
+def _formula_nodes(k: int, canon: str) -> int:
+    """The AST node count of the closed-class formula: Estar and its and, 54
+    for the boundary, the edge foralls and implies, 2 per inequality, 112 per
+    negated crossing block, and an and and an or over two or more of those."""
+    quasi = canon.endswith("quasi")
+    names = k if quasi else k + 1
+    pairs = names * (names - 1) // 2
+    ineqs, blocks = (pairs, pairs) if quasi else (names + pairs, names)
+    return 57 + names + (not quasi) + 2 * ineqs + (ineqs > 1) + 112 * blocks + (blocks > 1)
+
+
 def emit_formula(k: int, variant: str) -> EmittedFormula:
     """Build the closed-class formula for (k, variant), fully expanded.
 
-    The planar variant (k >= 0) quantifies an edge e plus k+1 distinct
-    others, at least one of which must not cross e; the quasi variant
-    (k >= 2) quantifies k distinct edges, at least one pair of which must
-    not cross. drawing.resolve_class refuses any other k.
+    The planar variant (k >= 0) quantifies an edge e plus k+1 distinct others,
+    at least one of which must not cross e; the quasi variant (k >= 2)
+    quantifies k distinct edges, at least one pair of which must not cross.
+    Refused before any node is built: a k that resolve_class refuses, and a
+    formula of more than FORMULA_NODE_CAP nodes.
     """
     canon = resolve_class(variant, k)
     if not canon.startswith("closed"):
         raise ValueError(f"unknown closed variant {variant!r}")
+    if (nodes := _formula_nodes(k, canon)) > FORMULA_NODE_CAP:
+        raise ValueError(f"{canon} k={k} has {nodes} formula nodes, above FORMULA_NODE_CAP = {FORMULA_NODE_CAP}")
     body = _quasi_body(k) if canon.endswith("quasi") else _planar_body(k)
     ast = _ex("edge-set", "Estar", _all(_hamiltonian("Estar"), body))
     return EmittedFormula(k=k, variant=canon, sexpr=to_sexpr(ast), latex=to_latex(ast), ast=ast)
@@ -574,11 +589,66 @@ def _conjuncts(node) -> list:
     return [c for child in node[1:] for c in _conjuncts(child)]
 
 
+class _Part(NamedTuple):
+    """A normal-form node, its free names, the (set, element) quantifiers
+    nested in it, and the parts of its children."""
+
+    node: tuple
+    free: frozenset
+    cost: tuple
+    kids: tuple
+
+
+def _parts(p: _Part, head: str) -> tuple:
+    return p.kids if p.node[0] == head else (p,)
+
+
+def _make(head: str, kids) -> _Part:
+    cost = (sum(k.cost[0] for k in kids), sum(k.cost[1] for k in kids))
+    return _Part((head, *[k.node for k in kids]), frozenset().union(*[k.free for k in kids]), cost, tuple(kids))
+
+
+def _join(head: str, parts) -> _Part:
+    """The head node over parts, nested heads flattened, cheapest first."""
+    flat = sorted([c for p in parts for c in _parts(p, head)], key=lambda p: p.cost)
+    return flat[0] if len(flat) == 1 else _make(head, flat)
+
+
+def _bind(head: str, sort: str, x: str, body: _Part) -> _Part:
+    """The quantifier node; its fifth field holds its free names."""
+    free, sets = body.free - {x}, sort in _ELEM_OF
+    return _Part((head, sort, x, body.node, free), free, (body.cost[0] + sets, body.cost[1] + (not sets)), (body,))
+
+
+def _miniscope(node) -> _Part:
+    """node in the normal form that evaluate_formula states and compiles."""
+    head = node[0]
+    if head in _RELS:
+        return _Part(node, frozenset(node[1:]), (0, 0), ())
+    if head in ("and", "or"):
+        return _join(head, map(_miniscope, node[1:]))
+    if head not in _QUANT:
+        return _make(head, [_miniscope(c) for c in node[1:]])
+    sort, x, body = node[1], node[2], _miniscope(node[3])
+    hyp, concl = body.kids if head == "forall" and body.node[0] == "implies" else (None, body)
+    op = "and" if head == "exists" else "or"
+    hs, ds = _parts(hyp, "and") if hyp else (), _parts(concl, op)  # H1 + H2, and A + B or D1 + D2
+    out_h, in_h = [p for p in hs if x not in p.free], [p for p in hs if x in p.free]
+    out_d, in_d = [p for p in ds if x not in p.free], [p for p in ds if x in p.free]
+    if not in_d:  # B or D2 would be empty: the whole of it stays inside
+        out_d, in_d = [], [concl]
+    if not (out_h or out_d):
+        return _bind(head, sort, x, body)
+    inner = _make("implies", (_join("and", in_h), _join(op, in_d))) if in_h else _join(op, in_d)
+    got = _join(op, [*out_d, _bind(head, sort, x, inner)])
+    return _make("implies", (_join("and", out_h), got)) if out_h else got
+
+
 def _guard_split(node) -> tuple[list, tuple | None]:
     """The guard candidates of a quantifier, the conjuncts of φ in exists v φ
     or of H in forall v (implies H ψ), nested ands flattened; and ψ, None
     for exists. A forall of any other shape has no candidates."""
-    head, _, _, body = node
+    head, body = node[0], node[3]
     if head == "exists":
         return _conjuncts(body), None
     if body[0] == "implies":
@@ -623,7 +693,7 @@ def _bit_table(width: int) -> list[tuple[int, ...]]:
 
 
 class _Compiled:
-    """Compiles an AST into nested closures over one shared environment.
+    """Compiles a miniscoped AST into closures over one shared environment.
 
     Vertices are 0..n-1; edges are indexed into g.edges; sets are bitmasks.
     Every quantifier visits only the values its guards allow (see
@@ -640,7 +710,6 @@ class _Compiled:
         self.full = {"vertex": (1 << g.n) - 1, "edge": (1 << g.m) - 1}
         self.bit_table = _bit_table(max(g.n, g.m))
         self.nslots = 0
-        self.free_names: dict = {}
 
     def compile(self, node) -> Callable:
         fn = self._build(node, {})
@@ -650,20 +719,6 @@ class _Compiled:
     def _slot(self) -> int:
         self.nslots += 1
         return self.nslots - 1
-
-    def _free(self, node) -> frozenset[str]:
-        """The free names of node, cached per node for one compile."""
-        got = self.free_names.get(id(node))
-        if got is None:
-            head = node[0]
-            if head in _RELS:
-                got = frozenset(node[1:])
-            elif head in _QUANT:
-                got = self._free(node[3]) - {node[2]}
-            else:
-                got = frozenset().union(*map(self._free, node[1:]))
-            self.free_names[id(node)] = got
-        return got
 
     def _rest(self, rest: list, then, scope: dict) -> Callable:
         """The per-value test the guards leave: the other conjuncts, -> ψ."""
@@ -707,7 +762,7 @@ class _Compiled:
         other value falsifies a guard and decides nothing. The guards are
         not re-evaluated on the values visited.
         """
-        head, sort, x, _ = node
+        head, sort, x = node[:3]
         slot = self._slot()
         masks, rest = [], []
         conj, then = _guard_split(node)
@@ -747,7 +802,7 @@ class _Compiled:
         the free names the guards read, the result on those of every free
         name, each in a table of this quantifier's own.
         """
-        head, sort, s, _ = node
+        head, sort, s, _, free = node
         slot = self._slot()
         inner = {**scope, s: slot}
         want = head == "exists"
@@ -765,8 +820,7 @@ class _Compiled:
             guards.append(c)
         test = self._rest(rest, then, inner)
         full = self.full[_ELEM_OF[sort]]
-        free = self._free(node)
-        read = frozenset().union(*map(self._free, guards))
+        read = frozenset().union(*(c[4] if c[0] == "forall" else c[1:] for c in guards))
         key_slots = [scope[x] for x in free]
         bound_slots = [scope[x] for x in free & read]
         memo, bounds_memo = {}, {}
@@ -858,12 +912,18 @@ class _Compiled:
 def evaluate_formula(formula, g: Graph) -> bool:
     """Evaluate a closed formula on g by enumeration.
 
-    Every quantifier visits only the values its guard conjuncts allow (see
-    _Compiled); this is exact for any well-sorted formula, not only
-    emitted ones. A formula that lint_formula flags is refused with a
-    ValueError naming the violations. Still exponential, so the caps are
-    unchanged: models beyond n <= 7, m <= 10 are refused. The only purpose
-    is certifying that emitted text means what it should.
+    A formula that lint_formula flags is refused with a ValueError naming
+    the violations. The rest is miniscoped bottom-up (_miniscope), with x
+    free in none of A, H1, D1: exists x (A and B) becomes A and exists x B,
+    forall x (H1 and H2 -> D1 or D2) becomes H1 -> (D1 or forall x (H2 ->
+    D2)), and forall x (D1 or D2) becomes D1 or forall x D2. B, H2 -> D2 and
+    D2 keep a part, so each holds over empty domains too. Every and and or
+    is flattened and stable-sorted by (nested set quantifiers, nested
+    element quantifiers). A guard mentions its own variable and never
+    moves, so every quantifier still visits only the values its guards
+    allow (see _Compiled). Exact for any well-sorted formula. The Estar scan
+    is still 2^m, so models beyond n <= 7, m <= 10 are refused: this only
+    certifies that emitted text means what it should.
     """
     ast = formula.ast if isinstance(formula, EmittedFormula) else formula
     if g.n > EVAL_MAX_N:
@@ -873,4 +933,4 @@ def evaluate_formula(formula, g: Graph) -> bool:
     problems = lint_formula(ast)
     if problems:
         raise ValueError("formula fails lint: " + "; ".join(problems))
-    return _Compiled(g).compile(ast)()
+    return _Compiled(g).compile(_miniscope(ast).node)()

@@ -17,9 +17,24 @@ from okplanar import (
     to_latex,
     to_sexpr,
 )
+from okplanar import mso2
+from okplanar.cli import main
 from okplanar.generators import complete
 from okplanar.graphs import Graph, build_graph
-from okplanar.mso2 import SORTS, _conjuncts, _guard_split, _hamiltonian, _reads_bit
+from okplanar.mso2 import (
+    FORMULA_NODE_CAP,
+    SORTS,
+    _conjuncts,
+    _crossing,
+    _cycle_set,
+    _disconnected_edges,
+    _formula_nodes,
+    _guard_split,
+    _hamiltonian,
+    _miniscope,
+    _reads_bit,
+    _span,
+)
 from okplanar.recognition import brute_force_recognize
 
 
@@ -96,6 +111,87 @@ def test_parse_pretty_parse_is_fixed_point():
         assert ast == f.ast
         assert to_sexpr(ast) == f.sexpr
         assert parse_sexpr(to_sexpr(ast)) == ast
+
+
+def ast_nodes(node) -> int:
+    if not isinstance(node, tuple):
+        return 0
+    return 1 + sum(ast_nodes(c) for c in node[1:])
+
+
+def test_node_count_closed_form_matches_the_emitted_ast():
+    for variant in ("closed-outer-planar", "closed-outer-quasi"):
+        for k in (*range(8), 15, 30):
+            if variant.endswith("quasi") and k < 2:
+                continue
+            f = emit_formula(k, variant)
+            assert _formula_nodes(k, variant) == ast_nodes(f.ast), (variant, k)
+
+
+def test_emit_refuses_a_formula_above_the_node_cap_before_building_it(capsys, monkeypatch):
+    def no_block(*args):
+        raise AssertionError("built a crossing block")
+
+    monkeypatch.setattr(mso2, "_crossing", no_block)
+    for variant, canon in (("closed-planar", "closed-outer-planar"), ("closed-quasi", "closed-outer-quasi")):
+        k = next(k for k in range(2, 1000) if _formula_nodes(k, canon) > FORMULA_NODE_CAP)
+        assert _formula_nodes(k - 1, canon) <= FORMULA_NODE_CAP
+        for bad in (k, 400):
+            assert main(["mso2", "--k", str(bad), "--variant", variant]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"above FORMULA_NODE_CAP = {FORMULA_NODE_CAP}" in captured.err, captured.err
+
+
+def normal_form(node) -> tuple:
+    return _miniscope(node).node
+
+
+def test_normal_form_of_the_planar_formula_nests_each_edge_in_the_last_disjunct():
+    # each forall e_i moves inside the disjunct after (not crossing(e, e_(i-1))),
+    # so a tuple of edges is extended only past pairs that cross; each block
+    # stands in its own normal form, and the boundary's parts come cheapest first
+    block = lambda node: to_sexpr(normal_form(node))
+    expected = """
+    (exists edge-set Estar
+      (and
+        {span}
+        {cycle}
+        (not {disconnected})
+        (forall edge e
+          (forall edge e1
+            (implies
+              (not (= e1 e))
+              (or
+                (not {e1})
+                (forall edge e2
+                  (implies
+                    (and (not (= e2 e)) (not (= e1 e2)))
+                    (or
+                      (not {e2})
+                      (forall edge e3
+                        (implies
+                          (and (not (= e3 e)) (not (= e1 e3)) (not (= e2 e3)))
+                          (not {e3}))))))))))))
+    """.format(span=block(_span("Estar")), cycle=block(_cycle_set("Estar")),
+               disconnected=block(_disconnected_edges("Estar")),
+               **{x: block(_crossing("Estar", "e", x)) for x in ("e1", "e2", "e3")})
+    got = normal_form(emit_formula(2, "closed-planar").ast)
+    assert parse_sexpr(to_sexpr(got)) == parse_sexpr(expected)
+
+
+def test_normal_form_is_idempotent_and_keeps_free_names():
+    rng = random.Random(77)
+    formulas = [random_formula(rng, {}, 5) for _ in range(300)]
+    formulas += [emit_formula(k, variant).ast for variant, k in COMBOS]
+    for f in formulas:
+        nf = normal_form(f)
+        assert normal_form(nf) == nf, to_sexpr(f)
+        for sub in subterms(f):
+            assert free_names(normal_form(sub)) == free_names(sub), to_sexpr(sub)
+        for q in subterms(nf):
+            if q[0] in ("forall", "exists"):
+                assert q[4] == free_names(q)
 
 
 def test_parser_rejects_malformed_text():
@@ -474,11 +570,43 @@ def free_names(node) -> set:
     return set().union(*(free_names(c) for c in node[1:]))
 
 
+def flat_parts(node, head: str) -> list:
+    if node[0] != head:
+        return [node]
+    return [c for child in node[1:] for c in flat_parts(child, head)]
+
+
+def miniscope_features(node, out: set):
+    """Add to out a tag for each kind of part that the normal form moves out
+    of quantifier node: a conjunct of exists or a disjunct of forall free of
+    the bound name while another one is not, or a hypothesis conjunct of
+    forall free of it while the body is not."""
+    head, sort, name, body = node
+    if name not in free_names(body):
+        return
+    if head == "exists":
+        groups = [("exists conjunct", flat_parts(body, "and"))]
+    elif body[0] == "implies":
+        groups = [("forall hypothesis", flat_parts(body[1], "and")), ("forall disjunct", flat_parts(body[2], "or"))]
+    else:
+        groups = [("forall disjunct", flat_parts(body, "or"))]
+    for tag, parts in groups:
+        moved = [p for p in parts if name not in free_names(p)]
+        if moved and (tag == "forall hypothesis" or len(moved) < len(parts)):
+            out.add(tag + " moves")
+            if sort == "edge":
+                out.add("edge quantifier moves")
+            if any(q[0] in ("forall", "exists") and q[2] == name for p in moved for q in subterms(p)):
+                out.add("moved part rebinds the name")
+
+
 def formula_features(node, scope: dict, out: set) -> set:
-    """Add to out a tag for each guard-related shape node contains."""
+    """Add to out a tag for each guard-related or miniscoping shape node
+    contains."""
     head = node[0]
     if head in ("forall", "exists"):
         _, sort, name, body = node
+        miniscope_features(node, out)
         hyp, _ = _guard_split(node)
         if sort in SET_SORTS:
             if scope.get(name) == sort:
@@ -526,14 +654,19 @@ def test_evaluator_matches_naive_on_random_formulas():
     for trial in range(600):
         f = random_formula(rng, {}, 5)
         assert lint_formula(f) == [], f
-        formula_features(f, {}, seen)
+        features = formula_features(f, {}, set())
+        seen |= features
         for n in range(1, 5):
             pool = list(combinations(range(n), 2))
             g = build_graph(n, rng.sample(pool, rng.randint(0, min(4, len(pool)))))
             assert evaluate_formula(f, g) == naive_eval(f, g, {}), (trial, g.n, g.edges, to_sexpr(f))
+            if g.m == 0 and "edge quantifier moves" in features:
+                seen.add("empty edge domain")
     assert seen >= {"shadowed set", "forall implies", "subseteq guard", "bit guard",
                     "foreign (in y S)", "shadowed element", "nested and",
                     "bit guard reads outer set", "element guard in", "element guard I x v",
                     "element guard I e x", "element guard =", "element guard not =",
                     "shadowed element guard", "guard under not", "guard under or",
-                    "bare forall over guard shapes"}, seen
+                    "bare forall over guard shapes", "exists conjunct moves",
+                    "forall hypothesis moves", "forall disjunct moves",
+                    "moved part rebinds the name", "empty edge domain"}, seen
