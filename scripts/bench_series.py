@@ -5,6 +5,7 @@ Usage, from the root of a checkout:
     python3 scripts/bench_series.py --series sat_setup --label change
     python3 scripts/bench_series.py --series maximal --label parent --src OTHER_CHECKOUT/src
     python3 scripts/bench_series.py --series mso2 --label change
+    python3 scripts/bench_series.py --series emit --label parent --src OTHER_CHECKOUT/src
 
 Imports okplanar from --src (default: this checkout's src/), runs each
 instance REPEATS times and merges one entry under --label into the series'
@@ -33,15 +34,25 @@ of evaluate_formula (lint, normal form, compile and evaluation), and the
 entries into compiled element and set quantifiers, counted in one more
 untimed pass with _Compiled's two quantifier builders wrapped. Writing the
 entry fails when another label's verdicts differ.
+
+emit: emit_formula for closed-planar k in {24, 48, 96, 193} and
+closed-quasi k in {8, 16, 32}; 193 and 32 are the largest k under
+FORMULA_NODE_CAP. Per instance it records the node count, the bytes and
+SHA-256 of the sexpr text, the median seconds of emit_formula, and the
+median wall seconds of a fresh `python3 -m okplanar.cli mso2` process that
+prints the formula. Writing the entry fails when another label's SHA-256
+differs.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -63,6 +74,8 @@ MAXIMAL_INSTANCES = [(n, k, None) for k in (3, 6) for n in (40, 80, 160)] + [(16
 MSO2_CLASSES = (("closed-planar", 1), ("closed-planar", 2), ("closed-planar", 3),
                 ("closed-quasi", 2), ("closed-quasi", 3))
 MSO2_SIZES = [(min(m, 7), m) for m in range(4, 11)]
+
+EMIT_CLASSES = [("closed-planar", k) for k in (24, 48, 96, 193)] + [("closed-quasi", k) for k in (8, 16, 32)]
 
 
 def sat_setup_row(spec, k, variant):
@@ -222,6 +235,35 @@ def mso2_rows():
             yield {"instance": f"{variant} k={k} n={n} m={m}", **mso2_row(variant, k, n, m)}
 
 
+def emit_row(variant, k):
+    import okplanar
+    from okplanar.mso2 import _formula_nodes, emit_formula
+
+    seconds, cli_seconds = [], []
+    argv = [sys.executable, "-m", "okplanar.cli", "mso2", "--k", str(k), "--variant", variant]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(okplanar.__file__))}
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        f = emit_formula(k, variant)
+        seconds.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, check=True)
+        cli_seconds.append(time.perf_counter() - t0)
+    text = f.sexpr.encode()
+    return {
+        "nodes": _formula_nodes(k, f.variant),
+        "sexpr_bytes": len(text),
+        "sexpr_sha256": hashlib.sha256(text).hexdigest(),
+        "emit_s": round(statistics.median(seconds), 4),
+        "cli_s": round(statistics.median(cli_seconds), 4),
+    }
+
+
+def emit_rows():
+    for variant, k in EMIT_CLASSES:
+        yield {"instance": f"{variant} k={k}", **emit_row(variant, k)}
+
+
 def sat_setup_rows():
     for name, spec, k, variant in SAT_INSTANCES:
         yield {"instance": name, **sat_setup_row(spec, k, variant)}
@@ -233,7 +275,7 @@ def maximal_rows():
         yield {"instance": f"n={n} k={k} {start}", **maximal_row(n, k, seed)}
 
 
-SERIES = {"sat_setup": sat_setup_rows, "maximal": maximal_rows, "mso2": mso2_rows}
+SERIES = {"sat_setup": sat_setup_rows, "maximal": maximal_rows, "mso2": mso2_rows, "emit": emit_rows}
 
 
 def main() -> int:
@@ -253,11 +295,12 @@ def main() -> int:
     if os.path.exists(out):
         with open(out) as fh:
             doc = json.load(fh)
-    verdicts = {row["instance"]: row.get("verdict") for row in rows}
+    answer = "sexpr_sha256" if args.series == "emit" else "verdict"  # what every label must agree on
+    verdicts = {row["instance"]: row.get(answer) for row in rows}
     for label, run in doc.get("runs", {}).items():
-        theirs = {row["instance"]: row.get("verdict") for row in run["instances"]}
+        theirs = {row["instance"]: row.get(answer) for row in run["instances"]}
         if label != args.label and theirs.keys() == verdicts.keys() and theirs != verdicts:
-            raise SystemExit(f"verdicts differ from the {label!r} entry; {out} left unchanged")
+            raise SystemExit(f"{answer} differs from the {label!r} entry; {out} left unchanged")
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),

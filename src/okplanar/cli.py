@@ -408,6 +408,8 @@ def cmd_mso2(args: argparse.Namespace) -> int:
     if args.eval:
         inputs.add(args.eval)
         g = read_instance(args.eval).graph
+        if g.n < 3:  # no Hamiltonian boundary, as brute force and the encoder refuse
+            raise ValueError("closed variants need n >= 3")
         value = evaluate_formula(formula, g)
         payload["evaluation"] = {"file": args.eval, "n": g.n, "m": g.m, "value": value}
     _emit(args, "mso2", inputs, payload)

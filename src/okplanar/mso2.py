@@ -345,37 +345,37 @@ _QUANT = ("forall", "exists")
 _RELS = ("=", "in", "subseteq", "I")
 
 
-def _is_leaf_line(node) -> bool:
-    if node[0] in _RELS:
-        return True
-    return node[0] == "not" and node[1][0] in _RELS
+def _leaf_line(node) -> str | None:
+    """The one-line text of a relation or a negated relation, else None."""
+    if node[0] == "not" and node[1][0] in _RELS:
+        return f"(not {_leaf_line(node[1])})"
+    return "(" + " ".join(node) + ")" if node[0] in _RELS else None
 
 
-def _leaf_str(node) -> str:
-    if node[0] == "not":
-        return f"(not {_leaf_str(node[1])})"
-    return "(" + " ".join(node) + ")"
+def to_sexpr(node) -> str:
+    """Deterministic pretty-printer; parse(to_sexpr(ast)) == ast. Each
+    line is written once, so the cost is linear in the text."""
+    lines: list[str] = []
 
+    def write(node, pad: str) -> None:
+        if (leaf := _leaf_line(node)) is not None:
+            lines.append(pad + leaf)
+            return
+        head = node[0]
+        if head in _QUANT:  # a normal-form quantifier's fifth field is not printed
+            lines.append(f"{pad}({head} {node[1]} {node[2]}")
+            kids = node[3:4]
+        elif head in ("and", "or", "implies", "not"):
+            lines.append(f"{pad}({head}")
+            kids = node[1:]
+        else:
+            raise ValueError(f"unknown node head {head!r}")
+        for kid in kids:
+            write(kid, pad + "  ")
+        lines[-1] += ")"
 
-def to_sexpr(node, indent: int = 0) -> str:
-    """Deterministic pretty-printer; parse(to_sexpr(ast)) == ast."""
-    pad = "  " * indent
-    if _is_leaf_line(node):
-        return pad + _leaf_str(node)
-    head = node[0]
-    if head in _QUANT:
-        body = to_sexpr(node[3], indent + 1)
-        return f"{pad}({head} {node[1]} {node[2]}\n{body})"
-    if head in ("and", "or"):
-        parts = "\n".join(to_sexpr(c, indent + 1) for c in node[1:])
-        return f"{pad}({head}\n{parts})"
-    if head == "implies":
-        lhs = to_sexpr(node[1], indent + 1)
-        rhs = to_sexpr(node[2], indent + 1)
-        return f"{pad}(implies\n{lhs}\n{rhs})"
-    if head == "not":
-        return f"{pad}(not\n{to_sexpr(node[1], indent + 1)})"
-    raise ValueError(f"unknown node head {head!r}")
+    write(node, "")
+    return "\n".join(lines)
 
 
 def parse_sexpr(text: str) -> tuple:
@@ -923,14 +923,18 @@ def evaluate_formula(formula, g: Graph) -> bool:
     moves, so every quantifier still visits only the values its guards
     allow (see _Compiled). Exact for any well-sorted formula. The Estar scan
     is still 2^m, so models beyond n <= 7, m <= 10 are refused: this only
-    certifies that emitted text means what it should.
+    certifies that emitted text means what it should. A formula nested
+    too deeply for Python's recursion limit is refused with a ValueError.
     """
     ast = formula.ast if isinstance(formula, EmittedFormula) else formula
     if g.n > EVAL_MAX_N:
         raise ValueError(f"evaluator cap n <= {EVAL_MAX_N}, got n={g.n}")
     if g.m > EVAL_MAX_M:
         raise ValueError(f"evaluator cap m <= {EVAL_MAX_M}, got m={g.m}")
-    problems = lint_formula(ast)
-    if problems:
-        raise ValueError("formula fails lint: " + "; ".join(problems))
-    return _Compiled(g).compile(_miniscope(ast).node)()
+    try:
+        problems = lint_formula(ast)
+        if problems:
+            raise ValueError("formula fails lint: " + "; ".join(problems))
+        return _Compiled(g).compile(_miniscope(ast).node)()
+    except RecursionError:
+        raise ValueError("formula nests too deeply for the evaluator") from None

@@ -391,7 +391,8 @@ def decode_model(model: list[int], vm: VarMap, g: Graph) -> ConvexDrawing:
 
 class Recognition(NamedTuple):
     """found: (witness drawing, its crossing report), None if not in class;
-    search_order has re-checked the witness against the class. certificate: the checked refutation behind a NO answered without a
+    search_order has re-checked the witness against the class.
+    certificate: the checked refutation behind a NO answered without a
     search (see recognition.refute), else None."""
 
     found: tuple[ConvexDrawing, CrossingReport] | None

@@ -80,6 +80,9 @@ def test_instance_comments_and_errors():
         ("3 2\n0 1\n", 1),  # fewer edge lines than declared: the header
         ("3 1\n0 1\norder\n0 1 2\n5 5\n", 5),  # junk after the order line
         ("3 1\n0 1\norder\n", 3),  # an order section with no ids
+        ("3 1\n0 1 2\n", 2),  # three integers on an edge line
+        ("-1 0\n", 1),  # a negative count in the header
+        ("3 1\n0 1\norder\n0 1\n", 4),  # an order shorter than n
     ):
         with pytest.raises(ValueError, match=rf"^line {line}: "):
             parse_instance(bad)
@@ -208,6 +211,24 @@ def test_recognize_emit_cnf(capsys, tmp_path):
     assert "p cnf " in text
     code, _ = run(capsys, "solve-cnf", str(cnf))
     assert code == 10  # the emitted encoding is satisfiable, like the verdict
+
+
+def test_recognize_emit_cnf_names_the_path_it_cannot_write(capsys, tmp_path):
+    k4 = tmp_path / "k4.txt"
+    k4.write_text(format_graph(complete(4)))
+    cnf = tmp_path / "missing" / "enc.cnf"
+    assert main(["recognize", "--k", "1", "--variant", "planar", "--emit-cnf", str(cnf), str(k4)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"cannot write DIMACS to {cnf}" in captured.err
+
+
+def test_recognize_engines_agree_below_three_vertices(capsys, tmp_path):
+    edge = tmp_path / "edge2.txt"
+    edge.write_text(format_graph(build_graph(2, [(0, 1)])))
+    for engine in ("sat", "brute"):
+        code, out = run(capsys, "recognize", "--k", "0", "--variant", "planar", "--engine", engine, str(edge))
+        doc = validated(out, "recognize")
+        assert code == 0 and doc["in_class"] and doc["witness"]["order"] == [0, 1], engine
 
 
 def test_recognize_emit_cnf_encodes_once(capsys, tmp_path, k5, monkeypatch):
@@ -364,6 +385,13 @@ def test_bounds_plain_and_corpus(capsys, tmp_path):
     assert doc["corpus"]["summary"]["max_degeneracy"] <= 4
 
 
+def test_bounds_corpus_without_instances_exits_one(capsys, tmp_path):
+    (tmp_path / "notes.md").write_text("no instances here\n")
+    assert main(["bounds", "--k", "2", "--corpus", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"no *.txt instances under {tmp_path}" in captured.err
+
+
 def test_bounds_corpus_names_the_file_it_cannot_parse(capsys, tmp_path):
     (tmp_path / "x.txt").write_text(format_drawing(random_outer_k_planar(8, 2, 1)))
     (tmp_path / "bad.txt").write_text("junk\n")
@@ -395,6 +423,15 @@ def test_mso2_emit_and_eval(capsys, tmp_path):
                     "--eval", str(k4))
     doc = validated(out, "mso2")
     assert code == 2 and doc["evaluation"]["value"] is False
+
+
+@pytest.mark.parametrize("text", ["0 0\n", "1 0\n", "2 1\n0 1\n"])
+def test_mso2_eval_refuses_fewer_than_three_vertices(capsys, tmp_path, text):
+    small = tmp_path / "small.txt"
+    small.write_text(text)
+    assert main(["mso2", "--k", "1", "--variant", "closed-planar", "--eval", str(small)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "closed variants need n >= 3" in captured.err
 
 
 # ------------------------------------------------------- errors and goldens
@@ -466,6 +503,18 @@ def test_solve_cnf_normalizes_its_input(capsys, tmp_path):
     assert run(capsys, "solve-cnf", str(cnf)) == (20, "s UNSATISFIABLE\n")
     cnf.write_text("p cnf 1 2\n1 0\n-1\n")  # UNSAT only if the last clause is read
     assert run(capsys, "solve-cnf", str(cnf))[0] == 20
+
+
+def test_solve_cnf_wraps_long_model_lines(capsys, tmp_path):
+    cnf = tmp_path / "free.cnf"
+    cnf.write_text("p cnf 40 0\n")
+    code, out = run(capsys, "solve-cnf", str(cnf))
+    lines = out.splitlines()
+    assert code == 10 and lines[0] == "s SATISFIABLE" and len(lines) > 2
+    assert all(line.startswith("v ") for line in lines[1:]) and lines[-1].endswith(" 0")
+    assert all(len(line) <= 76 for line in lines[1:-1])
+    lits = [int(tok) for line in lines[1:] for tok in line.split()[1:]]
+    assert lits[-1] == 0 and sorted(map(abs, lits[:-1])) == list(range(1, 41))
 
 
 def test_error_without_text_names_the_exception(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Formula emission, rendering round-trips, and finite-model semantics."""
 
+import hashlib
 import json
 import random
 import re
@@ -111,6 +112,18 @@ def test_parse_pretty_parse_is_fixed_point():
         assert ast == f.ast
         assert to_sexpr(ast) == f.sexpr
         assert parse_sexpr(to_sexpr(ast)) == ast
+
+
+def test_sexpr_at_the_node_cap_keeps_its_digests():
+    # the largest formula each variant emits under FORMULA_NODE_CAP, pinned
+    # to the digests of the text before the one-pass writer
+    for variant, k, digest in (
+        ("closed-planar", 193, "392158194021d94ae18a83058d30e8cffaa918d356cf9e778a623b03c6f50e45"),
+        ("closed-quasi", 32, "7b14d8fa9943c65b4af78311bdbbc70ae1c64bd2bcc770de51dbba837aaa7a49"),
+    ):
+        assert hashlib.sha256(emit_formula(k, variant).sexpr.encode()).hexdigest() == digest, (variant, k)
+    with pytest.raises(ValueError, match="unknown node head 'frobnicate'"):
+        to_sexpr(("and", ("=", "x", "y"), ("frobnicate", "x")))
 
 
 def ast_nodes(node) -> int:
@@ -303,6 +316,20 @@ def test_evaluator_caps_rejected():
         evaluate_formula(emit_formula(1, "closed-outer-planar"), big_m)
     with pytest.raises(ValueError):
         evaluate_formula(("in", "x", "C"), cycle(4))
+
+
+def test_evaluator_refuses_a_formula_nested_too_deeply():
+    def chain(depth: int) -> tuple:
+        # exists x0 (exists x1 (and (= x1 x0) (exists x2 (and (= x2 x1) ...))))
+        node = ("=", f"x{depth}", f"x{depth - 1}")
+        for i in range(depth, 0, -1):
+            node = ("exists", "vertex", f"x{i}", node if i == depth else ("and", ("=", f"x{i}", f"x{i - 1}"), node))
+        return ("exists", "vertex", "x0", node)
+
+    one = build_graph(1, [])
+    assert evaluate_formula(chain(200), one) is True
+    with pytest.raises(ValueError, match="formula nests too deeply for the evaluator"):
+        evaluate_formula(chain(250), one)
 
 
 def test_evaluator_rejects_ill_sorted_formulas():
