@@ -1,4 +1,4 @@
-"""Time two layers of okplanar on fixed instance series.
+"""Time layers of okplanar on fixed instance series.
 
 Usage, from the root of a checkout:
 
@@ -6,6 +6,7 @@ Usage, from the root of a checkout:
     python3 scripts/bench_series.py --series maximal --label parent --src OTHER_CHECKOUT/src
     python3 scripts/bench_series.py --series mso2 --label change
     python3 scripts/bench_series.py --series emit --label parent --src OTHER_CHECKOUT/src
+    python3 scripts/bench_series.py --series read --label change
 
 Imports okplanar from --src (default: this checkout's src/), runs each
 instance REPEATS times and merges one entry under --label into the series'
@@ -42,6 +43,14 @@ SHA-256 of the sexpr text, the median seconds of emit_formula, and the
 median wall seconds of a fresh `python3 -m okplanar.cli mso2` process that
 prints the formula. Writing the entry fails when another label's SHA-256
 differs.
+
+read: read_instance on the drawings workload's sparse corpus at seed 1,
+random_outer_k_planar(n, k, 1) for n in {60, 120, 240, 480} and k in
+{1, 3}, written with format_drawing to a temporary directory. Per file it
+records n, m, the file's bytes, the median seconds of reading the file into
+a drawing over READ_REPEATS reads, and the SHA-256 of format_drawing
+applied to what was read.
+Writing the entry fails when another label's SHA-256 differs.
 """
 from __future__ import annotations
 
@@ -54,6 +63,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -74,6 +84,9 @@ MAXIMAL_INSTANCES = [(n, k, None) for k in (3, 6) for n in (40, 80, 160)] + [(16
 MSO2_CLASSES = (("closed-planar", 1), ("closed-planar", 2), ("closed-planar", 3),
                 ("closed-quasi", 2), ("closed-quasi", 3))
 MSO2_SIZES = [(min(m, 7), m) for m in range(4, 11)]
+
+READ_INSTANCES = [(n, k) for k in (1, 3) for n in (60, 120, 240, 480)]
+READ_REPEATS = 50  # one read takes 0.1-3 ms, where five repeats leave the median to scheduler noise
 
 EMIT_CLASSES = [("closed-planar", k) for k in (24, 48, 96, 193)] + [("closed-quasi", k) for k in (8, 16, 32)]
 
@@ -264,6 +277,39 @@ def emit_rows():
         yield {"instance": f"{variant} k={k}", **emit_row(variant, k)}
 
 
+def read_row(n, k):
+    from okplanar import io
+    from okplanar.drawing import ConvexDrawing
+    from okplanar.generators import random_outer_k_planar
+
+    def read(path):  # an older reader returns an Instance, whose drawing() ends the read
+        got = io.read_instance(path)
+        return got if isinstance(got, ConvexDrawing) else got.drawing()
+
+    text = io.format_drawing(random_outer_k_planar(n, k, 1))
+    seconds = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"okp-{n}-{k}.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for _ in range(READ_REPEATS):
+            t0 = time.perf_counter()
+            d = read(path)
+            seconds.append(time.perf_counter() - t0)
+    return {
+        "n": d.n,
+        "m": d.graph.m,
+        "bytes": len(text.encode()),
+        "read_s": round(statistics.median(seconds), 6),
+        "drawing_sha256": hashlib.sha256(io.format_drawing(d).encode()).hexdigest(),
+    }
+
+
+def read_rows():
+    for n, k in READ_INSTANCES:
+        yield {"instance": f"okp-{n}-{k}", **read_row(n, k)}
+
+
 def sat_setup_rows():
     for name, spec, k, variant in SAT_INSTANCES:
         yield {"instance": name, **sat_setup_row(spec, k, variant)}
@@ -275,7 +321,10 @@ def maximal_rows():
         yield {"instance": f"n={n} k={k} {start}", **maximal_row(n, k, seed)}
 
 
-SERIES = {"sat_setup": sat_setup_rows, "maximal": maximal_rows, "mso2": mso2_rows, "emit": emit_rows}
+SERIES = {"sat_setup": sat_setup_rows, "maximal": maximal_rows, "mso2": mso2_rows, "emit": emit_rows,
+          "read": read_rows}
+# what every label's entry must agree on, per series
+ANSWER = {"emit": "sexpr_sha256", "read": "drawing_sha256"}
 
 
 def main() -> int:
@@ -295,7 +344,7 @@ def main() -> int:
     if os.path.exists(out):
         with open(out) as fh:
             doc = json.load(fh)
-    answer = "sexpr_sha256" if args.series == "emit" else "verdict"  # what every label must agree on
+    answer = ANSWER.get(args.series, "verdict")
     verdicts = {row["instance"]: row.get(answer) for row in rows}
     for label, run in doc.get("runs", {}).items():
         theirs = {row["instance"]: row.get(answer) for row in run["instances"]}
@@ -304,7 +353,7 @@ def main() -> int:
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "repeats": REPEATS,
+        "repeats": READ_REPEATS if args.series == "read" else REPEATS,
         "instances": rows,
     }
     with open(out, "w") as fh:

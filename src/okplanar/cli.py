@@ -97,10 +97,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .io import read_instance
 
     variant = resolve_class(args.variant, args.k)
-    d = read_instance(args.file).drawing()
+    d = read_instance(args.file)
     rep = crossing_report(d)
-    # a boundary cycle needs n >= 3; only the closed variants insist on one
-    closed = (d.n >= 3 or variant.startswith("closed")) and is_closed_drawing(d)
+    # a boundary cycle needs n >= 3; class_violation refuses the closed variants below that
+    closed = d.n >= 3 and is_closed_drawing(d)
     in_class = class_violation(d, rep, args.k, variant) is None
     if args.svg:
         with open(args.svg, "w") as fh:
@@ -165,7 +165,7 @@ def cmd_separator(args: argparse.Namespace) -> int:
 
     if args.leaf_size is not None and not args.recursive:
         raise ValueError("--leaf-size needs --recursive")
-    d = read_instance(args.file).drawing()
+    d = read_instance(args.file)
     if args.recursive:
         eff_k = max(drawing_chords(d).counts, default=0)
         leaf = args.leaf_size if args.leaf_size is not None else 2 * eff_k + 3
@@ -206,7 +206,7 @@ def cmd_levels(args: argparse.Namespace) -> int:
     )
 
     resolve_class("outer-quasi", args.k)
-    d = read_instance(args.file).drawing()
+    d = read_instance(args.file)
     rep = crossing_report(d)
     payload = {
         "k": args.k,
@@ -251,7 +251,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
         if args.n is not None or args.seed is not None:
             raise ValueError("--order takes neither --n nor --seed")
         inputs.add(args.order)
-        d = read_instance(args.order).drawing()
+        d = read_instance(args.order)
         start = {"kind": "file", "edges": d.graph.m, "seed": None}
     elif args.n is not None:
         if args.seed is not None:
@@ -364,7 +364,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         drawings = []
         for f in files:
             try:
-                drawings.append(read_instance(f).drawing())
+                drawings.append(read_instance(f))
             except ValueError as exc:
                 raise ValueError(f"{f}: {exc}") from None
         try:

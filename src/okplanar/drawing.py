@@ -40,7 +40,7 @@ def make_drawing(graph: Graph, order: Sequence[int]) -> ConvexDrawing:
     """Attach a clockwise circular order to a graph, validating it."""
     order = tuple(int(v) for v in order)
     if len(order) != graph.n or sorted(order) != list(range(graph.n)):
-        raise ValueError("order must be a permutation of 0..n-1")
+        raise ValueError(f"order is not a permutation of 0..{graph.n - 1}")
     pos = [0] * graph.n
     for i, v in enumerate(order):
         pos[v] = i

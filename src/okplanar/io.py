@@ -11,62 +11,43 @@ The format is line-based and diff-able (grammar in docs/formats.md):
     order      <- optional section: the circular order of a drawing
     4 3 2 1 0  <- n vertex ids, a permutation, clockwise by position
 
-A file without an order section describes a graph; readers that need a
-drawing use the identity order (vertex i at position i).
+Every file reads as a drawing: one without an order section reads in the
+identity order (vertex i at position i).
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
-from .drawing import ConvexDrawing, make_drawing
+from .drawing import ConvexDrawing, identity_drawing, make_drawing
 from .graphs import Graph, build_graph
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A parsed instance file: always a graph, sometimes also an order."""
-
-    graph: Graph
-    order: tuple[int, ...] | None
-
-    def drawing(self) -> ConvexDrawing:
-        order = self.order if self.order is not None else tuple(range(self.graph.n))
-        return make_drawing(self.graph, order)
+def _ints(no: int, body: str, want: int | None = None) -> list[int]:
+    try:
+        vals = [int(p) for p in body.split()]
+    except ValueError:
+        raise ValueError(f"line {no}: expected integers, got {body!r}") from None
+    if want is not None and len(vals) != want:
+        raise ValueError(f"line {no}: expected {want} integers, got {len(vals)}")
+    return vals
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse the edge-list format, with line numbers in every error."""
-    lines: list[tuple[int, str]] = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((no, body))
+def parse_instance(text: str) -> ConvexDrawing:
+    """Parse the edge-list format, with line numbers in every error:
+    build_graph judges the edges and make_drawing the order."""
+    bodies = ((no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), 1))
+    lines = [(no, body) for no, body in bodies if body]
     if not lines:
         raise ValueError("empty instance file")
-
-    def ints(no: int, body: str, want: int | None = None) -> list[int]:
-        parts = body.split()
-        try:
-            vals = [int(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"line {no}: expected integers, got {body!r}") from None
-        if want is not None and len(vals) != want:
-            raise ValueError(f"line {no}: expected {want} integers, got {len(vals)}")
-        return vals
-
     no, head = lines[0]
-    n, m = ints(no, head, 2)
+    n, m = _ints(no, head, 2)
     if n < 0 or m < 0:
         raise ValueError(f"line {no}: negative counts in header")
     if len(lines) < 1 + m:
         raise ValueError(f"line {no}: header declares {m} edges, "
                          f"file has {len(lines) - 1} data lines")
-    edges = []
-    for no, body in lines[1 : 1 + m]:
-        u, v = ints(no, body, 2)
-        edges.append((u, v))
+    edges = [tuple(_ints(no, body, 2)) for no, body in lines[1 : 1 + m]]  # GC untracks tuples
     try:
         graph = build_graph(n, edges)
     except ValueError as exc:  # build_graph stops at the first loop or stray end
@@ -80,23 +61,23 @@ def parse_instance(text: str) -> Instance:
         raise ValueError(f"line {no}: duplicate edge in file")
 
     rest = lines[1 + m :]
-    order: tuple[int, ...] | None = None
-    if rest:
-        no, body = rest[0]
-        if body != "order":
-            raise ValueError(f"line {no}: expected 'order' or end of file, got {body!r}")
-        if len(rest) != 2:  # name the first extra line, or the bare 'order' line
-            no = rest[2][0] if len(rest) > 2 else no
-            raise ValueError(f"line {no}: order section needs exactly one line of vertex ids")
-        no, body = rest[1]
-        vals = ints(no, body, n)
-        if sorted(vals) != list(range(n)):
-            raise ValueError(f"line {no}: order is not a permutation of 0..{n - 1}")
-        order = tuple(vals)
-    return Instance(graph=graph, order=order)
+    if not rest:
+        return identity_drawing(graph)
+    no, body = rest[0]
+    if body != "order":
+        raise ValueError(f"line {no}: expected 'order' or end of file, got {body!r}")
+    if len(rest) != 2:  # name the first extra line, or the bare 'order' line
+        no = rest[2][0] if len(rest) > 2 else no
+        raise ValueError(f"line {no}: order section needs exactly one line of vertex ids")
+    no, body = rest[1]
+    order = _ints(no, body)
+    try:
+        return make_drawing(graph, order)
+    except ValueError as exc:  # not a permutation of 0..n-1
+        raise ValueError(f"line {no}: {exc}") from None
 
 
-def read_instance(path: str) -> Instance:
+def read_instance(path: str) -> ConvexDrawing:
     with open(path) as fh:
         return parse_instance(fh.read())
 
@@ -108,7 +89,8 @@ def format_graph(g: Graph) -> str:
 
 
 def format_drawing(d: ConvexDrawing) -> str:
-    return format_graph(d.graph) + "order\n" + " ".join(str(v) for v in d.order) + "\n"
+    order = " ".join(str(v) for v in d.order)  # none at n = 0: readers skip blank lines
+    return format_graph(d.graph) + (f"order\n{order}\n" if order else "")
 
 
 def sha256_file(path: str) -> str:

@@ -1,5 +1,6 @@
 """Oracles shared by the tests: brute-force searches and class membership
-through the package's one rule, for claims the library itself never makes."""
+through the package's one rule, for claims the library itself never makes,
+and the grid snake order, a fixture drawing."""
 from __future__ import annotations
 
 from okplanar.drawing import (
@@ -52,3 +53,32 @@ def scan_is_maximal(d: ConvexDrawing, k: int) -> bool:
             if (p, q) not in present and not cs.mutual_through(p, q, -1, k - 1):
                 return False
     return True
+
+
+def grid_snake_order(r: int, c: int) -> list[int]:
+    """Circular order putting the r x c grid on two pages.
+
+    For r*c even this is a Hamiltonian cycle of the grid (snake through
+    columns, return along row 0), so the drawing is closed as-is; for odd
+    times odd it is the boustrophedon Hamiltonian path. Either way no three
+    grid edges pairwise cross in the resulting convex drawing.
+    """
+    if r * c % 2 == 1 or r == 1 or c == 1:
+        seq = []
+        for i in range(r):
+            row = range(c) if i % 2 == 0 else range(c - 1, -1, -1)
+            seq += [i * c + j for j in row]
+        return seq
+    if c % 2 == 1:  # transpose so the even dimension runs horizontally
+        return [_transpose_id(v, c, r) for v in grid_snake_order(c, r)]
+    seq = [i * c for i in range(r)]  # down column 0
+    for j in range(1, c):
+        rows = range(r - 1, 0, -1) if j % 2 == 1 else range(1, r)
+        seq += [i * c + j for i in rows]
+    seq += [j for j in range(c - 1, 0, -1)]  # row 0 back to the start
+    return seq
+
+
+def _transpose_id(v: int, c: int, r: int) -> int:
+    i, j = divmod(v, r)
+    return j * c + i

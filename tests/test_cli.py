@@ -13,6 +13,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from okplanar.cli import main, schema_path
+from okplanar.drawing import identity_drawing
 from okplanar.generators import complete, random_outer_k_planar
 from okplanar.graphs import build_graph
 from okplanar.io import format_drawing, format_graph, parse_instance
@@ -50,11 +51,20 @@ def test_instance_roundtrip_random(tmp_path):
         n = rng.randrange(2, 12)
         pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = build_graph(n, rng.sample(pool, min(len(pool), rng.randrange(0, 14))))
-        again = parse_instance(format_graph(g))
-        assert again.graph.edges == g.edges and again.order is None
+        assert parse_instance(format_graph(g)) == identity_drawing(g)
         d = random_outer_k_planar(n + 3, 2, rng.randrange(999))
-        back = parse_instance(format_drawing(d))
-        assert back.order == d.order and back.graph.edges == d.graph.edges
+        assert parse_instance(format_drawing(d)) == d
+
+
+def test_empty_and_tiny_drawings_read_back():
+    for n in range(4):
+        d = identity_drawing(build_graph(n, []))
+        assert parse_instance(format_drawing(d)) == d
+
+
+def test_order_is_judged_by_make_drawing():
+    with pytest.raises(ValueError, match=r"^line 4: order is not a permutation of 0\.\.2$"):
+        parse_instance("3 1\n0 1\norder\n0 1 1\n")
 
 
 def test_instance_comments_and_errors():
@@ -83,6 +93,7 @@ def test_instance_comments_and_errors():
         ("3 1\n0 1 2\n", 2),  # three integers on an edge line
         ("-1 0\n", 1),  # a negative count in the header
         ("3 1\n0 1\norder\n0 1\n", 4),  # an order shorter than n
+        ("3 1\n0 1\norder\n0 1 1\n", 4),  # an order that is not a permutation
     ):
         with pytest.raises(ValueError, match=rf"^line {line}: "):
             parse_instance(bad)
@@ -99,8 +110,8 @@ def test_generate_families(capsys, tmp_path):
     ]:
         code, out = run(capsys, *argv)
         assert code == 0
-        inst = parse_instance(out)
-        assert (inst.order is not None) == has_order
+        parse_instance(out)
+        assert ("\norder\n" in out) == has_order
     code, out = run(capsys, "generate", "--kind", "complete", "--n", "4")
     assert parse_instance(out).graph.edges == complete(4).edges
 
@@ -360,10 +371,18 @@ def test_saturate_modes(capsys, tmp_path):
     assert code == 0 and doc["start"]["kind"] == "empty"
     assert doc["final_edges"] == doc["expected_maximal_edges"]
     path = tmp_path / "k6.txt"
-    path.write_text(format_drawing(parse_instance(format_graph(complete(6))).drawing()))
+    path.write_text(format_drawing(parse_instance(format_graph(complete(6)))))
     code, out = run(capsys, "saturate", "--order", str(path), "--k", "2")
     doc = validated(out, "saturate")
     assert code == 2 and not doc["in_class"] and len(doc["witness_mutual"]) >= 2
+
+
+def test_saturate_writes_an_empty_drawing_that_check_reads(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    code, _ = run(capsys, "saturate", "--n", "0", "--k", "3", "--write-drawing", str(path))
+    assert code == 0
+    code, out = run(capsys, "check", str(path), "--k", "3", "--variant", "quasi")
+    assert code == 0 and validated(out, "check")["n"] == 0
 
 
 # ------------------------------------------------------------------ bounds
@@ -543,6 +562,26 @@ def test_timeout_must_be_positive(capsys, tmp_path, k5, command, value):
     assert main(argv + ["--timeout", value]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "--timeout" in captured.err
+
+
+def test_repro_fails_when_a_row_that_is_not_definition_sensitive_misses(capsys, monkeypatch):
+    import okplanar.cli
+
+    monkeypatch.setattr(okplanar.cli, "_PROP_ROWS", (("K6", lambda: complete(6), True, False),))
+    code, out = run(capsys, "repro", "props")
+    doc = validated(out, "repro")
+    assert code == 1 and not doc["pass"] and not doc["rows"][0]["pass"]
+
+
+def test_broken_pipe_exits_one_without_a_message(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["bounds", "--k", "3"]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ""
 
 
 def test_help_exits_zero(capsys):

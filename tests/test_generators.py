@@ -17,12 +17,11 @@ from okplanar.generators import (
     complete,
     complete_bipartite,
     grid,
-    grid_snake_order,
     planar_3tree_levels,
     random_outer_k_planar,
 )
 
-from oracles import in_class
+from oracles import grid_snake_order, in_class
 
 
 def test_basic_counts():
@@ -39,6 +38,14 @@ def test_basic_counts():
 def test_negative_sizes_are_rejected(make, sizes):
     with pytest.raises(ValueError, match="nonnegative"):
         make(*sizes)
+
+
+def test_random_streams_and_drawings_refuse_bad_arguments():
+    with pytest.raises(ValueError, match="bound must be positive"):
+        SplitMix64(0).randrange(0)
+    for n, k in ((0, 1), (5, -1)):
+        with pytest.raises(ValueError, match="need n >= 1 and k >= 0"):
+            random_outer_k_planar(n, k, 0)
 
 
 def test_grid_structure():

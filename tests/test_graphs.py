@@ -41,6 +41,11 @@ def test_rejects_out_of_range():
         build_graph(2, [(-1, 0)])
 
 
+def test_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match="vertex count must be nonnegative, got -1"):
+        build_graph(-1, [])
+
+
 def test_adjacency_consistent():
     rng = random.Random(7)
     for _ in range(30):

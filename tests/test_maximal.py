@@ -27,11 +27,11 @@ from okplanar.drawing import (
     make_drawing,
     positions_interleave,
 )
-from okplanar.generators import grid, grid_snake_order, random_outer_k_planar
+from okplanar.generators import grid, random_outer_k_planar
 from okplanar.graphs import build_graph
 from okplanar.maximal import LevelDecomposition, levels_svg
 
-from oracles import scan_is_maximal
+from oracles import grid_snake_order, scan_is_maximal
 from test_drawing import max_clique_bitset, scalar_crossing_graph
 
 

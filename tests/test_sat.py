@@ -159,6 +159,11 @@ def test_closed_rejections():
         assert search_order(g, 1, "closed-outer-planar").found is None
 
 
+def test_closed_encoding_refuses_a_closed_inner_variant():
+    with pytest.raises(ValueError, match="unknown inner variant 'closed-outer-planar'"):
+        encode_closed(cycle(4), 1, "closed-outer-planar")
+
+
 def test_decoded_models_pass_checkers():
     rng = random.Random(101)
     for _ in range(12):

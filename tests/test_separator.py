@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from okplanar.drawing import crossing_report, make_drawing
-from okplanar.generators import grid, grid_snake_order, random_outer_k_planar
+from okplanar.generators import grid, random_outer_k_planar
 from okplanar.graphs import build_graph
 from okplanar.separator import (
     Separation,
@@ -16,7 +16,7 @@ from okplanar.separator import (
     check_separation,
     recursive_decompose,
 )
-from oracles import induced_drawing
+from oracles import grid_snake_order, induced_drawing
 
 
 def cycle_plus(n, extra=()):
