@@ -7,6 +7,7 @@ Usage, from the root of a checkout:
     python3 scripts/bench_series.py --series mso2 --label change
     python3 scripts/bench_series.py --series emit --label parent --src OTHER_CHECKOUT/src
     python3 scripts/bench_series.py --series read --label change
+    python3 scripts/bench_series.py --series setup --label parent --src OTHER_CHECKOUT/src
 
 Imports okplanar from --src (default: this checkout's src/), runs each
 instance REPEATS times and merges one entry under --label into the series'
@@ -51,11 +52,21 @@ records n, m, the file's bytes, the median seconds of reading the file into
 a drawing over READ_REPEATS reads, and the SHA-256 of format_drawing
 applied to what was read.
 Writing the entry fails when another label's SHA-256 differs.
+
+setup: the benchmark's setup probe (PROBE in perfbench/run.py: import
+okplanar.cli and build the parser) in SETUP_RUNS fresh
+`python3 -X importtime` processes after one warm-up, with PYTHONPATH set to
+--src, PYTHONHASHSEED=0 and PYTHONDONTWRITEBYTECODE=1, so a run reads the
+__pycache__ the source tree already has and writes none. It records the
+median seconds the probe prints and the median self-import microseconds of
+each okplanar module. Writing the entry fails when another label's list of
+loaded okplanar modules differs.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -87,6 +98,8 @@ MSO2_SIZES = [(min(m, 7), m) for m in range(4, 11)]
 
 READ_INSTANCES = [(n, k) for k in (1, 3) for n in (60, 120, 240, 480)]
 READ_REPEATS = 50  # one read takes 0.1-3 ms, where five repeats leave the median to scheduler noise
+
+SETUP_RUNS = 31  # one probe takes a few ms, so one slow process start shifts a short series
 
 EMIT_CLASSES = [("closed-planar", k) for k in (24, 48, 96, 193)] + [("closed-quasi", k) for k in (8, 16, 32)]
 
@@ -310,6 +323,37 @@ def read_rows():
         yield {"instance": f"okp-{n}-{k}", **read_row(n, k)}
 
 
+def setup_rows():
+    import okplanar
+
+    spec = importlib.util.spec_from_file_location("bench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(okplanar.__file__)),
+           "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
+    seconds, self_us = [], {}
+    for i in range(SETUP_RUNS + 1):
+        out = subprocess.run([sys.executable, "-X", "importtime", "-c", bench_run.PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        if not i:
+            continue  # warm-up
+        seconds.append(float(out.stdout))
+        # stderr lines read "import time: <self us> | <cumulative us> | <module>"
+        for line in out.stderr.splitlines():
+            fields = line.split("|")
+            if len(fields) == 3 and fields[2].strip().startswith("okplanar"):
+                us = fields[0].rsplit(":", 1)[1]
+                self_us.setdefault(fields[2].strip(), []).append(int(us))
+    if any(len(runs) != SETUP_RUNS for runs in self_us.values()):
+        raise SystemExit(f"loaded modules changed between runs: {sorted(self_us)}")
+    yield {
+        "instance": "import okplanar.cli; build_parser()",
+        "modules": sorted(self_us),
+        "probe_s": round(statistics.median(seconds), 5),
+        "self_us": {name: statistics.median(runs) for name, runs in sorted(self_us.items())},
+    }
+
+
 def sat_setup_rows():
     for name, spec, k, variant in SAT_INSTANCES:
         yield {"instance": name, **sat_setup_row(spec, k, variant)}
@@ -322,9 +366,10 @@ def maximal_rows():
 
 
 SERIES = {"sat_setup": sat_setup_rows, "maximal": maximal_rows, "mso2": mso2_rows, "emit": emit_rows,
-          "read": read_rows}
+          "read": read_rows, "setup": setup_rows}
 # what every label's entry must agree on, per series
-ANSWER = {"emit": "sexpr_sha256", "read": "drawing_sha256"}
+ANSWER = {"emit": "sexpr_sha256", "read": "drawing_sha256", "setup": "modules"}
+REPEATS_OF = {"read": READ_REPEATS, "setup": SETUP_RUNS}
 
 
 def main() -> int:
@@ -353,7 +398,7 @@ def main() -> int:
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "repeats": READ_REPEATS if args.series == "read" else REPEATS,
+        "repeats": REPEATS_OF.get(args.series, REPEATS),
         "instances": rows,
     }
     with open(out, "w") as fh:

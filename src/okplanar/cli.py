@@ -79,10 +79,6 @@ def _in_class(*fields: str) -> dict:
     return {"in_class": True, "witness_mutual": [], **dict.fromkeys(fields)}
 
 
-def schema_path(command: str) -> Path:
-    return Path(__file__).parent / "schemas" / f"{command}.schema.json"
-
-
 # ---------------------------------------------------------------- commands
 
 

@@ -221,12 +221,8 @@ class ChordSet:
         cs.m = len(cs.chords)
         for i in range(n):
             cs.prefix[i + 1] = cs.prefix[i] ^ cs.incident[i]
-        cs.counts = [cm.bit_count() for cm in cs.crossing_graph()]
+        cs.counts = [cs.crossers(p, q).bit_count() for p, q in cs.chords]
         return cs
-
-    def crossing_graph(self) -> list[int]:
-        """Crosser mask of every chord: the crossing graph as adjacency masks."""
-        return [self.crossers(p, q) for p, q in self.chords]
 
     def crossing_chords(self, p: int, q: int) -> list[tuple[int, int]]:
         """The chords crossing (p, q), in index order."""

@@ -22,6 +22,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from .drawing import ConvexDrawing, identity_drawing, make_drawing
 from .graphs import Graph, build_graph
 
+# the largest vertex count a header may declare: the graph is allocated
+# per vertex before any edge line is read
+MAX_VERTICES = 100_000
+
 
 def _ints(no: int, body: str, want: int | None = None) -> list[int]:
     try:
@@ -44,6 +48,9 @@ def parse_instance(text: str) -> ConvexDrawing:
     n, m = _ints(no, head, 2)
     if n < 0 or m < 0:
         raise ValueError(f"line {no}: negative counts in header")
+    if n > MAX_VERTICES:
+        raise ValueError(f"line {no}: header declares {n} vertices, "
+                         f"above MAX_VERTICES = {MAX_VERTICES}")
     if len(lines) < 1 + m:
         raise ValueError(f"line {no}: header declares {m} edges, "
                          f"file has {len(lines) - 1} data lines")

@@ -396,6 +396,8 @@ def parse_sexpr(text: str) -> tuple:
             if pos + 1 >= len(tokens):
                 raise ValueError(f"truncated {head}")
             sort, name = tokens[pos], tokens[pos + 1]
+            if sort not in SORTS:
+                raise ValueError(f"unknown sort {sort!r}")
             pos += 2
             body = parse_node()
             node = (head, sort, name, body)

@@ -1,9 +1,14 @@
 """Oracles shared by the tests: brute-force searches and class membership
 through the package's one rule, for claims the library itself never makes,
-and the grid snake order, a fixture drawing."""
+the crossing graph of a chord set, report schema paths, and the grid snake
+order, a fixture drawing."""
 from __future__ import annotations
 
+from pathlib import Path
+
+import okplanar
 from okplanar.drawing import (
+    ChordSet,
     ConvexDrawing,
     class_violation,
     crossing_report,
@@ -53,6 +58,16 @@ def scan_is_maximal(d: ConvexDrawing, k: int) -> bool:
             if (p, q) not in present and not cs.mutual_through(p, q, -1, k - 1):
                 return False
     return True
+
+
+def crossing_graph(cs: ChordSet) -> list[int]:
+    """Crosser mask of every chord: the crossing graph as adjacency masks."""
+    return [cs.crossers(p, q) for p, q in cs.chords]
+
+
+def schema_path(command: str) -> Path:
+    """The JSON schema of a command's report."""
+    return Path(okplanar.__file__).parent / "schemas" / f"{command}.schema.json"
 
 
 def grid_snake_order(r: int, c: int) -> list[int]:

@@ -22,7 +22,7 @@ from okplanar.bounds import (
     outer_k_planar_degeneracy_bound,
     verify_degeneracy_bound,
 )
-from okplanar.cli import _PROP_ROWS, main, schema_path
+from okplanar.cli import _PROP_ROWS, main
 from okplanar.drawing import crossing_report, edges_cross, make_drawing
 from okplanar.generators import complete, random_outer_k_planar
 from okplanar.graphs import build_graph, induced_subgraph, is_connected
@@ -42,7 +42,7 @@ from okplanar.recognition import (
 )
 from okplanar.sat import search_order
 
-from oracles import largest_clique_in_class
+from oracles import largest_clique_in_class, schema_path
 
 # lazily built shared corpora, with the build time charged to the budget
 # of whichever claim touches them first

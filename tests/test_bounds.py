@@ -6,18 +6,18 @@ import random
 import networkx as nx
 import pytest
 
-from okplanar import (
+from okplanar import bounds
+from okplanar.bounds import (
     BoundViolation,
-    bounds,
     degeneracy,
     outer_k_planar_chromatic_bound,
     outer_k_planar_degeneracy_bound,
-    saturate,
     verify_degeneracy_bound,
 )
 from okplanar.drawing import identity_drawing
 from okplanar.generators import complete, random_outer_k_planar
 from okplanar.graphs import build_graph
+from okplanar.maximal import saturate
 
 from oracles import largest_clique_in_class
 

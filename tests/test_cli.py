@@ -12,13 +12,16 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from okplanar.cli import main, schema_path
+from okplanar import io
+from okplanar.cli import main
 from okplanar.drawing import identity_drawing
 from okplanar.generators import complete, random_outer_k_planar
 from okplanar.graphs import build_graph
 from okplanar.io import format_drawing, format_graph, parse_instance
 from okplanar.maximal import saturate
 from okplanar.mso2 import parse_sexpr
+
+from oracles import schema_path
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -97,6 +100,31 @@ def test_instance_comments_and_errors():
     ):
         with pytest.raises(ValueError, match=rf"^line {line}: "):
             parse_instance(bad)
+
+
+def test_vertex_cap_refuses_the_header_before_any_edge(monkeypatch):
+    def unreachable(*_):
+        raise AssertionError("build_graph ran")
+
+    monkeypatch.setattr(io, "build_graph", unreachable)
+    n = io.MAX_VERTICES + 1
+    with pytest.raises(ValueError, match=rf"^line 1: header declares {n} vertices, "
+                                         r"above MAX_VERTICES = 100000$"):
+        parse_instance(f"{n} 0\n")
+
+
+def test_vertex_cap_admits_exactly_the_cap(monkeypatch):
+    monkeypatch.setattr(io, "MAX_VERTICES", 5)
+    assert parse_instance("5 0\n").n == 5
+    with pytest.raises(ValueError, match=r"^line 1: header declares 6 vertices, above MAX_VERTICES = 5$"):
+        parse_instance("6 0\n")
+
+
+def test_check_refuses_a_header_above_the_vertex_cap(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000 0\n")
+    assert main(["check", str(path), "--k", "1", "--variant", "planar"]) == 1
+    assert "above MAX_VERTICES = 100000" in capsys.readouterr().err
 
 
 def test_generate_families(capsys, tmp_path):

@@ -29,7 +29,7 @@ from okplanar.maximal import build_levels, find_long_edge, frame_edges, maximal_
 from okplanar.mso2 import emit_formula
 from okplanar.recognition import brute_force_recognize, refute
 
-from oracles import in_class
+from oracles import crossing_graph, in_class
 
 
 def complete(n):
@@ -158,7 +158,7 @@ def test_cross_symmetric():
         d = random_drawing(rng, rng.randrange(4, 9), 10)
         edges = d.graph.edges
         cs = drawing_chords(d)
-        graph = cs.crossing_graph()
+        graph = crossing_graph(cs)
         for i, e in enumerate(edges):
             p, q = d.pos[e[0]], d.pos[e[1]]
             wrapped += p > q

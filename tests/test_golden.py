@@ -24,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from okplanar.cli import main, schema_path
+from okplanar.cli import main
+
+from oracles import schema_path
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -1,5 +1,5 @@
-"""What importing the command-line tool, and running one command, loads,
-checked in a fresh interpreter."""
+"""What importing the package or the command-line tool, and running one
+command, loads, checked in a fresh interpreter."""
 from __future__ import annotations
 
 import os
@@ -17,6 +17,13 @@ def loaded(probe: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, check=True).stdout
+
+
+def test_package_import_loads_no_module_and_exports_no_name():
+    probe = ("import sys, okplanar; "
+             "print(sorted(m for m in sys.modules if m.startswith('okplanar.')), "
+             "hasattr(okplanar, 'saturate'), okplanar.__version__)")
+    assert loaded(probe) == "[] False 0.1.0\n"
 
 
 def test_cli_import_loads_no_process_or_temp_file_modules():

@@ -7,17 +7,6 @@ from dataclasses import replace
 
 import pytest
 
-from okplanar import (
-    QuasiPlanarityError,
-    build_levels,
-    find_long_edge,
-    frame_edges,
-    is_maximal,
-    maximal_edge_count,
-    replacement_split,
-    saturate,
-    verify_level_properties,
-)
 from okplanar.drawing import (
     ChordSet,
     crossing_report,
@@ -29,7 +18,19 @@ from okplanar.drawing import (
 )
 from okplanar.generators import grid, random_outer_k_planar
 from okplanar.graphs import build_graph
-from okplanar.maximal import LevelDecomposition, levels_svg
+from okplanar.maximal import (
+    LevelDecomposition,
+    QuasiPlanarityError,
+    build_levels,
+    find_long_edge,
+    frame_edges,
+    is_maximal,
+    levels_svg,
+    maximal_edge_count,
+    replacement_split,
+    saturate,
+    verify_level_properties,
+)
 
 from oracles import grid_snake_order, scan_is_maximal
 from test_drawing import max_clique_bitset, scalar_crossing_graph

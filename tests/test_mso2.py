@@ -9,15 +9,6 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from okplanar import (
-    EmittedFormula,
-    emit_formula,
-    evaluate_formula,
-    lint_formula,
-    parse_sexpr,
-    to_latex,
-    to_sexpr,
-)
 from okplanar import mso2
 from okplanar.cli import main
 from okplanar.generators import complete
@@ -25,6 +16,7 @@ from okplanar.graphs import Graph, build_graph
 from okplanar.mso2 import (
     FORMULA_NODE_CAP,
     SORTS,
+    EmittedFormula,
     _conjuncts,
     _crossing,
     _cycle_set,
@@ -35,6 +27,12 @@ from okplanar.mso2 import (
     _miniscope,
     _reads_bit,
     _span,
+    emit_formula,
+    evaluate_formula,
+    lint_formula,
+    parse_sexpr,
+    to_latex,
+    to_sexpr,
 )
 from okplanar.recognition import brute_force_recognize
 
@@ -209,7 +207,7 @@ def test_normal_form_is_idempotent_and_keeps_free_names():
 
 def test_parser_rejects_malformed_text():
     for bad in ["", "(", "(and)", "(in x)", "(in x", "(frobnicate x y)", "(= a b) (= c d)",
-                "(exists vertex x", "(forall vertex"]:
+                "(exists vertex x", "(forall vertex", "(forall bag x (= x x))"]:
         with pytest.raises(ValueError):
             parse_sexpr(bad)
 
