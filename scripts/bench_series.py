@@ -31,19 +31,24 @@ unwrapped.
 
 mso2: evaluate_formula for the mso2 workload's five closed classes, each on
 one seeded graph with a planted spanning cycle per m from 4 to 10, on
-min(m, 7) vertices. Per instance it records the verdict, the median seconds
-of evaluate_formula (lint, normal form, compile and evaluation), and the
-entries into compiled element and set quantifiers, counted in one more
-untimed pass with _Compiled's two quantifier builders wrapped. Writing the
-entry fails when another label's verdicts differ.
+min(m, 7) vertices. Per instance it records the verdict; compile_s, the
+median seconds of lint, normal form and compile, cold, as a one-shot
+process pays them; evaluate_s, the median seconds of evaluate_formula after
+one untimed call, which an evaluator that keeps compiled programs serves
+warm (lint runs in both); and the entries into compiled element and set quantifiers, counted
+in one more untimed pass that compiles afresh with _Compiled's two
+quantifier builders wrapped. Writing the entry fails when another label's
+verdicts differ.
 
-emit: emit_formula for closed-planar k in {24, 48, 96, 193} and
+emit: emit_formula for closed-planar k in {24, 48, 96, 191, 193} and
 closed-quasi k in {8, 16, 32}; 193 and 32 are the largest k under
-FORMULA_NODE_CAP. Per instance it records the node count, the bytes and
-SHA-256 of the sexpr text, the median seconds of emit_formula, and the
-median wall seconds of a fresh `python3 -m okplanar.cli mso2` process that
-prints the formula. Writing the entry fails when another label's SHA-256
-differs.
+FORMULA_NODE_CAP, and 191 the largest planar k under EVAL_MAX_DEPTH. Per
+instance it records the node count, the bytes and SHA-256 of the sexpr
+text, the median seconds of emit_formula, the median wall seconds of a
+fresh `python3 -m okplanar.cli mso2` process that prints the formula, and
+cold_eval_s, the median seconds of a cold evaluate_formula on the 4-cycle
+(null where the evaluator refuses the formula). Writing the entry fails
+when another label's SHA-256 differs.
 
 read: read_instance on the drawings workload's sparse corpus at seed 1,
 random_outer_k_planar(n, k, 1) for n in {60, 120, 240, 480} and k in
@@ -101,7 +106,7 @@ READ_REPEATS = 50  # one read takes 0.1-3 ms, where five repeats leave the media
 
 SETUP_RUNS = 31  # one probe takes a few ms, so one slow process start shifts a short series
 
-EMIT_CLASSES = [("closed-planar", k) for k in (24, 48, 96, 193)] + [("closed-quasi", k) for k in (8, 16, 32)]
+EMIT_CLASSES = [("closed-planar", k) for k in (24, 48, 96, 191, 193)] + [("closed-quasi", k) for k in (8, 16, 32)]
 
 
 def sat_setup_row(spec, k, variant):
@@ -209,9 +214,42 @@ def hamiltonian_graph(n: int, m: int):
     return build_graph(n, sorted(edges | set(rng.sample(rest, m - n))))
 
 
+def forget_programs() -> None:
+    """Drop the compiled programs the evaluator keeps, so the next call
+    compiles afresh; an evaluator that keeps none compiles every call."""
+    from okplanar import mso2
+
+    if hasattr(mso2, "_program"):
+        mso2._program.cache_clear()
+
+
+def compile_seconds(formula, g) -> float:
+    """Seconds of lint, normal form and compile of formula, cold."""
+    from okplanar import mso2
+
+    forget_programs()
+    t0 = time.perf_counter()
+    mso2.lint_formula(formula.ast)
+    if hasattr(mso2, "_program"):
+        mso2._program(formula.ast)
+    else:  # an older evaluator compiles against the graph
+        mso2._Compiled(g).compile(mso2._miniscope(formula.ast).node)
+    return time.perf_counter() - t0
+
+
+def cold_evaluate_seconds(formula, g) -> float:
+    """Seconds of one evaluate_formula of formula on g, compiled afresh."""
+    from okplanar.mso2 import evaluate_formula
+
+    forget_programs()
+    t0 = time.perf_counter()
+    evaluate_formula(formula, g)
+    return time.perf_counter() - t0
+
+
 def counted_entries(formula, g) -> dict:
-    """Evaluate formula on g once with every compiled quantifier wrapped;
-    returns the entries of each kind."""
+    """Evaluate formula on g once, compiled afresh with every compiled
+    quantifier wrapped; returns the entries of each kind."""
     from okplanar.mso2 import _Compiled, evaluate_formula
 
     calls = dict.fromkeys(("element", "set"), 0)
@@ -229,10 +267,12 @@ def counted_entries(formula, g) -> dict:
 
     for kind in calls:
         setattr(_Compiled, f"_{kind}_quantifier", wrap(kind))
+    forget_programs()
     try:
         evaluate_formula(formula, g)
         return calls
     finally:
+        forget_programs()  # no later call may run the wrapped program
         for kind, method in plain.items():
             setattr(_Compiled, f"_{kind}_quantifier", method)
 
@@ -241,7 +281,8 @@ def mso2_row(variant, k, n, m):
     from okplanar.mso2 import emit_formula, evaluate_formula
 
     formula, g = emit_formula(k, variant), hamiltonian_graph(n, m)
-    seconds, verdicts = [], set()
+    compile_s = [compile_seconds(formula, g) for _ in range(REPEATS)]
+    seconds, verdicts = [], {evaluate_formula(formula, g)}
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         verdicts.add(evaluate_formula(formula, g))
@@ -250,6 +291,7 @@ def mso2_row(variant, k, n, m):
         raise SystemExit(f"verdict changed between repeats: {sorted(verdicts)}")
     return {
         "verdict": verdicts.pop(),
+        "compile_s": round(statistics.median(compile_s), 4),
         "evaluate_s": round(statistics.median(seconds), 4),
         "quantifier_entries": counted_entries(formula, g),
     }
@@ -263,6 +305,7 @@ def mso2_rows():
 
 def emit_row(variant, k):
     import okplanar
+    from okplanar.graphs import build_graph
     from okplanar.mso2 import _formula_nodes, emit_formula
 
     seconds, cli_seconds = [], []
@@ -276,12 +319,18 @@ def emit_row(variant, k):
         subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, check=True)
         cli_seconds.append(time.perf_counter() - t0)
     text = f.sexpr.encode()
+    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    try:
+        cold_eval_s = round(statistics.median(cold_evaluate_seconds(f, c4) for _ in range(REPEATS)), 4)
+    except ValueError:  # refused, too deep for the evaluator
+        cold_eval_s = None
     return {
         "nodes": _formula_nodes(k, f.variant),
         "sexpr_bytes": len(text),
         "sexpr_sha256": hashlib.sha256(text).hexdigest(),
         "emit_s": round(statistics.median(seconds), 4),
         "cli_s": round(statistics.median(cli_seconds), 4),
+        "cold_eval_s": cold_eval_s,
     }
 
 

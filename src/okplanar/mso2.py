@@ -8,16 +8,18 @@ sets and edge sets plus the four relations =, membership, subset and
 incidence. This module emits those formulas fully expanded, parses and
 pretty-prints the S-expression rendering, lints the primitive vocabulary,
 renders a LaTeX-like form, and evaluates well-sorted formulas on tiny
-graphs by enumerating assignments: every quantifier runs over only the
-values its own guard conjuncts allow (see _Compiled).
+graphs by enumerating assignments: each formula is compiled once per
+process, and every quantifier runs over only the values its own guard
+conjuncts allow (see _Compiled).
 
 The S-expression grammar is documented in docs/formulas.md.
 """
 from __future__ import annotations
 
+import atexit
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import combinations
+from functools import cache, lru_cache
+from itertools import combinations, repeat
 from typing import Callable, NamedTuple
 
 from .drawing import resolve_class
@@ -30,6 +32,7 @@ _ELEM_OF = {"vertex-set": "vertex", "edge-set": "edge"}
 
 EVAL_MAX_N = 7
 EVAL_MAX_M = 10
+EVAL_MAX_DEPTH = 201  # nested quantifiers, as in closed-planar k = 191 and a chain of 200 nested exists
 FORMULA_NODE_CAP = 60_000  # closed-quasi k = 30 has 49,679 nodes; k = 33 is refused
 
 
@@ -688,35 +691,45 @@ def _conj(cs: tuple) -> Callable:
 
 
 @cache
-def _bit_table(width: int) -> list[tuple[int, ...]]:
-    """Per mask below 2**width, its set bits in ascending order. The caps
-    bound width, so the cache stays small."""
-    return [tuple(i for i in range(width) if mask >> i & 1) for mask in range(1 << width)]
+def _bit_table() -> list[tuple[int, ...]]:
+    """Per mask below 2**max(EVAL_MAX_N, EVAL_MAX_M), its set bits, ascending."""
+    table = [()]
+    for i in range(max(EVAL_MAX_N, EVAL_MAX_M)):
+        table += [bits + (i,) for bits in table]  # the masks with top bit i
+    return table
+
+
+_FULL = {"vertex": 0, "edge": 1}  # environment slots of the full vertex and edge masks
 
 
 class _Compiled:
-    """Compiles a miniscoped AST into closures over one shared environment.
+    """Compiles a miniscoped AST into closures over one shared environment,
+    with no graph in them; run(g) binds g and evaluates.
 
     Vertices are 0..n-1; edges are indexed into g.edges; sets are bitmasks.
-    Every quantifier visits only the values its guards allow (see
-    _element_quantifier and _set_quantifier). Each set quantifier owns its
-    memo tables, keyed by the values of the free names it reads.
+    The closures read g only from inc_mask and edges_at, which run refills,
+    and the _FULL slots. Every quantifier visits only the values its guards
+    allow (see _element_quantifier and _set_quantifier). Each set quantifier
+    owns its memo tables, keyed by the values of the free names it reads,
+    which run empties when it ends. Children are built through map, which
+    unlike a generator adds no frame per level of nesting.
     """
 
-    def __init__(self, g: Graph):
-        self.inc_mask = [1 << u | 1 << v for u, v in g.edges]
-        self.edges_at = [0] * g.n
-        for i, (u, v) in enumerate(g.edges):
-            self.edges_at[u] |= 1 << i
-            self.edges_at[v] |= 1 << i
-        self.full = {"vertex": (1 << g.n) - 1, "edge": (1 << g.m) - 1}
-        self.bit_table = _bit_table(max(g.n, g.m))
-        self.nslots = 0
+    def __init__(self, node):
+        self.inc_mask, self.edges_at, self.memos = [], [], []
+        self.bit_table = _bit_table()
+        self.nslots = len(_FULL)
+        self.fn = self._build(node, {})
 
-    def compile(self, node) -> Callable:
-        fn = self._build(node, {})
-        env = [0] * self.nslots
-        return lambda: fn(env)
+    def run(self, g: Graph) -> bool:
+        self.inc_mask[:] = [1 << u | 1 << v for u, v in g.edges]
+        self.edges_at[:] = [sum(1 << i for i, e in enumerate(g.edges) if u in e) for u in range(g.n)]
+        env = [(1 << g.n) - 1, (1 << g.m) - 1] + [0] * (self.nslots - 2)  # the _FULL slots first
+        try:
+            return self.fn(env)
+        finally:  # every run starts from empty tables, and a kept program holds none
+            for memo in self.memos:
+                memo.clear()
 
     def _slot(self) -> int:
         self.nslots += 1
@@ -724,7 +737,7 @@ class _Compiled:
 
     def _rest(self, rest: list, then, scope: dict) -> Callable:
         """The per-value test the guards leave: the other conjuncts, -> ψ."""
-        test = _conj(tuple(self._build(c, scope) for c in rest))
+        test = _conj(tuple(map(self._build, rest, repeat(scope))))
         if then is None:
             return test
         t = self._build(then, scope)
@@ -775,11 +788,11 @@ class _Compiled:
             else:
                 masks.append(m)
         test = self._rest(rest, then, {**scope, x: slot})
-        full, bits = self.full[sort], self.bit_table
+        full, bits = _FULL[sort], self.bit_table
         want = head == "exists"
 
         def ev(env):
-            mask = full
+            mask = env[full]
             for m in masks:
                 mask &= m(env)
             for v in bits[mask]:
@@ -815,25 +828,26 @@ class _Compiled:
                 uppers.append(scope[c[2]])
             elif c[0] == "forall" and c[1] == _ELEM_OF[sort] and c[2] != s and _reads_bit(c[3], s, c[2]):
                 xs = self._slot()
-                bits.append((xs, self.bit_table[self.full[c[1]]], self._build(c[3], {**inner, c[2]: xs})))
+                bits.append((xs, _FULL[c[1]], self._build(c[3], {**inner, c[2]: xs})))
             else:
                 rest.append(c)
                 continue
             guards.append(c)
         test = self._rest(rest, then, inner)
-        full = self.full[_ELEM_OF[sort]]
+        full, table = _FULL[_ELEM_OF[sort]], self.bit_table
         read = frozenset().union(*(c[4] if c[0] == "forall" else c[1:] for c in guards))
         key_slots = [scope[x] for x in free]
         bound_slots = [scope[x] for x in free & read]
         memo, bounds_memo = {}, {}
+        self.memos += (memo, bounds_memo)
 
         def interval(env):
             """(lo, hi & ~lo), or None when no set passes the guards."""
-            lo, hi = 0, full
+            lo, hi = 0, env[full]
             for t in uppers:
                 hi &= env[t]
             for xs, dom, chi in bits:
-                for v in dom:
+                for v in table[env[dom]]:
                     env[xs] = v
                     bit = 1 << v
                     env[slot] = 0
@@ -880,9 +894,9 @@ class _Compiled:
                 return self._set_quantifier(node, scope)
             return self._element_quantifier(node, scope)
         if head == "and":
-            return _conj(tuple(self._build(c, scope) for c in node[1:]))
+            return _conj(tuple(map(self._build, node[1:], repeat(scope))))
         if head == "or":
-            cs = tuple(self._build(c, scope) for c in node[1:])
+            cs = tuple(map(self._build, node[1:], repeat(scope)))
 
             def ev_or(env, cs=cs):
                 for c in cs:
@@ -925,18 +939,44 @@ def evaluate_formula(formula, g: Graph) -> bool:
     moves, so every quantifier still visits only the values its guards
     allow (see _Compiled). Exact for any well-sorted formula. The Estar scan
     is still 2^m, so models beyond n <= 7, m <= 10 are refused: this only
-    certifies that emitted text means what it should. A formula nested
-    too deeply for Python's recursion limit is refused with a ValueError.
+    certifies that emitted text means what it should. More than
+    EVAL_MAX_DEPTH nested quantifiers are refused before lint, and a formula
+    too deep for the recursion limit after, each with a ValueError. Each
+    normal form is compiled once per process, with no graph in it (_program
+    keeps the last 8); a call binds g to it, so evaluation is single-threaded.
     """
     ast = formula.ast if isinstance(formula, EmittedFormula) else formula
     if g.n > EVAL_MAX_N:
         raise ValueError(f"evaluator cap n <= {EVAL_MAX_N}, got n={g.n}")
     if g.m > EVAL_MAX_M:
         raise ValueError(f"evaluator cap m <= {EVAL_MAX_M}, got m={g.m}")
+    if (depth := _quantifier_depth(ast)) > EVAL_MAX_DEPTH:
+        raise ValueError(f"formula nests too deeply for the evaluator: quantifier depth {depth} > {EVAL_MAX_DEPTH}")
     try:
         problems = lint_formula(ast)
         if problems:
             raise ValueError("formula fails lint: " + "; ".join(problems))
-        return _Compiled(g).compile(_miniscope(ast).node)()
+        return _program(ast).run(g)
     except RecursionError:
         raise ValueError("formula nests too deeply for the evaluator") from None
+
+
+def _quantifier_depth(node) -> int:
+    """The most quantifiers on one path of node; iterative, so any AST, malformed too, gets one."""
+    depth, level = 0, [node]
+    while level:  # the nodes under depth quantifiers; the loop visits what it appends
+        inner = []
+        for n in level:
+            if isinstance(n, tuple) and n:
+                (inner if n[0] in _QUANT else level).extend(n[1:])
+        depth, level = depth + bool(inner), inner
+    return depth
+
+
+@lru_cache(maxsize=8)
+def _program(ast) -> _Compiled:
+    """The compiled normal form of a linted AST, kept for the process."""
+    return _Compiled(_miniscope(ast).node)
+
+
+atexit.register(_program.cache_clear)  # interpreter teardown frees live closures far slower

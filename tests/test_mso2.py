@@ -316,7 +316,7 @@ def test_evaluator_caps_rejected():
         evaluate_formula(("in", "x", "C"), cycle(4))
 
 
-def test_evaluator_refuses_a_formula_nested_too_deeply():
+def test_evaluator_refuses_a_formula_nested_too_deeply(monkeypatch):
     def chain(depth: int) -> tuple:
         # exists x0 (exists x1 (and (= x1 x0) (exists x2 (and (= x2 x1) ...))))
         node = ("=", f"x{depth}", f"x{depth - 1}")
@@ -326,8 +326,38 @@ def test_evaluator_refuses_a_formula_nested_too_deeply():
 
     one = build_graph(1, [])
     assert evaluate_formula(chain(200), one) is True
-    with pytest.raises(ValueError, match="formula nests too deeply for the evaluator"):
-        evaluate_formula(chain(250), one)
+    assert evaluate_formula(emit_formula(191, "closed-planar"), cycle(4)) is True  # EVAL_MAX_DEPTH deep
+
+    # past EVAL_MAX_DEPTH nested quantifiers the refusal comes before lint
+    # and the normal form start
+    def must_not_run(*args):
+        raise AssertionError("a too-deep formula reached lint or the normal form")
+
+    with monkeypatch.context() as m:
+        m.setattr(mso2, "lint_formula", must_not_run)
+        m.setattr(mso2, "_miniscope", must_not_run)
+        for deep, g in [(chain(250), one), (emit_formula(192, "closed-planar"), cycle(4))]:
+            with pytest.raises(ValueError, match=r"nests too deeply for the evaluator: quantifier depth \d+ > 201"):
+                evaluate_formula(deep, g)
+
+    # one quantifier under 1,000 nots passes the depth cap and trips the
+    # recursion limit; a second call must not get past the handler either
+    node = ("=", "x", "x")
+    for _ in range(1000):
+        node = ("not", node)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nests too deeply"):
+            evaluate_formula(("exists", "vertex", "x", node), one)
+
+
+def test_evaluator_compiles_a_formula_once_and_clears_its_memos_per_graph():
+    # true iff n >= 2; its one set quantifier memoizes its answer under the
+    # empty key, so a memo left from the previous graph would repeat it
+    f = parse_sexpr("(exists vertex-set S (and (exists vertex x (in x S)) (exists vertex y (not (in y S)))))")
+    mso2._program.cache_clear()
+    assert [evaluate_formula(f, build_graph(n, [])) for n in (1, 2, 1, 3)] == [False, True, False, True]
+    info = mso2._program.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_evaluator_rejects_ill_sorted_formulas():
