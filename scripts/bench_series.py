@@ -19,7 +19,8 @@ because the solver adopts the encoding's clause lists and its search
 reorders the literals within them. Per instance it records the clause
 count, the median seconds of encode, of CdclSolver construction and of
 solve, the verdict, and the tracemalloc peak of encode plus construction,
-taken in one more untimed pass.
+taken in one more untimed pass. Writing the entry fails when another
+label's verdicts or clause counts differ.
 
 maximal: saturate and then is_maximal, from an empty start with n doubling
 at k = 3 and k = 6, plus one seeded start. Per instance it records the
@@ -34,8 +35,8 @@ one seeded graph with a planted spanning cycle per m from 4 to 10, on
 min(m, 7) vertices. Per instance it records the verdict; compile_s, the
 median seconds of lint, normal form and compile, cold, as a one-shot
 process pays them; evaluate_s, the median seconds of evaluate_formula after
-one untimed call, which an evaluator that keeps compiled programs serves
-warm (lint runs in both); and the entries into compiled element and set quantifiers, counted
+one untimed call, which the evaluator serves warm from the program it
+keeps (lint runs in both); and the entries into compiled element and set quantifiers, counted
 in one more untimed pass that compiles afresh with _Compiled's two
 quantifier builders wrapped. Writing the entry fails when another label's
 verdicts differ.
@@ -216,24 +217,20 @@ def hamiltonian_graph(n: int, m: int):
 
 def forget_programs() -> None:
     """Drop the compiled programs the evaluator keeps, so the next call
-    compiles afresh; an evaluator that keeps none compiles every call."""
+    compiles afresh."""
     from okplanar import mso2
 
-    if hasattr(mso2, "_program"):
-        mso2._program.cache_clear()
+    mso2._program.cache_clear()
 
 
-def compile_seconds(formula, g) -> float:
+def compile_seconds(formula) -> float:
     """Seconds of lint, normal form and compile of formula, cold."""
     from okplanar import mso2
 
     forget_programs()
     t0 = time.perf_counter()
     mso2.lint_formula(formula.ast)
-    if hasattr(mso2, "_program"):
-        mso2._program(formula.ast)
-    else:  # an older evaluator compiles against the graph
-        mso2._Compiled(g).compile(mso2._miniscope(formula.ast).node)
+    mso2._program(formula.ast)
     return time.perf_counter() - t0
 
 
@@ -281,7 +278,7 @@ def mso2_row(variant, k, n, m):
     from okplanar.mso2 import emit_formula, evaluate_formula
 
     formula, g = emit_formula(k, variant), hamiltonian_graph(n, m)
-    compile_s = [compile_seconds(formula, g) for _ in range(REPEATS)]
+    compile_s = [compile_seconds(formula) for _ in range(REPEATS)]
     seconds, verdicts = [], {evaluate_formula(formula, g)}
     for _ in range(REPEATS):
         t0 = time.perf_counter()
@@ -341,12 +338,7 @@ def emit_rows():
 
 def read_row(n, k):
     from okplanar import io
-    from okplanar.drawing import ConvexDrawing
     from okplanar.generators import random_outer_k_planar
-
-    def read(path):  # an older reader returns an Instance, whose drawing() ends the read
-        got = io.read_instance(path)
-        return got if isinstance(got, ConvexDrawing) else got.drawing()
 
     text = io.format_drawing(random_outer_k_planar(n, k, 1))
     seconds = []
@@ -356,7 +348,7 @@ def read_row(n, k):
             fh.write(text)
         for _ in range(READ_REPEATS):
             t0 = time.perf_counter()
-            d = read(path)
+            d = io.read_instance(path)
             seconds.append(time.perf_counter() - t0)
     return {
         "n": d.n,
@@ -417,7 +409,8 @@ def maximal_rows():
 SERIES = {"sat_setup": sat_setup_rows, "maximal": maximal_rows, "mso2": mso2_rows, "emit": emit_rows,
           "read": read_rows, "setup": setup_rows}
 # what every label's entry must agree on, per series
-ANSWER = {"emit": "sexpr_sha256", "read": "drawing_sha256", "setup": "modules"}
+ANSWER = {"sat_setup": ("verdict", "clauses"), "emit": ("sexpr_sha256",), "read": ("drawing_sha256",),
+          "setup": ("modules",)}
 REPEATS_OF = {"read": READ_REPEATS, "setup": SETUP_RUNS}
 
 
@@ -438,12 +431,13 @@ def main() -> int:
     if os.path.exists(out):
         with open(out) as fh:
             doc = json.load(fh)
-    answer = ANSWER.get(args.series, "verdict")
-    verdicts = {row["instance"]: row.get(answer) for row in rows}
+    answer = ANSWER.get(args.series, ("verdict",))
+    verdicts = {row["instance"]: [row.get(key) for key in answer] for row in rows}
     for label, run in doc.get("runs", {}).items():
-        theirs = {row["instance"]: row.get(answer) for row in run["instances"]}
+        theirs = {row["instance"]: [row.get(key) for key in answer] for row in run["instances"]}
         if label != args.label and theirs.keys() == verdicts.keys() and theirs != verdicts:
-            raise SystemExit(f"{answer} differs from the {label!r} entry; {out} left unchanged")
+            raise SystemExit(f"{' or '.join(answer)} differs from the {label!r} entry; "
+                             f"{out} left unchanged")
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),

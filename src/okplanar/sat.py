@@ -28,7 +28,7 @@ from .recognition import brute_force_recognize, check_refutation, refute
 
 Edge = tuple[int, int]
 
-# size guards: order axioms grow cubically in n; the quasi cap counts clauses
+# size guards: order axioms grow cubically in n; CLAUSE_CAP bounds the cap block
 N_LIMIT = 80
 CLAUSE_CAP = 2_000_000
 
@@ -40,29 +40,35 @@ class EncodingTooLarge(Exception):
 
 
 @dataclass
+class CnfFormula:
+    num_vars: int
+    clauses: list[list[int]] = field(default_factory=list)
+    comments: list[str] = field(default_factory=list)
+
+
+@dataclass
 class VarMap:
-    n: int
-    order_var: dict[tuple[int, int], int] = field(default_factory=dict)
-    cross_var: dict[tuple[Edge, Edge], int] = field(default_factory=dict)
+    """The literals the clauses read; new_var counts in cnf.num_vars.
+
+    not_before[a][b] is the literal "a does not come before b": -x_{a,b}
+    for a < b and x_{b,a} for a > b, where x_{u,v} is "u before v".
+    neg_cross[i][j], filled by encode_crossing_links, is -y for the
+    endpoint-disjoint edges i and j of g.edges and 0 where they touch.
+    """
+    cnf: CnfFormula
+    not_before: list[list[int]]
+    neg_cross: list[list[int]] = field(default_factory=list)
     succ_var: dict[tuple[int, int], int] = field(default_factory=dict)
     aux: list[tuple[str, int]] = field(default_factory=list)
-    num_vars: int = 0
 
     def new_var(self) -> int:
-        self.num_vars += 1
-        return self.num_vars
+        self.cnf.num_vars += 1
+        return self.cnf.num_vars
 
     def new_aux(self, tag: str) -> int:
         v = self.new_var()
         self.aux.append((tag, v))
         return v
-
-
-@dataclass
-class CnfFormula:
-    num_vars: int
-    clauses: list[list[int]] = field(default_factory=list)
-    comments: list[str] = field(default_factory=list)
 
 
 def encode_order_axioms(n: int) -> tuple[CnfFormula, VarMap]:
@@ -74,28 +80,26 @@ def encode_order_axioms(n: int) -> tuple[CnfFormula, VarMap]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    vm = VarMap(n=n)
     cnf = CnfFormula(num_vars=0)
+    nb = [[0] * n for _ in range(n)]
+    vm = VarMap(cnf, nb)
     for u in range(n):
         for v in range(u + 1, n):
-            vm.order_var[(u, v)] = vm.new_var()
-    x = vm.order_var
-    nx = {pair: -var for pair, var in x.items()}  # one negated literal per pair
+            x = vm.new_var()
+            nb[u][v], nb[v][u] = -x, x
     cnf.comments.append("c block order-transitivity")
     for u in range(n):
         for v in range(u + 1, n):
-            for w in range(v + 1, n):
-                cnf.clauses.append([nx[(u, v)], nx[(v, w)], x[(u, w)]])
-                cnf.clauses.append([x[(u, v)], x[(v, w)], nx[(u, w)]])
+            for w in range(v + 1, n):  # no cycle u, v, w and none u, w, v
+                cnf.clauses.append([nb[u][v], nb[v][w], nb[w][u]])
+                cnf.clauses.append([nb[v][u], nb[w][v], nb[u][w]])
     cnf.comments.append("c block anchor-vertex-0-first")
     for v in range(1, n):
-        cnf.clauses.append([x[(0, v)]])
+        cnf.clauses.append([nb[v][0]])
     if n >= 3:
         cnf.comments.append("c block reflection-1-before-2")
-        cnf.clauses.append([x[(1, 2)]])
-    cnf.num_vars = vm.num_vars
-    for (u, v), var in x.items():
-        cnf.comments.append(f"c ord {u} {v} {var}")
+        cnf.clauses.append([nb[2][1]])
+    cnf.comments += (f"c ord {u} {v} {nb[v][u]}" for u in range(n) for v in range(u + 1, n))
     return cnf, vm
 
 
@@ -106,41 +110,29 @@ def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap) -> None:
     8 alternating arrangements of the four endpoints; any single orientation
     alone would let mirrored crossings slip through undetected.
     """
-    not_before = _not_before(vm)
+    not_before = vm.not_before
     cnf.comments.append("c block crossing-detect")
     edges = g.edges
-    pairs = [
-        (edges[i], edges[j])
-        for i, mask in enumerate(_disjointness_masks(edges))
-        for j in _bits(mask & ~((1 << (i + 1)) - 1))  # each pair once, i < j
-    ]
-    for e, f in pairs:
-        y = vm.new_var()
-        vm.cross_var[(e, f)] = y
-        u, u2 = e
-        v, v2 = f
-        for a, c in ((u, u2), (u2, u)):
-            na, nc = not_before[a], not_before[c]
-            for b, d in ((v, v2), (v2, v)):
-                nb = not_before[b]
-                cnf.clauses.append([na[b], nb[c], nc[d], y])
-                cnf.clauses.append([nb[a], na[d], not_before[d][c], y])
-    cnf.num_vars = vm.num_vars
-    for (e, f), var in vm.cross_var.items():
-        cnf.comments.append(f"c cross {e[0]} {e[1]} {f[0]} {f[1]} {var}")
-
-
-def _not_before(vm: VarMap) -> list[list[int]]:
-    """not_before[a][b] = -x_{a,b}, one int per ordered pair for every clause."""
-    not_before = [[0] * vm.n for _ in range(vm.n)]
-    for (a, b), var in vm.order_var.items():
-        not_before[a][b], not_before[b][a] = -var, var
-    return not_before
+    neg = vm.neg_cross = [[0] * len(edges) for _ in edges]
+    for i, mask in enumerate(_disjointness_masks(edges)):
+        u, u2 = edges[i]
+        for j in _bits(mask >> (i + 1) << (i + 1)):  # each pair once, i < j
+            y = vm.new_var()
+            neg[i][j] = neg[j][i] = -y
+            v, v2 = edges[j]
+            for a, c in ((u, u2), (u2, u)):
+                na, nc = not_before[a], not_before[c]
+                for b, d in ((v, v2), (v2, v)):
+                    nb = not_before[b]
+                    cnf.clauses.append([na[b], nb[c], nc[d], y])
+                    cnf.clauses.append([nb[a], na[d], not_before[d][c], y])
+            cnf.comments.append(f"c cross {u} {u2} {v} {v2} {y}")
 
 
 def _seq_counter_le(cnf: CnfFormula, vm: VarMap, negs: list[int], k: int, tag: str) -> None:
     """Sequential counter: at most k of the literals negated in negs are
-    true; the caller syncs cnf.num_vars. Each counter row is negated once."""
+    true. Its k + (len(negs) - 1)(2k + 1) clauses, or len(negs) at k = 0,
+    are what _counter_clauses predicts. Each counter row is negated once."""
     if len(negs) <= k:
         return
     clauses = cnf.clauses
@@ -168,13 +160,15 @@ def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     """SAT iff some circular order crosses every edge at most k times."""
     resolve_class("outer-planar", k)
     _check_size(g)
+    total = _counter_clauses(g.edges, k)
+    if total > CLAUSE_CAP:
+        raise EncodingTooLarge(
+            f"per-edge crossing-cap clauses exceed cap {CLAUSE_CAP}: {total} predicted", count=total)
     cnf, vm = encode_order_axioms(max(g.n, 1))
     encode_crossing_links(g, cnf, vm)
     cnf.comments.append("c block per-edge-crossing-cap")
-    edges = g.edges
-    for e, row, mask in zip(edges, _neg_cross_matrix(edges, vm), _disjointness_masks(edges)):
-        _seq_counter_le(cnf, vm, [row[j] for j in _bits(mask)], k, tag=f"cap{e[0]}-{e[1]}")
-    cnf.num_vars = vm.num_vars
+    for e, row in zip(g.edges, vm.neg_cross):
+        _seq_counter_le(cnf, vm, [nl for nl in row if nl], k, tag=f"cap{e[0]}-{e[1]}")
     _aux_comments(cnf, vm)
     return cnf, vm
 
@@ -187,7 +181,7 @@ def encode_outer_quasi(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     cnf, vm = encode_order_axioms(max(g.n, 1))
     encode_crossing_links(g, cnf, vm)
     cnf.comments.append("c block mutual-crossing-cap")
-    cnf.clauses += _mutual_cap_clauses(g.edges, k, _neg_cross_matrix(g.edges, vm))
+    cnf.clauses += _mutual_cap_clauses(g.edges, k, vm.neg_cross)
     _aux_comments(cnf, vm)
     return cnf, vm
 
@@ -207,13 +201,15 @@ def _disjointness_masks(edges: tuple[Edge, ...]) -> list[int]:
     return [everyone & ~(touching[u] | touching[v]) for u, v in edges]
 
 
-def _neg_cross_matrix(edges: tuple[Edge, ...], vm: VarMap) -> list[list[int]]:
-    """-y_{e,f} indexed by the two edges' positions; 0 where they touch."""
-    index = {e: i for i, e in enumerate(edges)}
-    neg = [[0] * len(edges) for _ in edges]
-    for (e, f), y in vm.cross_var.items():
-        neg[index[e]][index[f]] = neg[index[f]][index[e]] = -y
-    return neg
+def _counter_clauses(edges: tuple[Edge, ...], k: int) -> int:
+    """The clauses of the per-edge crossing caps at k, in closed form from
+    each edge's count d of disjoint edges; a counter over d <= k is empty."""
+    total = 0
+    for mask in _disjointness_masks(edges):
+        d = mask.bit_count()
+        if d > k:
+            total += k + (d - 1) * (2 * k + 1) if k else d
+    return total
 
 
 def _disjoint_stems(edges: tuple[Edge, ...], k: int):
@@ -278,7 +274,7 @@ def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
         raise ValueError(f"unknown inner variant {variant!r}")
     cnf, vm = encode(g, k, variant)
     n = g.n
-    not_before = _not_before(vm)
+    not_before = vm.not_before
     cnf.comments.append("c block boundary-successor")
     # s_{u,v} on each directed edge: v follows u, or u is last when v = 0.
     # Each vertex needs one, and the order fixes who follows whom, so every
@@ -297,7 +293,6 @@ def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
         for w in range(n):
             if w != u and w != v:  # nothing between u and v; nothing after u
                 cnf.clauses.append([nvar, nu[w], not_before[w][v]] if v else [nvar, nu[w]])
-    cnf.num_vars = vm.num_vars
     for (u, v), var in s.items():
         cnf.comments.append(f"c succ {u} {v} {var}")
     return cnf, vm
@@ -382,8 +377,9 @@ def decode_model(model: list[int], vm: VarMap, g: Graph) -> ConvexDrawing:
     true_vars = {l for l in model if l > 0}
     n = g.n
     wins = [0] * n
-    for (u, v), var in vm.order_var.items():
-        wins[u if var in true_vars else v] += 1
+    for v, before_v in enumerate(vm.not_before):
+        for u in range(v):  # before_v[u] is x_{u,v}
+            wins[u if before_v[u] in true_vars else v] += 1
     if len(set(wins)) != n:
         raise ValueError("model violates the order axioms: tied rank counts")
     return make_drawing(g, sorted(range(n), key=lambda u: -wins[u]))

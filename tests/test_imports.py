@@ -63,3 +63,18 @@ def test_check_and_mso2_runs_load_no_recognition_layer(tmp_path):
         "print(sorted(wanted & set(sys.modules)))",
     ])
     assert loaded(probe) == "[]\n"
+
+
+def test_maximal_runs_load_no_sat_solver_or_formula_module(tmp_path):
+    drawing, report = str(tmp_path / "max.txt"), str(tmp_path / "report.json")
+    probe = "\n".join([
+        "import sys",
+        "from okplanar.cli import main",
+        "for seed in ([], ['--seed', '1']):",
+        f"    assert main(['saturate', '--n', '20', '--k', '3', *seed, '--write-drawing', {drawing!r},"
+        f" '--out', {report!r}]) == 0",
+        f"    assert main(['levels', {drawing!r}, '--k', '3', '--out', {report!r}]) == 0",
+        "wanted = {'okplanar.sat', 'okplanar.cdcl', 'okplanar.recognition', 'okplanar.mso2'}",
+        "print(sorted(wanted & set(sys.modules)))",
+    ])
+    assert loaded(probe) == "[]\n"

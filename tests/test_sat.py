@@ -3,14 +3,14 @@ from __future__ import annotations
 
 import random
 from hashlib import sha256
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import comb
 
 import pytest
 
 from okplanar import cdcl, sat
 from okplanar.cdcl import CdclSolver, SolverTimeout
-from okplanar.cli import main
+from okplanar.cli import _PROP_ROWS, main
 from okplanar.drawing import (
     is_closed_drawing,
     make_drawing,
@@ -59,8 +59,14 @@ def test_order_axiom_counts():
 
 
 def order_units(vm, order):
+    """The literal "u before v" of each pair u < v, in variable order."""
     rank = {v: i for i, v in enumerate(order)}
-    return [var if rank[u] < rank[v] else -var for (u, v), var in vm.order_var.items()]
+    nb, n = vm.not_before, len(vm.not_before)
+    return [nb[v][u] if rank[u] < rank[v] else nb[u][v] for u in range(n) for v in range(u + 1, n)]
+
+
+def crossing_vars(vm):
+    return sum(map(bool, chain.from_iterable(vm.neg_cross))) // 2
 
 
 def reflection_classes(n):
@@ -93,7 +99,7 @@ def test_crossing_link_counts():
         cnf, vm = encode_order_axioms(g.n)
         pre = len(cnf.clauses)
         encode_crossing_links(g, cnf, vm)
-        assert len(vm.cross_var) == expected_y
+        assert crossing_vars(vm) == expected_y
         assert len(cnf.clauses) - pre == 8 * expected_y
 
 
@@ -289,13 +295,23 @@ def test_clause_cap_rejection(monkeypatch):
         assert e.value.count == cap + 1
         assert str(e.value) == (f"mutual-crossing clauses exceed cap {cap}: "
                                 f"at least {cap + 1} size-{k} disjoint edge subsets")
+    # the planar count is exact: K9 at k = 3 has 36 counters over 21
+    # disjoint edges, 3 + 20 * 7 clauses each, and fits a cap of just that
+    for variant in ("outer-planar", "closed-outer-planar"):
+        monkeypatch.setattr(sat, "CLAUSE_CAP", 36 * 143)
+        assert encode(complete(9), 3, variant)[0].clauses
+        monkeypatch.setattr(sat, "CLAUSE_CAP", 36 * 143 - 1)
+        with pytest.raises(EncodingTooLarge) as e:
+            encode(complete(9), 3, variant)
+        assert e.value.count == 36 * 143
+
+
+def no_clauses(*args):
+    raise AssertionError("encoding started")
 
 
 def test_over_cap_quasi_encoding_is_refused_before_any_clause(monkeypatch, tmp_path):
     # K25 has 2,656,500 disjoint edge triples; the count stops past the cap
-    def no_clauses(*args):
-        raise AssertionError("encoding started")
-
     monkeypatch.setattr(sat, "encode_order_axioms", no_clauses)
     with pytest.raises(EncodingTooLarge) as e:
         encode_outer_quasi(complete(25), 3)
@@ -304,16 +320,66 @@ def test_over_cap_quasi_encoding_is_refused_before_any_clause(monkeypatch, tmp_p
         recognize(complete(25), 3, "outer-quasi", emit_cnf=str(tmp_path / "k25.cnf"))
 
 
+def test_over_cap_planar_encoding_is_refused_before_any_clause(monkeypatch, tmp_path, capsys):
+    # K20 at k = 81: 190 counters over 153 disjoint edges each, 81 + 152 * 163
+    # clauses apiece; K35 at k = 5 is a refuted NO whose --emit-cnf is over
+    monkeypatch.setattr(sat, "encode_order_axioms", no_clauses)
+    for n, k, extra, predicted in ((20, 81, [], 4_722_830),
+                                   (35, 5, ["--emit-cnf", str(tmp_path / "k35.cnf")], 3_452_190)):
+        path = tmp_path / f"k{n}.txt"
+        path.write_text(format_graph(complete(n)))
+        assert main(["recognize", str(path), "--k", str(k), "--variant", "planar", *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: per-edge crossing-cap clauses exceed cap "
+                                     f"{sat.CLAUSE_CAP}: {predicted} predicted\n")
+    assert not (tmp_path / "k35.cnf").exists()
+
+
+def test_counter_prediction_matches_the_cap_block():
+    cases = [(complete(n), k) for n in range(3, 10) for k in range(6)]
+    cases += [(g, k) for g in (grid(5, 7), planar_3tree_levels(3)) for k in range(4)]
+    for _, make, _, _ in _PROP_ROWS:
+        cases += [(make(), k) for k in (0, 2, 5)]
+    for g, k in cases:
+        inner, ivm = encode_order_axioms(max(g.n, 1))
+        encode_crossing_links(g, inner, ivm)
+        built = len(encode_outer_planar(g, k)[0].clauses) - len(inner.clauses)
+        assert sat._counter_clauses(g.edges, k) == built, (g.edges, k)
+
+
+def test_tables_match_the_dimacs_legend():
+    # c ord U V VAR names x_{U,V}, the literal "V does not come before U";
+    # c cross names y of two edges, whose row entries hold -y, and 0 where
+    # edges touch; the header counts exactly the variables the clauses name
+    variants = ("outer-planar", "outer-quasi", "closed-outer-planar", "closed-outer-quasi")
+    for g in (complete(6), complete_bipartite(3, 3), grid(3, 4), planar_3tree_levels(2), cycle(7)):
+        index = {e: i for i, e in enumerate(g.edges)}
+        for variant in variants:
+            for k in (0, 2) if variant.endswith("planar") else (2, 3):
+                cnf, vm = encode(g, k, variant)
+                ords = crosses = 0
+                for line in dimacs_text(cnf).splitlines():
+                    kind, *nums = line.split()[1:] if line.startswith("c ") else ("",)
+                    if kind == "ord":
+                        u, v, var = map(int, nums)
+                        assert var == vm.not_before[v][u] == -vm.not_before[u][v]
+                        ords += 1
+                    elif kind == "cross":
+                        i, j = index[tuple(map(int, nums[:2]))], index[tuple(map(int, nums[2:4]))]
+                        assert int(nums[4]) == -vm.neg_cross[i][j] == -vm.neg_cross[j][i]
+                        crosses += 1
+                assert ords == comb(g.n, 2)
+                assert crosses == crossing_vars(vm) == sum(
+                    disjoint(e, f) for e, f in combinations(g.edges, 2))
+                assert cnf.num_vars == max(abs(l) for c in cnf.clauses for l in c)
+
+
 def cap_oracle_graphs(rng, k):
     """Random graphs with room for k pairwise disjoint edges."""
     for _ in range(6):
         n = rng.randint(2 * k, 2 * k + 2)
         pairs = list(combinations(range(n), 2))
         yield build_graph(n, rng.sample(pairs, min(len(pairs), rng.randint(n, 2 * n))))
-
-
-def neg_y(vm, e, f):
-    return -vm.cross_var.get((e, f), vm.cross_var.get((f, e)))
 
 
 def disjoint(*edges):
@@ -326,10 +392,11 @@ def test_mutual_crossing_cap_matches_a_combinations_oracle():
         emitted = 0
         for g in cap_oracle_graphs(rng, k):
             cnf, vm = encode_outer_quasi(g, k)
-            expected = [[neg_y(vm, e, f) for e, f in combinations(subset, 2)]
-                        for subset in combinations(g.edges, k) if disjoint(*subset)]
+            expected = [[vm.neg_cross[i][j] for i, j in combinations(subset, 2)]
+                        for subset in combinations(range(g.m), k)
+                        if disjoint(*(g.edges[i] for i in subset))]
             start = len(cnf.clauses) - len(expected)
-            assert start == len(encode_order_axioms(g.n)[0].clauses) + 8 * len(vm.cross_var)
+            assert start == len(encode_order_axioms(g.n)[0].clauses) + 8 * crossing_vars(vm)
             assert cnf.clauses[start:] == expected, (g.edges, k)
             emitted += len(expected)
         assert emitted > 0
@@ -343,11 +410,12 @@ def test_per_edge_crossing_cap_matches_a_combinations_oracle():
             cnf, vm = encode_outer_planar(g, k)
             oracle, ovm = encode_order_axioms(g.n)
             encode_crossing_links(g, oracle, ovm)
-            for e in g.edges:
-                negs = [neg_y(ovm, e, f) for f in g.edges if disjoint(e, f)]
+            for e, row in zip(g.edges, ovm.neg_cross):
+                negs = [row[j] for j, f in enumerate(g.edges) if disjoint(e, f)]
                 sat._seq_counter_le(oracle, ovm, negs, k, tag=f"cap{e[0]}-{e[1]}")
                 counted += len(negs) > k
             assert (cnf.clauses, vm.aux) == (oracle.clauses, ovm.aux), (g.edges, k)
+            assert cnf.num_vars == oracle.num_vars
         assert counted > 0
 
 
@@ -449,7 +517,7 @@ def test_decode_rejects_a_cyclic_triple():
         g = cycle(n)
         _, vm = encode_outer_planar(g, n)
         model = order_units(vm, range(n))
-        model[vm.order_var[(0, 2)] - 1] *= -1  # 0 before 1 before 2 before 0
+        model[vm.not_before[2][0] - 1] *= -1  # 0 before 1 before 2 before 0
         with pytest.raises(ValueError, match="tied rank counts"):
             decode_model(model, vm, g)
 
