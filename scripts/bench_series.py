@@ -14,10 +14,14 @@ instance REPEATS times and merges one entry under --label into the series'
 BENCH_<series>.json at the root of this checkout, keeping the entries of
 other labels. Stdlib only.
 
-sat_setup: the SAT setup layers of recognize. Each repeat encodes afresh,
-because the solver adopts the encoding's clause lists and its search
-reorders the literals within them. Per instance it records the clause
-count, the median seconds of encode, of CdclSolver construction and of
+sat_setup: the SAT setup layers of recognize, on the path sat.search_order
+runs: where the solver enforces the mutual-crossing cap natively, the
+encoding leaves that block out and construction includes the
+MutualCrossingCap (a checkout without it runs the explicit formula). Each
+repeat encodes afresh, because the solver adopts the encoding's clause
+lists and its search reorders the literals within them. Per instance it
+records the clause count of the DIMACS header, from one more untimed
+explicit encode, the median seconds of encode, of construction and of
 solve, the verdict, and the tracemalloc peak of encode plus construction,
 taken in one more untimed pass. Writing the entry fails when another
 label's verdicts or clause counts differ.
@@ -114,12 +118,24 @@ def sat_setup_row(spec, k, variant):
     from okplanar import cdcl, generators, sat
 
     g = getattr(generators, spec[0])(*spec[1:])
+    native = hasattr(sat, "MutualCrossingCap")
+    clauses = len(sat.encode(g, k, variant)[0].clauses)
+
+    def encode():
+        return sat.encode(g, k, variant, explicit_cap=False) if native else sat.encode(g, k, variant)
+
+    def build(cnf, vm):
+        if native and vm.cap_block is not None:
+            cap = sat.MutualCrossingCap(g.edges, k, vm.neg_cross)
+            return cdcl.CdclSolver(cnf.num_vars, cnf.clauses, cap)
+        return cdcl.CdclSolver(cnf.num_vars, cnf.clauses)
+
     encode_s, init_s, solve_s, verdicts = [], [], [], set()
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        cnf, _ = sat.encode(g, k, variant)
+        cnf, vm = encode()
         t1 = time.perf_counter()
-        solver = cdcl.CdclSolver(cnf.num_vars, cnf.clauses)
+        solver = build(cnf, vm)
         t2 = time.perf_counter()
         model = solver.solve()
         t3 = time.perf_counter()
@@ -127,14 +143,13 @@ def sat_setup_row(spec, k, variant):
         init_s.append(t2 - t1)
         solve_s.append(t3 - t2)
         verdicts.add("UNSAT" if model is None else "SAT")
-        clauses = len(cnf.clauses)
-        del cnf, solver, model
+        del cnf, vm, solver, model
     tracemalloc.start()
-    cnf, _ = sat.encode(g, k, variant)
-    solver = cdcl.CdclSolver(cnf.num_vars, cnf.clauses)
+    cnf, vm = encode()
+    solver = build(cnf, vm)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    del cnf, solver
+    del cnf, vm, solver
     if len(verdicts) != 1:
         raise SystemExit(f"verdict changed between repeats: {sorted(verdicts)}")
     return {

@@ -12,6 +12,13 @@ The solver adopts every clause list as given, repairing and copying none:
 each is stored once, and moving its watches reorders the literals within
 the caller's list, so callers that read their clauses after the solve must
 pass copies. Untrusted DIMACS text is repaired in sat.parse_dimacs.
+
+A constraint stands for clauses the solver is not given (lazy clause
+generation). When a literal in constraint.literals is dequeued true,
+constraint.propagate(lit, lval) returns clauses it stands for whose
+literals are all false but the first: the reason that forces the first,
+or a conflict if it is false too. constraint.backtrack(undone) gets the
+literals each backtrack takes off the trail.
 """
 from __future__ import annotations
 
@@ -44,9 +51,11 @@ class CdclSolver:
     owns every list and may reorder its literals; units and the empty clause
     are kept apart from the stored clauses. Literal 0 or a variable above
     num_vars raises ValueError: either would alias another literal's slot.
+    hooks holds the constraint's propagate at the slot of each literal it
+    watches, so no other literal pays for it.
     """
 
-    def __init__(self, num_vars: int, clauses: list[list[int]]):
+    def __init__(self, num_vars: int, clauses: list[list[int]], constraint=None):
         top = max(map(abs, chain.from_iterable(clauses)), default=0)
         if top > num_vars:
             raise ValueError(f"variable {top} exceeds num_vars {num_vars}")
@@ -69,6 +78,10 @@ class CdclSolver:
         self.heap_act = [0.0] * (num_vars + 1)  # -1.0: v has no live entry
         self.ok = True
         self.units: list[int] = []
+        self.constraint = constraint
+        self.hooks = [None] * (2 * num_vars + 1)
+        for lit in constraint.literals if constraint is not None else ():
+            self.hooks[lit] = constraint.propagate
         watches, store = self.watches, self.clauses
         for c in clauses:
             if 0 in c:
@@ -97,12 +110,19 @@ class CdclSolver:
 
     def _propagate(self) -> list[int] | None:
         """Returns a conflicting clause or None."""
-        trail, watches, lval = self.trail, self.watches, self.lval
+        trail, watches, lval, hooks = self.trail, self.watches, self.lval, self.hooks
         level, reason, lvl = self.level, self.reason, len(self.trail_lim)
         qhead = self.qhead
         while qhead < len(trail):
-            falsified = -trail[qhead]
+            lit = trail[qhead]
             qhead += 1
+            hook = hooks[lit]
+            if hook is not None:
+                for c in hook(lit, lval):
+                    if not self._enqueue(c[0], c):
+                        self.qhead = qhead
+                        return c
+            falsified = -lit
             ws = watches[falsified]
             i, end = 0, len(ws)  # ws[end:] holds moved watches until the del
             while i < end:
@@ -198,6 +218,8 @@ class CdclSolver:
             if heap_act[v] != act[v]:
                 heap_act[v] = act[v]
                 heappush(self.heap, (-act[v], v))
+        if self.constraint is not None:
+            self.constraint.backtrack(trail[start:])
         del trail[start:]
         self.qhead = min(self.qhead, start)
 

@@ -10,6 +10,7 @@ spuriously-true y can always be flipped false and soundness holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import NamedTuple
 
 from . import ENGINES
@@ -28,7 +29,7 @@ from .recognition import brute_force_recognize, check_refutation, refute
 
 Edge = tuple[int, int]
 
-# size guards: order axioms grow cubically in n; CLAUSE_CAP bounds the cap block
+# size guards: order axioms grow cubically in n; CLAUSE_CAP bounds the cap and link blocks
 N_LIMIT = 80
 CLAUSE_CAP = 2_000_000
 
@@ -54,10 +55,13 @@ class VarMap:
     for a < b and x_{b,a} for a > b, where x_{u,v} is "u before v".
     neg_cross[i][j], filled by encode_crossing_links, is -y for the
     endpoint-disjoint edges i and j of g.edges and 0 where they touch.
+    cap_block is the slice of cnf.clauses for the cap block the solver is to
+    enforce with MutualCrossingCap, empty if it was left out; else None.
     """
     cnf: CnfFormula
     not_before: list[list[int]]
     neg_cross: list[list[int]] = field(default_factory=list)
+    cap_block: slice | None = None
     succ_var: dict[tuple[int, int], int] = field(default_factory=dict)
     aux: list[tuple[str, int]] = field(default_factory=list)
 
@@ -160,10 +164,8 @@ def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     """SAT iff some circular order crosses every edge at most k times."""
     resolve_class("outer-planar", k)
     _check_size(g)
-    total = _counter_clauses(g.edges, k)
-    if total > CLAUSE_CAP:
-        raise EncodingTooLarge(
-            f"per-edge crossing-cap clauses exceed cap {CLAUSE_CAP}: {total} predicted", count=total)
+    _check_cap("per-edge crossing-cap", _counter_clauses(g.edges, k))
+    _check_cap("crossing-link", _link_clauses(g.edges))
     cnf, vm = encode_order_axioms(max(g.n, 1))
     encode_crossing_links(g, cnf, vm)
     cnf.comments.append("c block per-edge-crossing-cap")
@@ -173,15 +175,25 @@ def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     return cnf, vm
 
 
-def encode_outer_quasi(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
-    """SAT iff some circular order has no k pairwise-crossing edges."""
+def encode_outer_quasi(g: Graph, k: int, explicit_cap: bool = True) -> tuple[CnfFormula, VarMap]:
+    """SAT iff some circular order has no k pairwise-crossing edges.
+
+    explicit_cap=False leaves the cap block to MutualCrossingCap where it
+    holds more clauses than the link block: it then sets the memory, and
+    below that watched clauses propagate faster than the constraint. At
+    k = 2 it never does, with one unit per pair against 8 links.
+    """
     resolve_class("outer-quasi", k)
     _check_size(g)
-    _check_mutual_cap(g.edges, k)
+    sets, links = _check_mutual_cap(g.edges, k), _link_clauses(g.edges)
+    _check_cap("crossing-link", links)
     cnf, vm = encode_order_axioms(max(g.n, 1))
     encode_crossing_links(g, cnf, vm)
     cnf.comments.append("c block mutual-crossing-cap")
-    cnf.clauses += _mutual_cap_clauses(g.edges, k, vm.neg_cross)
+    start, native = len(cnf.clauses), sets > links
+    if explicit_cap or not native:
+        cnf.clauses += _mutual_cap_clauses(g.edges, k, vm.neg_cross)
+    vm.cap_block = slice(start, len(cnf.clauses)) if native else None
     _aux_comments(cnf, vm)
     return cnf, vm
 
@@ -212,10 +224,24 @@ def _counter_clauses(edges: tuple[Edge, ...], k: int) -> int:
     return total
 
 
+def _link_clauses(edges: tuple[Edge, ...]) -> int:
+    """8 per endpoint-disjoint pair; each pair is in two masks."""
+    return 4 * sum(mask.bit_count() for mask in _disjointness_masks(edges))
+
+
+def _check_cap(block: str, total: int) -> None:
+    if total > CLAUSE_CAP:
+        raise EncodingTooLarge(f"{block} clauses exceed cap {CLAUSE_CAP}: {total} predicted",
+                               count=total)
+
+
 def _disjoint_stems(edges: tuple[Edge, ...], k: int):
     """Per (k-1)-set of pairwise disjoint edges, in lexicographic order of
     edge indices: the set and the mask of the later edges disjoint from
-    all of it, which complete it to the k-sets of the mutual-crossing cap."""
+    all of it, which complete it to the k-sets of the mutual-crossing cap.
+    Without 2k endpoints no k-set exists, and the walk does not start."""
+    if len({v for e in edges for v in e}) < 2 * k:
+        return iter(())
     after = [mask >> (i + 1) << (i + 1) for i, mask in enumerate(_disjointness_masks(edges))]
 
     def grow(cand: int, chosen: tuple[int, ...]):
@@ -228,7 +254,7 @@ def _disjoint_stems(edges: tuple[Edge, ...], k: int):
     return grow((1 << len(edges)) - 1, ())
 
 
-def _check_mutual_cap(edges: tuple[Edge, ...], k: int) -> None:
+def _check_mutual_cap(edges: tuple[Edge, ...], k: int) -> int:
     """Count the k-sets of pairwise disjoint edges, stopping past
     CLAUSE_CAP, so an over-cap encoding is refused before it is built."""
     total = 0
@@ -240,39 +266,83 @@ def _check_mutual_cap(edges: tuple[Edge, ...], k: int) -> None:
                 f"at least {CLAUSE_CAP + 1} size-{k} disjoint edge subsets",
                 count=CLAUSE_CAP + 1,
             )
+    return total
 
 
 def _mutual_cap_clauses(edges: tuple[Edge, ...], k: int, neg: list[list[int]]) -> list[list[int]]:
     """Per k-set of pairwise disjoint edges, in lexicographic order of edge
-    indices: not all its pairs cross, listed as itertools.combinations does.
+    indices: not all its pairs cross, listed as itertools.combinations does."""
+    return [[neg[i][j] for i, j in combinations((*chosen, d), 2)]
+            for chosen, cand in _disjoint_stems(edges, k) for d in _bits(cand)]
 
-    Each stem fixes a template that holds its own pairs and one slot per
-    stem edge for that edge's pair with the last edge d; a clause is a copy
-    of the template with the slots filled from the stem edges' rows.
+
+class MutualCrossingCap:
+    """The cap block as a CdclSolver constraint, for k >= 3. When y_ab is
+    propagated, each k-set of pairwise disjoint edges holding edges a and b
+    whose other pairs are true, or all but one unassigned pair, yields its
+    clause of the block, with that pair's literal first: a conflict or the
+    reason forcing it. Unit propagation on the block reaches the same fixpoint.
     """
-    clauses = []
-    for chosen, cand in _disjoint_stems(edges, k):
-        template, slots = [], []
-        for p, i in enumerate(chosen):
-            row = neg[i]
-            template += [row[j] for j in chosen[p + 1:]]
-            slots.append((len(template), row))
-            template.append(0)
-        for d in _bits(cand):
-            clause = template[:]
-            for at, row in slots:
-                clause[at] = row[d]
-            clauses.append(clause)
-    return clauses
+
+    def __init__(self, edges: tuple[Edge, ...], k: int, neg_cross: list[list[int]]):
+        self.k, self.neg = k, neg_cross
+        self.disjoint = _disjointness_masks(edges)
+        self.true = [0] * len(edges)  # per edge, the edges of its propagated true y's
+        self.literals = {-nl: (a, b) for a, row in enumerate(neg_cross)  # y -> its edges
+                         for b, nl in enumerate(row) if nl and a < b}
+
+    def propagate(self, y: int, lval: list[int]) -> list[list[int]]:
+        a, b = self.literals[y]
+        true = self.true
+        ta = true[a] = true[a] | 1 << b
+        tb = true[b] = true[b] | 1 << a
+        found: list[list[int]] = []
+        self._grow(lval, found, [a, b], self.disjoint[a] & self.disjoint[b], ta & tb, ta ^ tb, 0)
+        return found
+
+    def _grow(self, lval, found, members, cand, at0, at1, miss) -> None:
+        """Complete members to k-sets from cand, the edges disjoint from all
+        of them; at0 / at1 mask the edges whose pairs with all members / all
+        but one are true, miss is the one unassigned pair's literal, or 0."""
+        k, neg, true = self.k, self.neg, self.true
+        pool = cand & (at0 if miss else at0 | at1)
+        if pool.bit_count() < k - len(members):
+            return
+        for c in _bits(pool):
+            missed = miss
+            if not at0 >> c & 1:
+                for m in members:
+                    if not true[m] >> c & 1:
+                        break
+                missed = neg[m][c]
+                if lval[-missed] >= 0:  # false, or true and not yet propagated
+                    continue
+            if len(members) + 1 < k:
+                tc = true[c]
+                self._grow(lval, found, members + [c], cand & self.disjoint[c] & -(2 << c),
+                           at0 & tc, at1 & tc | at0 & ~tc, missed)
+                continue
+            clause = [neg[i][j] for i, j in combinations(sorted(members + [c]), 2)]
+            if missed:
+                clause.remove(missed)
+                clause.insert(0, missed)
+            found.append(clause)
+
+    def backtrack(self, undone: list[int]) -> None:
+        true = self.true
+        for a, b in filter(None, map(self.literals.get, undone)):
+            true[a] &= ~(1 << b)
+            true[b] &= ~(1 << a)
 
 
-def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
+def encode_closed(g: Graph, k: int, variant: str,
+                  explicit_cap: bool = True) -> tuple[CnfFormula, VarMap]:
     """Inner encoding plus a Hamiltonian boundary via successor variables."""
     if g.n < 3:
         raise ValueError("closed variants need n >= 3")
     if variant.startswith("closed"):
         raise ValueError(f"unknown inner variant {variant!r}")
-    cnf, vm = encode(g, k, variant)
+    cnf, vm = encode(g, k, variant, explicit_cap)
     n = g.n
     not_before = vm.not_before
     cnf.comments.append("c block boundary-successor")
@@ -298,14 +368,15 @@ def encode_closed(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
     return cnf, vm
 
 
-def encode(g: Graph, k: int, variant: str) -> tuple[CnfFormula, VarMap]:
-    """The encoding of any variant name; closed ones wrap their open one."""
+def encode(g: Graph, k: int, variant: str, explicit_cap: bool = True) -> tuple[CnfFormula, VarMap]:
+    """The encoding of any variant name; closed ones wrap their open one.
+    explicit_cap reaches encode_outer_quasi only."""
     variant = resolve_class(variant, k)
     if variant.startswith("closed-"):
-        return encode_closed(g, k, variant.removeprefix("closed-"))
+        return encode_closed(g, k, variant.removeprefix("closed-"), explicit_cap)
     if variant == "outer-planar":
         return encode_outer_planar(g, k)
-    return encode_outer_quasi(g, k)
+    return encode_outer_quasi(g, k, explicit_cap)
 
 
 def _check_size(g: Graph) -> None:
@@ -432,6 +503,9 @@ def search_order(g: Graph, k: int, variant: str, engine: str = "sat",
     The encoding is built once, only when the sat engine runs or emit_cnf
     names a DIMACS file to write. The solver adopts the encoding's lists
     unrepaired and reorders them, so the file is written before the solve.
+    A cap block the encoder hands to MutualCrossingCap (vm.cap_block) is
+    dropped from the solve also when emit_cnf writes it, so the witness
+    does not depend on emit_cnf.
     An unknown engine, or a timeout_s with the brute engine, is refused as
     in recognize.
 
@@ -442,14 +516,18 @@ def search_order(g: Graph, k: int, variant: str, engine: str = "sat",
     variant = resolve_class(variant, k)
     _check_engine(engine, timeout_s)
     if engine == "sat" or emit_cnf:
-        cnf, vm = encode(g, k, variant)
+        cnf, vm = encode(g, k, variant, explicit_cap=bool(emit_cnf))
         if emit_cnf:
             emit_dimacs(cnf, emit_cnf)
     if engine == "brute":
         d = brute_force_recognize(g, k, variant)
     else:
+        cap = None
+        if vm.cap_block is not None:
+            del cnf.clauses[vm.cap_block]
+            cap = MutualCrossingCap(g.edges, k, vm.neg_cross)
         # test for None: an encoding with no variables has the empty model []
-        model = CdclSolver(cnf.num_vars, cnf.clauses).solve(timeout_s=timeout_s)
+        model = CdclSolver(cnf.num_vars, cnf.clauses, cap).solve(timeout_s=timeout_s)
         d = None if model is None else decode_model(model, vm, g)
     if d is None:
         return Recognition(None)

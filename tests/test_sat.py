@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from hashlib import sha256
 from itertools import chain, combinations, permutations, product
 from math import comb
@@ -22,6 +23,7 @@ from okplanar.maximal import saturate
 from okplanar.recognition import brute_force_recognize, check_refutation
 from okplanar.sat import (
     EncodingTooLarge,
+    MutualCrossingCap,
     decode_model,
     dimacs_text,
     emit_dimacs,
@@ -335,6 +337,36 @@ def test_over_cap_planar_encoding_is_refused_before_any_clause(monkeypatch, tmp_
     assert not (tmp_path / "k35.cnf").exists()
 
 
+def test_over_cap_link_block_is_refused_before_any_clause(monkeypatch, tmp_path, capsys):
+    # 8 link clauses per endpoint-disjoint pair; neither graph is refuted,
+    # and each edge has C(n - 2, 2) = k disjoint edges, so no counter is built
+    monkeypatch.setattr(sat, "encode_order_axioms", no_clauses)
+    for n, k, predicted in ((80, 3003, 37_957_920), (40, 703, 2_193_360)):
+        path = tmp_path / f"k{n}.txt"
+        path.write_text(format_graph(complete(n)))
+        assert main(["recognize", str(path), "--k", str(k), "--variant", "planar"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: crossing-link clauses exceed cap "
+                                     f"{sat.CLAUSE_CAP}: {predicted} predicted\n")
+
+
+def test_no_k_set_walk_without_2k_endpoints(monkeypatch):
+    # K16 at k = 9: 16 vertices hold no 9 disjoint edges, so neither the
+    # count nor the cap, explicit or native, walks the (k-1)-sets
+    callers = []
+    real = sat._disjointness_masks
+
+    def masks(edges):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(edges)
+
+    monkeypatch.setattr(sat, "_disjointness_masks", masks)
+    for variant in ("outer-quasi", "closed-outer-quasi"):
+        found = recognize(complete(16), 9, variant).found  # re-checked by search_order
+        assert found is not None and found[1].max_mutual <= 8
+    assert set(callers) == {"_link_clauses", "encode_crossing_links"}
+
+
 def test_counter_prediction_matches_the_cap_block():
     cases = [(complete(n), k) for n in range(3, 10) for k in range(6)]
     cases += [(g, k) for g in (grid(5, 7), planar_3tree_levels(3)) for k in range(4)]
@@ -400,6 +432,100 @@ def test_mutual_crossing_cap_matches_a_combinations_oracle():
             assert cnf.clauses[start:] == expected, (g.edges, k)
             emitted += len(expected)
         assert emitted > 0
+
+
+def propagated(solver, assumed):
+    """The literals unit propagation sets from assumed at level 1, or None
+    on a conflict."""
+    solver.trail_lim.append(0)
+    for lit in assumed:
+        solver._enqueue(lit, None)
+    return None if solver._propagate() is not None else set(solver.trail)
+
+
+def test_native_cap_propagates_what_the_block_propagates():
+    rng = random.Random(707)
+    forced = conflicts = 0
+    for k in range(3, 6):
+        for g in cap_oracle_graphs(rng, k):
+            cnf, vm = encode_outer_quasi(g, k)
+            block = sat._mutual_cap_clauses(g.edges, k, vm.neg_cross)
+            ys = [-nl for i, row in enumerate(vm.neg_cross) for nl in row[i + 1:] if nl]
+            for _ in range(30):
+                assumed = [y if rng.random() < 0.8 else -y
+                           for y in rng.sample(ys, rng.randint(1, len(ys)))]
+                explicit = propagated(CdclSolver(cnf.num_vars, [c[:] for c in block]), assumed)
+                cap = MutualCrossingCap(g.edges, k, vm.neg_cross)
+                native = propagated(CdclSolver(cnf.num_vars, [], cap), assumed)
+                assert native == explicit, (g.edges, k, assumed)
+                conflicts += explicit is None
+                forced += explicit is not None and len(explicit) > len(assumed)
+    assert forced > 0 and conflicts > 0
+
+
+def test_native_cap_reasons_are_clauses_of_the_block():
+    # each reason a propagation records is a clause of the block, forced
+    # literal first; every conflict is one too
+    rng = random.Random(808)
+    for k in (3, 4):
+        for g in cap_oracle_graphs(rng, k):
+            cnf, vm = encode_outer_quasi(g, k)
+            block = {tuple(sorted(c)) for c in sat._mutual_cap_clauses(g.edges, k, vm.neg_cross)}
+            cap = MutualCrossingCap(g.edges, k, vm.neg_cross)
+            ys = [-nl for i, row in enumerate(vm.neg_cross) for nl in row[i + 1:] if nl]
+            for _ in range(20):
+                true = set(rng.sample(ys, rng.randint(1, len(ys))))
+                lval = [-1] * (2 * cnf.num_vars + 1)
+                for y in sorted(true):
+                    lval[y], lval[-y] = 1, 0
+                    for c in cap.propagate(y, lval):
+                        assert tuple(sorted(c)) in block
+                        assert all(lval[l] == 0 for l in c[1:]) and lval[c[0]] in (-1, 0)
+                cap.backtrack(sorted(true))
+                assert not any(cap.true)
+
+
+def test_cap_block_goes_native_where_it_outweighs_the_links():
+    # (graph, k, k-sets, link clauses): grid 5x6 holds 13,295 sets against
+    # 8,464 links; grid 4x4 1,044 against 1,792; k = 2 has one unit per pair
+    # against 8 links, and 16 vertices hold no 9 disjoint edges
+    for g, k, native in ((grid(5, 6), 3, True), (grid(5, 6), 4, True), (grid(4, 4), 3, False),
+                         (complete(6), 2, False), (complete(16), 9, False)):
+        explicit, _ = encode_outer_quasi(g, k)
+        cnf, vm = encode_outer_quasi(g, k, explicit_cap=False)
+        sets = len(sat._mutual_cap_clauses(g.edges, k, vm.neg_cross))
+        assert (sets > sat._link_clauses(g.edges)) == native
+        if native:
+            assert vm.cap_block == slice(len(cnf.clauses), len(cnf.clauses))
+            assert explicit.clauses == cnf.clauses + sat._mutual_cap_clauses(g.edges, k, vm.neg_cross)
+        else:
+            assert vm.cap_block is None and cnf.clauses == explicit.clauses
+
+
+def test_plain_quasi_solve_builds_no_cap_block(monkeypatch):
+    monkeypatch.setattr(sat, "_mutual_cap_clauses", no_clauses)
+    assert recognize(grid(5, 6), 3, "outer-quasi").found is not None
+    assert recognize(grid(5, 6), 3, "closed-outer-quasi").found is not None
+    assert recognize(quasi_threshold_no(16, 3, 1), 3, "outer-quasi").found is None
+
+
+def test_emit_cnf_does_not_change_the_witness(tmp_path):
+    for g, k, variant in ((grid(5, 6), 3, "outer-quasi"), (grid(5, 6), 3, "closed-outer-quasi"),
+                          (grid(4, 4), 3, "outer-quasi")):
+        plain = recognize(g, k, variant).found
+        emitted = recognize(g, k, variant, emit_cnf=str(tmp_path / "f.cnf")).found
+        assert plain[0].order == emitted[0].order, (g.edges, k, variant)
+
+
+def test_recognize_agrees_with_solve_cnf_on_its_emitted_file(tmp_path, capsys):
+    # the families matrix: the file holds the explicit cap block, which the
+    # solve behind recognize leaves to the native cap
+    for name, make, _, _ in _PROP_ROWS:
+        path, cnf = tmp_path / f"{name}.txt", tmp_path / f"{name}.cnf"
+        path.write_text(format_graph(make()))
+        code = main(["recognize", str(path), "--k", "3", "--variant", "quasi", "--emit-cnf", str(cnf)])
+        assert code in (0, 2) and main(["solve-cnf", str(cnf)]) == (10 if code == 0 else 20), name
+        capsys.readouterr()
 
 
 def test_per_edge_crossing_cap_matches_a_combinations_oracle():
@@ -571,8 +697,8 @@ def test_solver_deadline_counts_conflicts_across_restarts(monkeypatch):
     assert CdclSolver(nv, clauses).solve() is None
 
 
-def pinned_encodings():
-    """60 seeded encodings, n = 5..11, all four variants, then 3tree-3."""
+def pinned_instances():
+    """60 seeded instances, n = 5..11, all four variants, then 3tree-3."""
     rng = random.Random(3)
     variants = ("outer-planar", "outer-quasi", "closed-outer-planar", "closed-outer-quasi")
     for i in range(60):
@@ -582,8 +708,13 @@ def pinned_encodings():
         edges = {(rng.randrange(v), v) for v in range(1, n)}  # connected
         edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
         k = rng.randint(1, 3) if variant.endswith("planar") else rng.randint(2, 4)
-        yield encode(build_graph(n, sorted(edges)), k, variant)[0]
-    yield encode(planar_3tree_levels(3), 3, "outer-quasi")[0]
+        yield build_graph(n, sorted(edges)), k, variant
+    yield planar_3tree_levels(3), 3, "outer-quasi"
+
+
+def pinned_encodings():
+    for g, k, variant in pinned_instances():
+        yield encode(g, k, variant)[0]
 
 
 # (first 16 hex digits of the model's SHA-256 or None for UNSAT, final
@@ -621,6 +752,40 @@ def test_embedded_solver_trajectory_is_pinned():
         digest = None if model is None else sha256(" ".join(map(str, model)).encode()).hexdigest()[:16]
         got.append((digest, len(solver.clauses)))
     assert got == PINNED_TRAJECTORIES
+
+
+# the same for the quasi instances, solved with MutualCrossingCap for the
+# cap block wherever k > 2 and the block holds a clause
+PINNED_NATIVE_TRAJECTORIES = [
+    ('68f0870932dd5473', 140), (None, 125), ('097946ec61a1b16c', 232),
+    (None, 385), (None, 398), (None, 1103),
+    (None, 1344), ('07e5a96fcfecf744', 799), (None, 1320),
+    (None, 3287), ('2d7ab1d8810b15f0', 2425), (None, 4777),
+    (None, 3938), ('03b4294ad09eed4b', 5549), ('68f0870932dd5473', 140),
+    ('51dff4c9034b0aed', 118), ('850299ab23765042', 352), ('91c14ba31ca7d3f2', 493),
+    ('c0cb166d514445c5', 448), ('45ad18fb04d038df', 1163), (None, 1240),
+    ('94d3154d46ac9fef', 1355), ('1f7373e7637f10c0', 1760), (None, 2163),
+    (None, 3361), ('b8ee0ec2111dcd04', 1842), ('6439003c370a4440', 2064),
+    (None, 10938), (None, 116), ('e290d5afd57caf0d', 190),
+    ('7b0bd887297ab25f', 6065),
+]
+
+
+def test_native_cap_trajectory_is_pinned():
+    got = []
+    for g, k, variant in pinned_instances():
+        if variant.endswith("quasi"):
+            cnf, vm = encode(g, k, variant)
+            block = sat._mutual_cap_clauses(g.edges, k, vm.neg_cross) if k > 2 else []
+            start = len(encode_order_axioms(g.n)[0].clauses) + 8 * crossing_vars(vm)
+            assert cnf.clauses[start:start + len(block)] == block
+            del cnf.clauses[start:start + len(block)]
+            cap = MutualCrossingCap(g.edges, k, vm.neg_cross) if block else None
+            solver = CdclSolver(cnf.num_vars, cnf.clauses, cap)
+            model = solver.solve()
+            digest = None if model is None else sha256(" ".join(map(str, model)).encode()).hexdigest()[:16]
+            got.append((digest, len(solver.clauses)))
+    assert got == PINNED_NATIVE_TRAJECTORIES
 
 
 def test_solver_rejects_literal_zero():
