@@ -8,6 +8,7 @@ Usage, from the root of a checkout:
     python3 scripts/bench_series.py --series emit --label parent --src OTHER_CHECKOUT/src
     python3 scripts/bench_series.py --series read --label change
     python3 scripts/bench_series.py --series setup --label parent --src OTHER_CHECKOUT/src
+    python3 scripts/bench_series.py --series scale --label change
 
 Imports okplanar from --src (default: this checkout's src/), runs each
 instance REPEATS times and merges one entry under --label into the series'
@@ -71,6 +72,19 @@ __pycache__ the source tree already has and writes none. It records the
 median seconds the probe prints and the median self-import microseconds of
 each okplanar module. Writing the entry fails when another label's list of
 loaded okplanar modules differs.
+
+scale: the three paths whose memory or time follows the chord count, n
+doubling:
+random_outer_k_planar(n, 1, 1) for n in {480, 960, 1920}, saturate from
+the empty drawing at k = 3 for n in {250, 500, 1000}, and
+recursive_decompose with leaf size 5 for n in {480, 960, 1920, 3840} on
+banded_drawing(n), a seeded outer 1-planar drawing built in this script
+from chords of circular length at most 8, so that no label builds all
+C(n, 2) chords to get its input. Per instance it records the median seconds
+of the call, its tracemalloc peak, taken in one more untimed pass, and the
+SHA-256 of its output: format_drawing of the drawing, or the JSON of the
+separator tree. Writing the entry fails when another label's SHA-256
+differs.
 """
 from __future__ import annotations
 
@@ -410,6 +424,74 @@ def setup_rows():
     }
 
 
+def banded_drawing(n: int, k: int = 1, seed: int = 1):
+    """Seeded outer k-planar drawing on n vertices: the greedy pass of
+    random_outer_k_planar over the shuffled chords of circular length at
+    most 8, in a shuffled circular order."""
+    from okplanar.drawing import ChordSet, make_drawing
+    from okplanar.graphs import build_graph
+
+    rng = random.Random(seed)
+    chords = sorted({tuple(sorted((p, (p + step) % n))) for p in range(n) for step in range(1, 9)})
+    rng.shuffle(chords)
+    cs, at_cap = ChordSet(n), 0  # mask of chords already crossed k times
+    for p, q in chords:
+        cm = cs.crossers(p, q)
+        if cm.bit_count() > k or cm & at_cap:
+            continue
+        idx, _ = cs.add(p, q)
+        cm |= 1 << idx
+        while cm:
+            j = cm.bit_length() - 1
+            cm ^= 1 << j
+            if cs.counts[j] == k:
+                at_cap |= 1 << j
+    order = list(range(n))
+    rng.shuffle(order)
+    return make_drawing(build_graph(n, [(order[p], order[q]) for p, q in cs.chords]), order)
+
+
+def scale_row(name, n):
+    from okplanar.drawing import identity_drawing
+    from okplanar.generators import random_outer_k_planar
+    from okplanar.graphs import build_graph
+    from okplanar.io import format_drawing
+    from okplanar.maximal import saturate
+    from okplanar.separator import recursive_decompose
+
+    if name == "random_outer_k_planar":
+        call, text = lambda: random_outer_k_planar(n, 1, 1), format_drawing
+    elif name == "saturate":
+        empty = identity_drawing(build_graph(n, []))
+        call, text = lambda: saturate(empty, 3), format_drawing
+    else:
+        d = banded_drawing(n)
+        call = lambda: recursive_decompose(d, 5)
+        text = lambda node: json.dumps(node.to_dict(), sort_keys=True)
+    seconds = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        out = call()
+        seconds.append(time.perf_counter() - t0)
+    del out
+    tracemalloc.start()
+    out = call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {
+        "seconds": round(statistics.median(seconds), 4),
+        "peak_mib": round(peak / 2**20, 2),
+        "sha256": hashlib.sha256(text(out).encode()).hexdigest(),
+    }
+
+
+def scale_rows():
+    for name, sizes in (("random_outer_k_planar", (480, 960, 1920)), ("saturate", (250, 500, 1000)),
+                        ("recursive_decompose", (480, 960, 1920, 3840))):
+        for n in sizes:
+            yield {"instance": f"{name} n={n}", **scale_row(name, n)}
+
+
 def sat_setup_rows():
     for name, spec, k, variant in SAT_INSTANCES:
         yield {"instance": name, **sat_setup_row(spec, k, variant)}
@@ -422,10 +504,10 @@ def maximal_rows():
 
 
 SERIES = {"sat_setup": sat_setup_rows, "maximal": maximal_rows, "mso2": mso2_rows, "emit": emit_rows,
-          "read": read_rows, "setup": setup_rows}
+          "read": read_rows, "setup": setup_rows, "scale": scale_rows}
 # what every label's entry must agree on, per series
 ANSWER = {"sat_setup": ("verdict", "clauses"), "emit": ("sexpr_sha256",), "read": ("drawing_sha256",),
-          "setup": ("modules",)}
+          "setup": ("modules",), "scale": ("sha256",)}
 REPEATS_OF = {"read": READ_REPEATS, "setup": SETUP_RUNS}
 
 

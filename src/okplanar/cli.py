@@ -292,17 +292,15 @@ def cmd_saturate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from .drawing import identity_drawing
     from .generators import (
+        MAX_CHORDS,
         complete,
         complete_bipartite,
         grid,
         planar_3tree_levels,
         random_outer_k_planar,
     )
-    from .graphs import build_graph
     from .io import format_drawing, format_graph
-    from .maximal import frame_edges
 
     def need(name: str):
         val = getattr(args, name.replace("-", "_"))
@@ -310,22 +308,42 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise ValueError(f"--kind {args.kind} needs --{name}")
         return val
 
+    def frame(n: int, k: int) -> str:
+        from .drawing import identity_drawing
+        from .graphs import build_graph
+        from .maximal import frame_edges
+
+        return format_drawing(identity_drawing(build_graph(n, sorted(frame_edges(n, k)))))
+
+    # size: the edges, or for random-okp the candidate chords, that make()
+    # holds at once, in closed form over nonnegative sides (a negative side
+    # is the builder's own error)
+    pairs = lambda n: max(n, 0) * max(n - 1, 0) // 2
     if args.kind == "complete":
-        text = format_graph(complete(need("n")))
+        n = need("n")
+        size, make = pairs(n), lambda: format_graph(complete(n))
     elif args.kind == "bipartite":
-        text = format_graph(complete_bipartite(need("p"), need("q")))
+        p, q = need("p"), need("q")
+        size, make = max(p, 0) * max(q, 0), lambda: format_graph(complete_bipartite(p, q))
     elif args.kind == "grid":
-        text = format_graph(grid(need("rows"), need("cols")))
+        r, c = need("rows"), need("cols")
+        r0, c0 = max(r, 0), max(c, 0)
+        size, make = 2 * r0 * c0 - r0 - c0, lambda: format_graph(grid(r, c))
     elif args.kind == "3tree":
-        text = format_graph(planar_3tree_levels(need("levels")))
+        levels = need("levels")
+        size = (3 ** min(max(levels, 1) + 1, 64) + 3) // 2
+        make = lambda: format_graph(planar_3tree_levels(levels))
     elif args.kind == "frame":
         n, k = need("n"), need("k")
-        edges = sorted(frame_edges(n, k))
-        text = format_drawing(identity_drawing(build_graph(n, edges)))
+        size, make = min(pairs(n), max(n, 0) * max(k - 1, 0)), lambda: frame(n, k)
     else:  # random-okp
         n, k = need("n"), need("k")
         seed = args.seed if args.seed is not None else 0
-        text = format_drawing(random_outer_k_planar(n, k, seed))
+        size, make = pairs(n), lambda: format_drawing(random_outer_k_planar(n, k, seed))
+    if size > MAX_CHORDS:
+        raise ValueError(f"--kind {args.kind} would hold {size:,} edges or candidate chords, "
+                         f"above generators.MAX_CHORDS = {MAX_CHORDS:,}")
+    text = make()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -6,10 +6,17 @@ hash randomization or stdlib RNG versioning.
 """
 from __future__ import annotations
 
+from array import array
+from typing import MutableSequence
+
 from .drawing import ChordSet, ConvexDrawing, _bits, make_drawing
 from .graphs import Graph, build_graph
 
 _MASK64 = (1 << 64) - 1
+
+# The most edges, or random_outer_k_planar candidate chords, that `generate`
+# builds. At about 500 bytes per edge from build to text, 1 GB at most.
+MAX_CHORDS = 2_000_000
 
 
 class SplitMix64:
@@ -37,7 +44,7 @@ class SplitMix64:
             if x <= limit:
                 return x % bound
 
-    def shuffle(self, items: list) -> None:
+    def shuffle(self, items: MutableSequence) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
@@ -98,7 +105,8 @@ def random_outer_k_planar(n: int, k: int, seed: int) -> ConvexDrawing:
     Shuffles the circular order and the chord list, then adds each chord
     whenever doing so keeps every per-edge crossing count at most k. Greedy
     over all chords, so the result is saturated: every absent chord would
-    push some edge over k.
+    push some edge over k. The chord list holds each chord (u, v), u < v,
+    as the 8-byte code u * n + v, listed by u and then v before the shuffle.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
@@ -106,12 +114,15 @@ def random_outer_k_planar(n: int, k: int, seed: int) -> ConvexDrawing:
     order = list(range(n))
     rng.shuffle(order)
     pos = {v: i for i, v in enumerate(order)}
-    chords = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chords = array("q")
+    for u in range(n):
+        chords.extend(range(u * n + u + 1, u * n + n))
     rng.shuffle(chords)
     cs = ChordSet(n)
     at_cap = 0  # mask of edges already crossed k times
     kept = []
-    for u, v in chords:
+    for code in chords:
+        u, v = divmod(code, n)
         p, q = pos[u], pos[v]
         cm = cs.crossers(p, q)
         if cm.bit_count() > k or (cm & at_cap):

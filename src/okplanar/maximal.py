@@ -75,7 +75,7 @@ def frame_edges(n: int, k: int) -> frozenset[Edge]:
     resolve_class("outer-quasi", k)
     out: set[Edge] = set()
     for i in range(n):
-        for step in range(1, k):
+        for step in range(1, min(k, n)):  # steps from n on repeat a chord
             j = (i + step) % n
             if i != j:
                 out.add((i, j) if i < j else (j, i))
@@ -102,17 +102,11 @@ def saturate(d: ConvexDrawing, k: int) -> ConvexDrawing:
         )
     n = d.n
     present = set(cs.chords)
-    cands = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            if (p, q) not in present:
-                cands.append((min(q - p, n - (q - p)), p, q))
-    cands.sort()
     added: list[Edge] = []
-    for _, p, q in cands:
+    for p, q in _chords_by_length(n):
         if len(added) == room:
             break
-        if not cs.mutual_through(p, q, -1, k - 1):  # -1: every chord
+        if (p, q) not in present and not cs.mutual_through(p, q, -1, k - 1):  # -1: every chord
             cs.add(p, q)
             added.append((p, q))
     if not added:
@@ -122,6 +116,16 @@ def saturate(d: ConvexDrawing, k: int) -> ConvexDrawing:
         u, v = d.order[p], d.order[q]
         edges.append((u, v) if u < v else (v, u))
     return make_drawing(build_graph(n, edges), d.order)
+
+
+def _chords_by_length(n: int):
+    """Every chord (p, q), p < q, of n positions: circular length
+    min(q - p, n - q + p) ascending, then (p, q) ascending."""
+    for length in range(1, n // 2 + 1):
+        for p in range(n - length):
+            yield p, p + length
+            if p < length < n - length:
+                yield p, p + n - length
 
 
 def is_maximal(d: ConvexDrawing, k: int) -> bool:

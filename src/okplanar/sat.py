@@ -239,12 +239,16 @@ def _disjoint_stems(edges: tuple[Edge, ...], k: int):
     """Per (k-1)-set of pairwise disjoint edges, in lexicographic order of
     edge indices: the set and the mask of the later edges disjoint from
     all of it, which complete it to the k-sets of the mutual-crossing cap.
-    Without 2k endpoints no k-set exists, and the walk does not start."""
+    A set that no edge completes is not yielded: the walk stops where fewer
+    candidates are left than edges missing. Without 2k endpoints no k-set
+    exists, and the walk does not start."""
     if len({v for e in edges for v in e}) < 2 * k:
         return iter(())
     after = [mask >> (i + 1) << (i + 1) for i, mask in enumerate(_disjointness_masks(edges))]
 
     def grow(cand: int, chosen: tuple[int, ...]):
+        if cand.bit_count() < k - len(chosen):
+            return
         if len(chosen) == k - 1:
             yield chosen, cand
             return

@@ -82,7 +82,7 @@ def balanced_separator(d: ConvexDrawing, vertices: Iterable[int] | None = None) 
         raise ValueError(f"vertices must lie in 0..{d.n - 1}")
     order = sorted(kept, key=d.pos.__getitem__)
     pos = {v: p for p, v in enumerate(order)}
-    edges = [(u, v) for u, v in d.graph.edges if u in pos and v in pos]
+    edges = sorted((u, v) for u in order for v in d.graph.adj[u] if u < v and v in pos)
     cs = ChordSet.of(len(order), [(pos[u], pos[v]) for u, v in edges])
     k = max(cs.counts, default=0)
     sep = _separate(order, edges, cs, k)

@@ -1,7 +1,7 @@
 """Oracles shared by the tests: brute-force searches and class membership
 through the package's one rule, for claims the library itself never makes,
-the crossing graph of a chord set, report schema paths, and the grid snake
-order, a fixture drawing."""
+saturate's candidate order built whole, the crossing graph of a chord set,
+report schema paths, and the grid snake order, a fixture drawing."""
 from __future__ import annotations
 
 from pathlib import Path
@@ -58,6 +58,13 @@ def scan_is_maximal(d: ConvexDrawing, k: int) -> bool:
             if (p, q) not in present and not cs.mutual_through(p, q, -1, k - 1):
                 return False
     return True
+
+
+def chords_by_length(n: int) -> list[tuple[int, int]]:
+    """Every chord (p, q), p < q, of n positions, listed and then sorted by
+    circular length and position: saturate's candidate order, built whole."""
+    cands = [(min(q - p, n - (q - p)), p, q) for p in range(n) for q in range(p + 1, n)]
+    return [(p, q) for _, p, q in sorted(cands)]
 
 
 def crossing_graph(cs: ChordSet) -> list[int]:

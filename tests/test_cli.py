@@ -12,7 +12,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from okplanar import io
+from okplanar import generators, io, maximal
 from okplanar.cli import main
 from okplanar.drawing import identity_drawing
 from okplanar.generators import complete, random_outer_k_planar
@@ -157,6 +157,55 @@ def test_generate_seed_determinism(capsys):
     b = run(capsys, "generate", "--kind", "random-okp", "--n", "30", "--k", "2", "--seed", "8")
     c = run(capsys, "generate", "--kind", "random-okp", "--n", "30", "--k", "2", "--seed", "9")
     assert a == b and a[1] != c[1]
+
+
+def fail_if_built(monkeypatch):
+    """Make every builder of generate raise instead of building."""
+    def built(*args):
+        raise AssertionError(f"built {args}")
+
+    for name in ("complete", "complete_bipartite", "grid", "planar_3tree_levels",
+                 "random_outer_k_planar"):
+        monkeypatch.setattr(generators, name, built)
+    monkeypatch.setattr(maximal, "frame_edges", built)
+
+
+@pytest.mark.parametrize("argv, cap", [  # a small request per kind and its size
+    (["--kind", "complete", "--n", "7"], complete(7).m),
+    (["--kind", "bipartite", "--p", "3", "--q", "4"], generators.complete_bipartite(3, 4).m),
+    (["--kind", "grid", "--rows", "3", "--cols", "4"], generators.grid(3, 4).m),
+    (["--kind", "3tree", "--levels", "3"], generators.planar_3tree_levels(3).m),
+    (["--kind", "frame", "--n", "9", "--k", "3"], len(maximal.frame_edges(9, 3))),
+    (["--kind", "frame", "--n", "5", "--k", "4"], len(maximal.frame_edges(5, 4))),
+    (["--kind", "random-okp", "--n", "11", "--k", "1"], math.comb(11, 2)),
+])
+def test_generate_cap_compares_the_exact_size(capsys, monkeypatch, argv, cap):
+    # the size in closed form is the edge count the builder makes, or the
+    # candidate chords of random-okp: a cap of that size builds, one less refuses
+    monkeypatch.setattr(generators, "MAX_CHORDS", cap)
+    assert run(capsys, "generate", *argv)[0] == 0
+    monkeypatch.setattr(generators, "MAX_CHORDS", cap - 1)
+    assert main(["generate", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"above generators.MAX_CHORDS = {cap - 1:,}\n" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "complete", "--n", "20000"],
+    ["--kind", "bipartite", "--p", "2000", "--q", "2000"],
+    ["--kind", "grid", "--rows", "1001", "--cols", "1001"],
+    ["--kind", "3tree", "--levels", "14"],
+    ["--kind", "3tree", "--levels", "1000000000"],
+    ["--kind", "frame", "--n", "1000001", "--k", "3"],
+    ["--kind", "random-okp", "--n", "200000", "--k", "2"],
+])
+def test_generate_refuses_oversized_requests_before_building(capsys, monkeypatch, argv):
+    fail_if_built(monkeypatch)
+    assert main(["generate", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --kind {argv[1]} would hold ")
+    assert captured.err.endswith(" edges or candidate chords, above generators.MAX_CHORDS = 2,000,000\n")
 
 
 # ------------------------------------------------------------------- check

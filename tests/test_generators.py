@@ -1,7 +1,9 @@
 """Named graphs, the 3-tree tower, seeded random drawings."""
 from __future__ import annotations
 
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,8 +22,81 @@ from okplanar.generators import (
     planar_3tree_levels,
     random_outer_k_planar,
 )
+from okplanar.io import format_drawing
 
 from oracles import grid_snake_order, in_class
+
+# SHA-256 of format_drawing(random_outer_k_planar(n, k, seed)), per n in
+# (k, seed) order over k in (0, 1, 3) and seeds (0, 1, 7), as the chord list
+# of (u, v) pairs made them before the list held 8-byte chord codes
+RANDOM_DRAWING_SHA256 = {
+    1: (
+        "1191ab02152ba776e1a70bae06324ef9f5f7ee69ba645439968ff3a24b32e4c9",
+        "1191ab02152ba776e1a70bae06324ef9f5f7ee69ba645439968ff3a24b32e4c9",
+        "1191ab02152ba776e1a70bae06324ef9f5f7ee69ba645439968ff3a24b32e4c9",
+        "1191ab02152ba776e1a70bae06324ef9f5f7ee69ba645439968ff3a24b32e4c9",
+        "1191ab02152ba776e1a70bae06324ef9f5f7ee69ba645439968ff3a24b32e4c9",
+        "1191ab02152ba776e1a70bae06324ef9f5f7ee69ba645439968ff3a24b32e4c9",
+        "1191ab02152ba776e1a70bae06324ef9f5f7ee69ba645439968ff3a24b32e4c9",
+        "1191ab02152ba776e1a70bae06324ef9f5f7ee69ba645439968ff3a24b32e4c9",
+        "1191ab02152ba776e1a70bae06324ef9f5f7ee69ba645439968ff3a24b32e4c9",
+    ),
+    2: (
+        "99f92a163f322dfb4a97ce79e14d01d0cbff169522b4c470c3737326c034515f",
+        "908d427687802cbc55d1d71843c8a39859faae54a86ce68c06cae5190abad228",
+        "99f92a163f322dfb4a97ce79e14d01d0cbff169522b4c470c3737326c034515f",
+        "908d427687802cbc55d1d71843c8a39859faae54a86ce68c06cae5190abad228",
+        "908d427687802cbc55d1d71843c8a39859faae54a86ce68c06cae5190abad228",
+        "99f92a163f322dfb4a97ce79e14d01d0cbff169522b4c470c3737326c034515f",
+        "99f92a163f322dfb4a97ce79e14d01d0cbff169522b4c470c3737326c034515f",
+        "99f92a163f322dfb4a97ce79e14d01d0cbff169522b4c470c3737326c034515f",
+        "99f92a163f322dfb4a97ce79e14d01d0cbff169522b4c470c3737326c034515f",
+    ),
+    3: (
+        "3d2f09758419b7021b9391eba13abca4dfc09461c7ae1eb806565c13520db7cf",
+        "3a11fd3153f67adcfcf6a20e6fc5b49dc1a06b395ca94efa7f31172ed4cad9ec",
+        "a6eac519d408efc70e197413a577a203b79d5cf403ea2cf2d9c3eb28fce8fb42",
+        "3a11fd3153f67adcfcf6a20e6fc5b49dc1a06b395ca94efa7f31172ed4cad9ec",
+        "a6eac519d408efc70e197413a577a203b79d5cf403ea2cf2d9c3eb28fce8fb42",
+        "a6eac519d408efc70e197413a577a203b79d5cf403ea2cf2d9c3eb28fce8fb42",
+        "3a11fd3153f67adcfcf6a20e6fc5b49dc1a06b395ca94efa7f31172ed4cad9ec",
+        "235918372dae68a5f7b18deee5e0a348bee54ef0d7c872827418da72e8ae0722",
+        "6e07cc6e5deb1eabd445814f01e4204cd7c07cd2d36b4c11125e3f98a700eb9e",
+    ),
+    7: (
+        "17cb918681ac2b2cf155797917eb1e6c54556d13192bf22833f15ca68b474597",
+        "11f05738198b6b2b4ae496d46413f1526f33a347e49ab7dd2d33baf130c4298f",
+        "4973e6b1121cd55ce1185383d08c45e527f7214b34398036f5554d7d21f8cf7e",
+        "c431845f45e7715a6ea92568e8f9ffd4c7a7f742297990c3553958e14f4a07e6",
+        "41eebb5fdbbd4524d464ee3d877e045b44fa7b0b42834ee98f1ae9caca3e803f",
+        "0a07dd952e5b47212a0b4eedc311bc46573fdcc93e5702741327840de4029e8f",
+        "459b9edd90a7bff6c9825ee440c9c5b92ea1d407981982a3f3654a525c81624a",
+        "9370151abf037e848427d58f9775080fcf930ffd03e1996abe47f44ac3510f89",
+        "6b7f5d52a5cf8db3c7620347ded4c5153a5186f1c3233bd03d7dae1811d32268",
+    ),
+    60: (
+        "3670d7d0c549feaac1a12e32fc9293559eafc54c319387a984449805a2d64aff",
+        "0dcffcc340944a2698042f7f02d1267797f8ac4ae080716c64b0e87cf0a23d02",
+        "6c6ea400e886ad9c10a83972810f8c7334a24f391f414254935c16b1649b1797",
+        "b2641d6cb89e27f1a425b535983ec66642cb2f52717577bf705d4250b80e03b6",
+        "66b410a19833a92a6acb3a87b931760abc22e9c9589c508ab029cfd0da6a776c",
+        "5b40708589c1893f09d14075a44f5d6cb4ce0e6661c7a52e94f74aecd444766a",
+        "1f846b841155b440f88cc6791ff6a925fa4007935d19bb48d6e99511e85f52d1",
+        "9fb5f428669d9dcee25be5a375ee7bf9357631aeff9e804b00eed2ae7f1dc2e2",
+        "721ff3098ca9a03c5d0c65b6c763dc5fcad64887539412650f26ed58abfb9ca5",
+    ),
+    480: (
+        "095d6ad3da32d08abed19b2be99c2fa9f64c8fe1618cc5def457543008c1d3c9",
+        "f385e078adf7285bd2b42eba2ed4708705df5c4b7dbdcfd0ec8f0d0505c2745e",
+        "6cbd61f2617948258d86b24d982780bbe11c88c58cd62d47995eef447676c490",
+        "7e69b482eb9572a33e2490475ebff79885ec546c88d9b121f5eeddde31b5267e",
+        "27d6e9adcf5dc731c1379bb2425be840159500f448c00cd78747ead4396d2888",
+        "2d12a44fe5aba36830d0bf0e5649f57c3fe559e22d60e4fdabb96a3bb3a9a4b3",
+        "861f5326777fccfb6d37d0139e0a673ccfbe5e82d3604ae1c4db6822f97ed4c0",
+        "a30664e055a98fdf9c34be0872b9e5ffffb1fd6d48fd691f89395c04f651ced9",
+        "a8ebfae92c808692169dec37400a75185aa11173a76525b46fafec2fc90a630e",
+    ),
+}
 
 
 def test_basic_counts():
@@ -104,6 +179,25 @@ def test_random_deterministic():
     assert d1.graph.edges == d2.graph.edges and d1.order == d2.order
     d3 = random_outer_k_planar(20, 2, seed=43)
     assert d3.graph.edges != d1.graph.edges or d3.order != d1.order
+
+
+def test_random_drawings_are_pinned():
+    for n, pinned in RANDOM_DRAWING_SHA256.items():
+        got = tuple(hashlib.sha256(format_drawing(random_outer_k_planar(n, k, seed)).encode()).hexdigest()
+                    for k in (0, 1, 3) for seed in (0, 1, 7))
+        assert got == pinned, n
+
+
+def test_random_chord_list_costs_eight_bytes_per_chord():
+    # the C(480, 2) chords as a list of pairs peak at 10.4 MB under
+    # tracemalloc; as 8-byte codes the whole call peaks at about 1.7 MB
+    tracemalloc.start()
+    try:
+        random_outer_k_planar(480, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_random_certified_membership():

@@ -78,3 +78,20 @@ def test_maximal_runs_load_no_sat_solver_or_formula_module(tmp_path):
         "print(sorted(wanted & set(sys.modules)))",
     ])
     assert loaded(probe) == "[]\n"
+
+
+def test_generate_loads_the_maximal_module_only_for_frame(tmp_path):
+    out = str(tmp_path / "instance.txt")
+    probe = "\n".join([
+        "import sys",
+        "from okplanar.cli import main",
+        "for argv in (['random-okp', '--n', '12', '--k', '2'], ['complete', '--n', '5'],",
+        "             ['grid', '--rows', '3', '--cols', '4']):",
+        f"    assert main(['generate', '--kind', *argv, '--out', {out!r}]) == 0",
+        "wanted = {'okplanar.maximal', 'okplanar.sat', 'okplanar.cdcl', 'okplanar.recognition',",
+        "          'okplanar.mso2'}",
+        "print(sorted(wanted & set(sys.modules)))",
+        f"assert main(['generate', '--kind', 'frame', '--n', '9', '--k', '3', '--out', {out!r}]) == 0",
+        "print(sorted(wanted & set(sys.modules)))",
+    ])
+    assert loaded(probe) == "[]\n['okplanar.maximal']\n"

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from okplanar.graphs import build_graph
 from okplanar.maximal import (
     LevelDecomposition,
     QuasiPlanarityError,
+    _chords_by_length,
     build_levels,
     find_long_edge,
     frame_edges,
@@ -32,7 +34,7 @@ from okplanar.maximal import (
     verify_level_properties,
 )
 
-from oracles import grid_snake_order, scan_is_maximal
+from oracles import chords_by_length, grid_snake_order, scan_is_maximal
 from test_drawing import max_clique_bitset, scalar_crossing_graph
 
 
@@ -196,6 +198,30 @@ def test_frame_edges_inside_every_saturation():
     for n, k in [(8, 2), (10, 3), (12, 4), (9, 3), (13, 2)]:
         sat = saturate(identity_drawing(build_graph(n, [])), k)
         assert frame_edges(n, k) <= set(sat.graph.edges)
+
+
+def test_frame_edges_do_not_walk_steps_past_n():
+    # a step of n or more repeats a chord, so a huge k costs what k = n does
+    assert frame_edges(9, 10**12) == frame_edges(9, 9) == set(complete_drawing(9).graph.edges)
+
+
+def test_streamed_candidate_order_is_the_sorted_list():
+    for n in range(61):
+        assert list(_chords_by_length(n)) == chords_by_length(n), n
+
+
+def test_saturate_holds_no_candidate_list():
+    # the whole list of C(250, 2) candidates peaks at 2.7 MB under tracemalloc;
+    # streamed, saturate from empty peaks at about 0.5 MB
+    empty = identity_drawing(build_graph(250, []))
+    tracemalloc.start()
+    try:
+        full = saturate(empty, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert full.graph.m == maximal_edge_count(250, 3)
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_saturate_counts():

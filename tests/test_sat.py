@@ -367,6 +367,30 @@ def test_no_k_set_walk_without_2k_endpoints(monkeypatch):
     assert set(callers) == {"_link_clauses", "encode_crossing_links"}
 
 
+def test_k_set_walk_grows_only_completable_stems(monkeypatch):
+    # K10 minus a perfect matching at k = 5: every 5-set of disjoint edges
+    # is a perfect matching, and most disjoint 4-sets leave none to complete
+    edges = tuple(e for e in complete(10).edges if e not in {(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)})
+    k = 5
+    partial = [c for r in range(k) for c in combinations(edges, r) if disjoint(*c)]
+    k_sets = sum(disjoint(*c) for c in combinations(edges, k))
+    expanded = []
+    real = sat._bits
+
+    def bits(mask):
+        expanded.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(sat, "_bits", bits)
+    stems = list(sat._disjoint_stems(edges, k))
+    assert sum(cand.bit_count() for _, cand in stems) == k_sets == sat._check_mutual_cap(edges, k)
+    assert all(cand for _, cand in stems)
+    # the unpruned walk yielded every disjoint (k-1)-set and expanded every
+    # smaller one
+    assert len(stems) < sum(len(c) == k - 1 for c in partial)
+    assert len(expanded) < sum(len(c) < k - 1 for c in partial)
+
+
 def test_counter_prediction_matches_the_cap_block():
     cases = [(complete(n), k) for n in range(3, 10) for k in range(6)]
     cases += [(g, k) for g in (grid(5, 7), planar_3tree_levels(3)) for k in range(4)]
