@@ -29,8 +29,7 @@ from .recognition import brute_force_recognize, check_refutation, refute
 
 Edge = tuple[int, int]
 
-# size guards: order axioms grow cubically in n; CLAUSE_CAP bounds the cap and link blocks
-N_LIMIT = 80
+# the one size rule: each block an encoding builds is predicted and refused above this
 CLAUSE_CAP = 2_000_000
 
 
@@ -163,7 +162,7 @@ def _seq_counter_le(cnf: CnfFormula, vm: VarMap, negs: list[int], k: int, tag: s
 def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     """SAT iff some circular order crosses every edge at most k times."""
     resolve_class("outer-planar", k)
-    _check_size(g)
+    _check_cap("order-axiom", _order_clauses(g.n))
     _check_cap("per-edge crossing-cap", _counter_clauses(g.edges, k))
     _check_cap("crossing-link", _link_clauses(g.edges))
     cnf, vm = encode_order_axioms(max(g.n, 1))
@@ -171,7 +170,7 @@ def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
     cnf.comments.append("c block per-edge-crossing-cap")
     for e, row in zip(g.edges, vm.neg_cross):
         _seq_counter_le(cnf, vm, [nl for nl in row if nl], k, tag=f"cap{e[0]}-{e[1]}")
-    _aux_comments(cnf, vm)
+    cnf.comments += (f"c aux {tag} {var}" for tag, var in vm.aux)
     return cnf, vm
 
 
@@ -181,11 +180,15 @@ def encode_outer_quasi(g: Graph, k: int, explicit_cap: bool = True) -> tuple[Cnf
     explicit_cap=False leaves the cap block to MutualCrossingCap where it
     holds more clauses than the link block: it then sets the memory, and
     below that watched clauses propagate faster than the constraint. At
-    k = 2 it never does, with one unit per pair against 8 links.
+    k = 2 it never does, with one unit per pair against 8 links. That block
+    is never built: CLAUSE_CAP spares it, and its count stops past the links.
     """
     resolve_class("outer-quasi", k)
-    _check_size(g)
-    sets, links = _check_mutual_cap(g.edges, k), _link_clauses(g.edges)
+    _check_cap("order-axiom", _order_clauses(g.n))
+    links = _link_clauses(g.edges)
+    sets = _count_k_sets(g.edges, k, CLAUSE_CAP if explicit_cap else min(links, CLAUSE_CAP))
+    if explicit_cap:
+        _check_cap("mutual-crossing", sets, f"at least {sets} size-{k} disjoint edge subsets")
     _check_cap("crossing-link", links)
     cnf, vm = encode_order_axioms(max(g.n, 1))
     encode_crossing_links(g, cnf, vm)
@@ -194,7 +197,6 @@ def encode_outer_quasi(g: Graph, k: int, explicit_cap: bool = True) -> tuple[Cnf
     if explicit_cap or not native:
         cnf.clauses += _mutual_cap_clauses(g.edges, k, vm.neg_cross)
     vm.cap_block = slice(start, len(cnf.clauses)) if native else None
-    _aux_comments(cnf, vm)
     return cnf, vm
 
 
@@ -213,6 +215,11 @@ def _disjointness_masks(edges: tuple[Edge, ...]) -> list[int]:
     return [everyone & ~(touching[u] | touching[v]) for u, v in edges]
 
 
+def _order_clauses(n: int) -> int:
+    """encode_order_axioms(n)'s clauses: 2 per triple, n - 1 anchors, 1 reflection."""
+    return n * (n - 1) * (n - 2) // 3 + max(n - 1, 0) + (n >= 3)
+
+
 def _counter_clauses(edges: tuple[Edge, ...], k: int) -> int:
     """The clauses of the per-edge crossing caps at k, in closed form from
     each edge's count d of disjoint edges; a counter over d <= k is empty."""
@@ -229,10 +236,10 @@ def _link_clauses(edges: tuple[Edge, ...]) -> int:
     return 4 * sum(mask.bit_count() for mask in _disjointness_masks(edges))
 
 
-def _check_cap(block: str, total: int) -> None:
+def _check_cap(block: str, total: int, detail: str = "") -> None:
     if total > CLAUSE_CAP:
-        raise EncodingTooLarge(f"{block} clauses exceed cap {CLAUSE_CAP}: {total} predicted",
-                               count=total)
+        detail = detail or f"{total} predicted"
+        raise EncodingTooLarge(f"{block} clauses exceed cap {CLAUSE_CAP}: {detail}", count=total)
 
 
 def _disjoint_stems(edges: tuple[Edge, ...], k: int):
@@ -258,18 +265,14 @@ def _disjoint_stems(edges: tuple[Edge, ...], k: int):
     return grow((1 << len(edges)) - 1, ())
 
 
-def _check_mutual_cap(edges: tuple[Edge, ...], k: int) -> int:
-    """Count the k-sets of pairwise disjoint edges, stopping past
-    CLAUSE_CAP, so an over-cap encoding is refused before it is built."""
+def _count_k_sets(edges: tuple[Edge, ...], k: int, stop: int) -> int:
+    """The k-sets of pairwise disjoint edges, one cap clause each, counted
+    only until the count passes stop: a larger count reads stop + 1."""
     total = 0
     for _, cand in _disjoint_stems(edges, k):
         total += cand.bit_count()
-        if total > CLAUSE_CAP:
-            raise EncodingTooLarge(
-                f"mutual-crossing clauses exceed cap {CLAUSE_CAP}: "
-                f"at least {CLAUSE_CAP + 1} size-{k} disjoint edge subsets",
-                count=CLAUSE_CAP + 1,
-            )
+        if total > stop:
+            return stop + 1
     return total
 
 
@@ -347,6 +350,9 @@ def encode_closed(g: Graph, k: int, variant: str,
     if variant.startswith("closed"):
         raise ValueError(f"unknown inner variant {variant!r}")
     cnf, vm = encode(g, k, variant, explicit_cap)
+    # No cap check: this block's n + 2m(n - 1) - deg(0) clauses pass CLAUSE_CAP at
+    # n <= 182 (the order-axiom limit) only if m >= 5,525, and then encode has
+    # refused the 8 link clauses of each of at least 14.2M disjoint edge pairs.
     n = g.n
     not_before = vm.not_before
     cnf.comments.append("c block boundary-successor")
@@ -381,16 +387,6 @@ def encode(g: Graph, k: int, variant: str, explicit_cap: bool = True) -> tuple[C
     if variant == "outer-planar":
         return encode_outer_planar(g, k)
     return encode_outer_quasi(g, k, explicit_cap)
-
-
-def _check_size(g: Graph) -> None:
-    if g.n > N_LIMIT:
-        raise EncodingTooLarge(f"n={g.n} exceeds the limit {N_LIMIT}", count=g.n)
-
-
-def _aux_comments(cnf: CnfFormula, vm: VarMap) -> None:
-    for tag, var in vm.aux:
-        cnf.comments.append(f"c aux {tag} {var}")
 
 
 def dimacs_text(f: CnfFormula) -> str:
@@ -519,13 +515,13 @@ def search_order(g: Graph, k: int, variant: str, engine: str = "sat",
     """
     variant = resolve_class(variant, k)
     _check_engine(engine, timeout_s)
+    if engine == "brute":  # refuses over its cap before a file is written
+        d = brute_force_recognize(g, k, variant)
     if engine == "sat" or emit_cnf:
         cnf, vm = encode(g, k, variant, explicit_cap=bool(emit_cnf))
         if emit_cnf:
             emit_dimacs(cnf, emit_cnf)
-    if engine == "brute":
-        d = brute_force_recognize(g, k, variant)
-    else:
+    if engine == "sat":
         cap = None
         if vm.cap_block is not None:
             del cnf.clauses[vm.cap_block]

@@ -83,6 +83,9 @@ CASES = [
     ("recognize-brute-closed-quasi-k5",
      ["recognize", "inputs/k5.txt", "--k", "3", "--variant", "closed-quasi",
       "--engine", "brute"], 0),
+    # the paper's 3-tree that is not outer 3-quasi-planar is outer 4-quasi-planar
+    ("recognize-sat-quasi-3tree4-k4",
+     ["recognize", "inputs/3tree4.txt", "--k", "4", "--variant", "quasi"], 0),
     # NO answered by a refutation certificate before any search, one per
     # kind: the degeneracy and edge-count kinds are the k5 and k6 NOs above
     ("recognize-sat-closed-planar-disconnected",

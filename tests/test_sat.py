@@ -45,6 +45,10 @@ def cycle(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def path_graph(n):
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def random_graph(rng, n, max_m):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return build_graph(n, rng.sample(pairs, k=min(rng.randrange(0, max_m + 1), len(pairs))))
@@ -250,9 +254,9 @@ def quasi_threshold_no(n, k, seed):
     (quasi_threshold_no(10, 3, 1), 3, "closed-outer-quasi", "sat", "edge-count"),
     # used to build 2M mutual-crossing clauses and fail on the clause cap
     (complete(25), 3, "outer-quasi", "sat", "edge-count"),
-    # over the brute-force cap, and over N_LIMIT: a NO, not a size error
+    # over the brute-force cap, and over the order-axiom cap: a NO, not a size error
     (complete(12), 2, "outer-planar", "brute", "degeneracy"),
-    (complete(sat.N_LIMIT + 1), 2, "closed-outer-quasi", "sat", "edge-count"),
+    (complete(183), 2, "closed-outer-quasi", "sat", "edge-count"),
 ])
 def test_refuted_instances_reach_no_engine(monkeypatch, g, k, variant, engine, kind):
     calls = []
@@ -290,7 +294,8 @@ def test_every_other_verdict_has_no_certificate():
 
 def test_clause_cap_rejection(monkeypatch):
     # the count names the first subset over the cap, wherever the cap falls
-    for cap, k in ((10, 3), (100, 3), (500, 4)):
+    # above K9's 177 order-axiom clauses and below its 1,260 3-sets and 945 4-sets
+    for cap, k in ((200, 3), (300, 3), (500, 4)):
         monkeypatch.setattr(sat, "CLAUSE_CAP", cap)
         with pytest.raises(EncodingTooLarge) as e:
             encode_outer_quasi(complete(9), k)
@@ -383,7 +388,8 @@ def test_k_set_walk_grows_only_completable_stems(monkeypatch):
 
     monkeypatch.setattr(sat, "_bits", bits)
     stems = list(sat._disjoint_stems(edges, k))
-    assert sum(cand.bit_count() for _, cand in stems) == k_sets == sat._check_mutual_cap(edges, k)
+    assert sum(cand.bit_count() for _, cand in stems) == k_sets == sat._count_k_sets(edges, k, k_sets)
+    assert sat._count_k_sets(edges, k, 10) == 11  # the count stops once it passes stop
     assert all(cand for _, cand in stems)
     # the unpruned walk yielded every disjoint (k-1)-set and expanded every
     # smaller one
@@ -401,6 +407,8 @@ def test_counter_prediction_matches_the_cap_block():
         encode_crossing_links(g, inner, ivm)
         built = len(encode_outer_planar(g, k)[0].clauses) - len(inner.clauses)
         assert sat._counter_clauses(g.edges, k) == built, (g.edges, k)
+    for n in range(1, 17):
+        assert sat._order_clauses(n) == len(encode_order_axioms(n)[0].clauses), n
 
 
 def test_tables_match_the_dimacs_legend():
@@ -569,13 +577,61 @@ def test_per_edge_crossing_cap_matches_a_combinations_oracle():
         assert counted > 0
 
 
-def test_n_limit_guardrail(monkeypatch):
-    with pytest.raises(EncodingTooLarge):
-        encode_outer_planar(build_graph(sat.N_LIMIT + 1, [(0, 1)]), 1)
-    monkeypatch.setattr(sat, "N_LIMIT", 5)
-    with pytest.raises(EncodingTooLarge):
-        recognize(cycle(6), 0, "closed-outer-planar")
-    assert recognize(cycle(5), 0, "closed-outer-planar").found is not None
+def test_order_axiom_block_is_refused_before_it_is_built(monkeypatch, tmp_path, capsys):
+    # 2 C(n, 3) + (n - 1) + 1 clauses: 182 vertices predict 1,976,702 and
+    # pass, 183 predict 2,009,645 and are the first refused, in every variant
+    monkeypatch.setattr(sat, "encode_order_axioms", no_clauses)
+    path = tmp_path / "p183.txt"
+    path.write_text(format_graph(path_graph(183)))
+    assert main(["recognize", str(path), "--k", "1", "--variant", "planar"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: order-axiom clauses exceed cap "
+                                 f"{sat.CLAUSE_CAP}: 2009645 predicted\n")
+    for g, k, variant in ((path_graph(183), 2, "outer-quasi"), (cycle(183), 0, "closed-outer-planar"),
+                          (cycle(183), 2, "closed-outer-quasi")):
+        with pytest.raises(EncodingTooLarge) as e:
+            encode(g, k, variant)
+        assert e.value.count == 2_009_645
+    with pytest.raises(AssertionError, match="encoding started"):
+        encode_outer_planar(path_graph(182), 1)
+
+
+def test_brute_refusal_writes_no_cnf(tmp_path, capsys):
+    path, cnf = tmp_path / "g34.txt", tmp_path / "g34.cnf"
+    path.write_text(format_graph(grid(3, 4)))
+    argv = ["recognize", str(path), "--k", "1", "--variant", "planar", "--engine", "brute"]
+    assert main([*argv, "--emit-cnf", str(cnf)]) == 1
+    assert capsys.readouterr().err == "error: n=12 exceeds brute-force cap 11\n"
+    assert not cnf.exists()
+
+
+def test_native_cap_block_is_counted_only_past_the_links(monkeypatch, tmp_path, capsys):
+    # 3tree-4 at quasi k = 4: its 3,442,716 disjoint 4-sets are over the
+    # cap, but the solve path never builds them and stops counting once they
+    # pass the 51,240 link clauses; --emit-cnf builds them and is refused
+    g = planar_3tree_levels(4)
+    links = sat._link_clauses(g.edges)
+    real = sat._disjoint_stems
+
+    def stems(edges, k):
+        seen = 0
+        for stem in real(edges, k):
+            assert seen <= links, "the k-set count went on past the link block"
+            seen += stem[1].bit_count()
+            yield stem
+
+    monkeypatch.setattr(sat, "_disjoint_stems", stems)
+    monkeypatch.setattr(sat, "_mutual_cap_clauses", no_clauses)
+    found = recognize(g, 4, "outer-quasi").found  # re-checked by search_order
+    assert found is not None and found[1].max_mutual == 3
+    monkeypatch.setattr(sat, "_disjoint_stems", real)  # the explicit block's count goes on
+    path, cnf = tmp_path / "3tree4.txt", tmp_path / "3tree4.cnf"
+    path.write_text(format_graph(g))
+    argv = ["recognize", str(path), "--k", "4", "--variant", "quasi", "--emit-cnf", str(cnf)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: mutual-crossing clauses exceed cap {sat.CLAUSE_CAP}: "
+                                       f"at least {sat.CLAUSE_CAP + 1} size-4 disjoint edge subsets\n")
+    assert not cnf.exists()
 
 
 def test_dimacs_round_trip(tmp_path):
