@@ -15,17 +15,20 @@ instance REPEATS times and merges one entry under --label into the series'
 BENCH_<series>.json at the root of this checkout, keeping the entries of
 other labels. Stdlib only.
 
-sat_setup: the SAT setup layers of recognize, on the path sat.search_order
-runs: where the solver enforces the mutual-crossing cap natively, the
-encoding leaves that block out and construction includes the
-MutualCrossingCap (a checkout without it runs the explicit formula). Each
-repeat encodes afresh, because the solver adopts the encoding's clause
-lists and its search reorders the literals within them. Per instance it
-records the clause count of the DIMACS header, from one more untimed
-explicit encode, the median seconds of encode, of construction and of
-solve, the verdict, and the tracemalloc peak of encode plus construction,
-taken in one more untimed pass. Writing the entry fails when another
-label's verdicts or clause counts differ.
+sat_setup: the SAT setup layers of recognize, built as sat.search_order
+builds them: the solve-path encoding, without the order-transitivity block
+and the legend, and a CdclSolver with OrderAxioms and, where the encoder
+hands it the cap block, MutualCrossingCap. A checkout without OrderAxioms
+runs its own path: the explicit order block, with MutualCrossingCap where
+it has one, else the explicit formula. Each repeat encodes afresh, because
+the solver adopts the encoding's clause lists and its search reorders the
+literals within them. Per instance it records the clause count of the
+DIMACS header, from one more untimed explicit encode (null where that
+formula is refused over CLAUSE_CAP), the median seconds of encode, of
+construction and of solve, the verdict, the tracemalloc peak of encode
+plus construction, and the tracemalloc peak of encode, construction and
+solve, each taken in one more untimed pass. Writing the entry fails when
+another label's verdicts or clause counts differ.
 
 maximal: saturate and then is_maximal, from an empty start with n doubling
 at k = 3 and k = 6, plus one seeded start. Per instance it records the
@@ -109,6 +112,7 @@ REPEATS = 5
 SAT_INSTANCES = [
     ("3tree-3 quasi k=3", ("planar_3tree_levels", 3), 3, "outer-quasi"),
     ("3tree-4 quasi k=3", ("planar_3tree_levels", 4), 3, "outer-quasi"),
+    ("3tree-4 quasi k=4", ("planar_3tree_levels", 4), 4, "outer-quasi"),
     ("grid 5x7 planar k=2", ("grid", 5, 7), 2, "outer-planar"),
     ("grid 5x7 closed-planar k=2", ("grid", 5, 7), 2, "closed-outer-planar"),
 ]
@@ -133,16 +137,26 @@ def sat_setup_row(spec, k, variant):
 
     g = getattr(generators, spec[0])(*spec[1:])
     native = hasattr(sat, "MutualCrossingCap")
-    clauses = len(sat.encode(g, k, variant)[0].clauses)
+    native_order = hasattr(sat, "OrderAxioms")
+    try:
+        clauses = len(sat.encode(g, k, variant)[0].clauses)
+    except sat.EncodingTooLarge:
+        clauses = None
 
     def encode():
+        if native_order:
+            return sat.encode(g, k, variant, explicit=False)
         return sat.encode(g, k, variant, explicit_cap=False) if native else sat.encode(g, k, variant)
 
     def build(cnf, vm):
+        cap = None
         if native and vm.cap_block is not None:
             cap = sat.MutualCrossingCap(g.edges, k, vm.neg_cross)
-            return cdcl.CdclSolver(cnf.num_vars, cnf.clauses, cap)
-        return cdcl.CdclSolver(cnf.num_vars, cnf.clauses)
+        if native_order:
+            solver = cdcl.CdclSolver(cnf.num_vars, cnf.clauses, sat.OrderAxioms(vm.not_before), cap)
+            cnf.clauses = []  # as search_order lets go of them
+            return solver
+        return cdcl.CdclSolver(cnf.num_vars, cnf.clauses, cap)
 
     encode_s, init_s, solve_s, verdicts = [], [], [], set()
     for _ in range(REPEATS):
@@ -164,6 +178,12 @@ def sat_setup_row(spec, k, variant):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     del cnf, vm, solver
+    tracemalloc.start()
+    cnf, vm = encode()
+    build(cnf, vm).solve()
+    solve_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    del cnf, vm
     if len(verdicts) != 1:
         raise SystemExit(f"verdict changed between repeats: {sorted(verdicts)}")
     return {
@@ -173,6 +193,7 @@ def sat_setup_row(spec, k, variant):
         "init_s": round(statistics.median(init_s), 4),
         "solve_s": round(statistics.median(solve_s), 4),
         "setup_peak_mib": round(peak / 2**20, 1),
+        "solve_peak_mib": round(solve_peak / 2**20, 1),
     }
 
 

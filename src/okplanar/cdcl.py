@@ -13,12 +13,12 @@ each is stored once, and moving its watches reorders the literals within
 the caller's list, so callers that read their clauses after the solve must
 pass copies. Untrusted DIMACS text is repaired in sat.parse_dimacs.
 
-A constraint stands for clauses the solver is not given (lazy clause
-generation). When a literal in constraint.literals is dequeued true,
-constraint.propagate(lit, lval) returns clauses it stands for whose
-literals are all false but the first: the reason that forces the first,
-or a conflict if it is false too. constraint.backtrack(undone) gets the
-literals each backtrack takes off the trail.
+Constraints stand for clauses the solver is not given (lazy clause
+generation), each for literals of its own. When a literal in
+constraint.literals is dequeued true, constraint.propagate(lit, lval)
+returns clauses it stands for whose literals are all false but the first:
+the reason that forces the first, or a conflict if it is false too.
+constraint.backtrack(undone) gets the literals each backtrack undoes.
 """
 from __future__ import annotations
 
@@ -51,20 +51,24 @@ class CdclSolver:
     owns every list and may reorder its literals; units and the empty clause
     are kept apart from the stored clauses. Literal 0 or a variable above
     num_vars raises ValueError: either would alias another literal's slot.
-    hooks holds the constraint's propagate at the slot of each literal it
-    watches, so no other literal pays for it.
+    hooks holds each constraint's propagate, bound once, at its literals'
+    slots, so no other literal pays for it; a None constraint is skipped.
     """
 
-    def __init__(self, num_vars: int, clauses: list[list[int]], constraint=None):
-        top = max(map(abs, chain.from_iterable(clauses)), default=0)
+    def __init__(self, num_vars: int, clauses: list[list[int]], *constraints):
+        held = set(chain.from_iterable(clauses))
+        top = max(map(abs, held), default=0)
         if top > num_vars:
             raise ValueError(f"variable {top} exceeds num_vars {num_vars}")
         self.nv = num_vars
         self.clauses: list[list[int]] = []
-        self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
+        self.unwatched: list[list[int]] = []  # the watches of all literals no clause holds
+        self.watches: list[list[list[int]]] = [self.unwatched] * (2 * num_vars + 1)
+        for lit in held:
+            self.watches[lit] = []
         self.lval = [-1] * (2 * num_vars + 1)  # -1 unassigned / 0 false / 1 true
         self.level = [0] * (num_vars + 1)
-        self.reason: list[list[int] | None] = [None] * (num_vars + 1)
+        self.reason: list[list[int] | None] = [None] * (num_vars + 1)  # None once undone
         self.trail: list[int] = []  # assigned literals in order
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -74,14 +78,19 @@ class CdclSolver:
         self.seen = [False] * (num_vars + 1)
         # at most one live entry per variable: the one whose key matches
         # heap_act[v]; older entries are stale and skipped when popped
-        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, num_vars + 1)]
+        self.heap: list[tuple[float, int]] = [(0.0, 1)] if num_vars else []
+        self.fresh = 1  # until _rescale, (0.0, v) for v > fresh wait outside the heap
         self.heap_act = [0.0] * (num_vars + 1)  # -1.0: v has no live entry
         self.ok = True
         self.units: list[int] = []
-        self.constraint = constraint
+        self.constraints = [con for con in constraints if con is not None]
         self.hooks = [None] * (2 * num_vars + 1)
-        for lit in constraint.literals if constraint is not None else ():
-            self.hooks[lit] = constraint.propagate
+        for con in self.constraints:
+            hook = con.propagate
+            for lit in con.literals:
+                if self.hooks[lit] is not None:
+                    raise ValueError(f"literal {lit} is watched by two constraints")
+                self.hooks[lit] = hook
         watches, store = self.watches, self.clauses
         for c in clauses:
             if 0 in c:
@@ -166,6 +175,7 @@ class CdclSolver:
         self.heap_act[:] = [act[v] if v and lval[v] < 0 else -1.0 for v in range(self.nv + 1)]
         self.heap[:] = [(-a, v) for v, a in enumerate(self.heap_act) if a >= 0.0]
         heapify(self.heap)
+        self.fresh = self.nv + 1
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP conflict clause and its backjump level."""
@@ -200,10 +210,7 @@ class CdclSolver:
         learnt[0] = -lit
         for l in learnt[1:]:  # the current level's marks are cleared already
             seen[abs(l)] = False
-        if len(learnt) == 1:
-            return learnt, 0
-        bt = max(level[abs(l)] for l in learnt[1:])
-        return learnt, bt
+        return learnt, max((level[abs(l)] for l in learnt[1:]), default=0)
 
     def _backtrack(self, lvl: int) -> None:
         if len(self.trail_lim) <= lvl:
@@ -215,11 +222,12 @@ class CdclSolver:
             v = abs(lit)
             self.phase[v] = lit > 0
             lval[lit] = lval[-lit] = -1
+            self.reason[v] = None
             if heap_act[v] != act[v]:
                 heap_act[v] = act[v]
                 heappush(self.heap, (-act[v], v))
-        if self.constraint is not None:
-            self.constraint.backtrack(trail[start:])
+        for con in self.constraints:
+            con.backtrack(trail[start:])
         del trail[start:]
         self.qhead = min(self.qhead, start)
 
@@ -227,6 +235,9 @@ class CdclSolver:
         heap, heap_act = self.heap, self.heap_act
         while heap:
             key, v = heappop(heap)
+            if v == self.fresh < self.nv and not key:  # the next implicit entry joins
+                self.fresh = v + 1
+                heappush(heap, (0.0, v + 1))
             if heap_act[v] == -key:
                 heap_act[v] = -1.0
                 if self.lval[v] < 0:
@@ -234,7 +245,8 @@ class CdclSolver:
         return None
 
     def solve(self, timeout_s: float | None = None) -> list[int] | None:
-        """Model as a list of signed DIMACS literals, or None for UNSAT."""
+        """Model as a list of signed DIMACS literals, or None for UNSAT. The
+        timeout_s deadline is checked after each conflict and 256 decisions."""
         if not self.ok:
             return None
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
@@ -243,9 +255,8 @@ class CdclSolver:
                 return None
         if self._propagate() is not None:
             return None
-        conflicts = 0  # running total; restarts do not reset it
-        restart_idx = 0
-        next_restart = 64 * _luby(restart_idx)
+        conflicts, decisions = 0, 0  # conflicts in all, decisions since the clock was read
+        restart_idx, next_restart = 0, 64 * _luby(0)
         while True:
             confl = self._propagate()
             if confl is not None:
@@ -261,12 +272,14 @@ class CdclSolver:
                     sec = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
                     learnt[1], learnt[sec] = learnt[sec], learnt[1]
                     self.clauses.append(learnt)
+                    for lit in learnt:  # each gets its own watch list
+                        if self.watches[lit] is self.unwatched:
+                            self.watches[lit] = []
                     self.watches[learnt[0]].append(learnt)
                     self.watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)
                 self.act_inc /= 0.95
-                if deadline is not None and time.monotonic() > deadline:
-                    raise SolverTimeout(f"embedded solver timed out after {conflicts} conflicts")
+                decisions = 256  # read the clock now
                 if conflicts >= next_restart:
                     restart_idx += 1
                     next_restart = conflicts + 64 * _luby(restart_idx)
@@ -275,5 +288,8 @@ class CdclSolver:
                 lit = self._decide()
                 if lit is None:
                     return [v if self.lval[v] == 1 else -v for v in range(1, self.nv + 1)]
+                decisions = decisions % 256 + 1
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, None)
+            if deadline is not None and decisions == 256 and time.monotonic() > deadline:
+                raise SolverTimeout(f"embedded solver timed out after {conflicts} conflicts")

@@ -54,11 +54,12 @@ class VarMap:
     for a < b and x_{b,a} for a > b, where x_{u,v} is "u before v".
     neg_cross[i][j], filled by encode_crossing_links, is -y for the
     endpoint-disjoint edges i and j of g.edges and 0 where they touch.
-    cap_block is the slice of cnf.clauses for the cap block the solver is to
-    enforce with MutualCrossingCap, empty if it was left out; else None.
+    order_block and cap_block are the slices of cnf.clauses for the blocks that
+    OrderAxioms and MutualCrossingCap enforce, empty if left out; cap_block else None.
     """
     cnf: CnfFormula
     not_before: list[list[int]]
+    order_block: slice = field(default_factory=lambda: slice(0))
     neg_cross: list[list[int]] = field(default_factory=list)
     cap_block: slice | None = None
     succ_var: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -74,12 +75,13 @@ class VarMap:
         return v
 
 
-def encode_order_axioms(n: int) -> tuple[CnfFormula, VarMap]:
+def encode_order_axioms(n: int, explicit: bool = True) -> tuple[CnfFormula, VarMap]:
     """One variable per pair u < v; no cyclic triple; 0 first, 1 before 2.
 
     Every assignment is a tournament, and a tournament without 3-cycles is
     a linear order. Reflection keeps 0 first and swaps 1 with 2, so the unit
     x_{1,2} keeps one order of each mirror pair and loses no drawing.
+    explicit=False leaves the transitivity block to OrderAxioms, and the legend out.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -91,22 +93,24 @@ def encode_order_axioms(n: int) -> tuple[CnfFormula, VarMap]:
             x = vm.new_var()
             nb[u][v], nb[v][u] = -x, x
     cnf.comments.append("c block order-transitivity")
-    for u in range(n):
+    for u in range(n) if explicit else ():
         for v in range(u + 1, n):
             for w in range(v + 1, n):  # no cycle u, v, w and none u, w, v
                 cnf.clauses.append([nb[u][v], nb[v][w], nb[w][u]])
                 cnf.clauses.append([nb[v][u], nb[w][v], nb[u][w]])
+    vm.order_block = slice(len(cnf.clauses))
     cnf.comments.append("c block anchor-vertex-0-first")
     for v in range(1, n):
         cnf.clauses.append([nb[v][0]])
     if n >= 3:
         cnf.comments.append("c block reflection-1-before-2")
         cnf.clauses.append([nb[2][1]])
-    cnf.comments += (f"c ord {u} {v} {nb[v][u]}" for u in range(n) for v in range(u + 1, n))
+    if explicit:
+        cnf.comments += (f"c ord {u} {v} {nb[v][u]}" for u in range(n) for v in range(u + 1, n))
     return cnf, vm
 
 
-def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap) -> None:
+def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap, explicit: bool = True) -> None:
     """One y per endpoint-disjoint edge pair; every interleaving forces it.
 
     The schema (x_{a,b} and x_{b,c} and x_{c,d}) -> y is instantiated for all
@@ -129,7 +133,8 @@ def encode_crossing_links(g: Graph, cnf: CnfFormula, vm: VarMap) -> None:
                     nb = not_before[b]
                     cnf.clauses.append([na[b], nb[c], nc[d], y])
                     cnf.clauses.append([nb[a], na[d], not_before[d][c], y])
-            cnf.comments.append(f"c cross {u} {u2} {v} {v2} {y}")
+            if explicit:
+                cnf.comments.append(f"c cross {u} {u2} {v} {v2} {y}")
 
 
 def _seq_counter_le(cnf: CnfFormula, vm: VarMap, negs: list[int], k: int, tag: str) -> None:
@@ -159,25 +164,27 @@ def _seq_counter_le(cnf: CnfFormula, vm: VarMap, negs: list[int], k: int, tag: s
         clauses.append([nl, nprev[k - 1]])
 
 
-def encode_outer_planar(g: Graph, k: int) -> tuple[CnfFormula, VarMap]:
+def encode_outer_planar(g: Graph, k: int, explicit: bool = True) -> tuple[CnfFormula, VarMap]:
     """SAT iff some circular order crosses every edge at most k times."""
     resolve_class("outer-planar", k)
     _check_cap("order-axiom", _order_clauses(g.n))
     _check_cap("per-edge crossing-cap", _counter_clauses(g.edges, k))
     _check_cap("crossing-link", _link_clauses(g.edges))
-    cnf, vm = encode_order_axioms(max(g.n, 1))
-    encode_crossing_links(g, cnf, vm)
+    n = max(g.n, 1)
+    cnf, vm = encode_order_axioms(n) if explicit else encode_order_axioms(n, explicit=False)
+    encode_crossing_links(g, cnf, vm, explicit)
     cnf.comments.append("c block per-edge-crossing-cap")
     for e, row in zip(g.edges, vm.neg_cross):
         _seq_counter_le(cnf, vm, [nl for nl in row if nl], k, tag=f"cap{e[0]}-{e[1]}")
-    cnf.comments += (f"c aux {tag} {var}" for tag, var in vm.aux)
+    if explicit:
+        cnf.comments += (f"c aux {tag} {var}" for tag, var in vm.aux)
     return cnf, vm
 
 
-def encode_outer_quasi(g: Graph, k: int, explicit_cap: bool = True) -> tuple[CnfFormula, VarMap]:
+def encode_outer_quasi(g: Graph, k: int, explicit: bool = True) -> tuple[CnfFormula, VarMap]:
     """SAT iff some circular order has no k pairwise-crossing edges.
 
-    explicit_cap=False leaves the cap block to MutualCrossingCap where it
+    explicit=False also leaves the cap block to MutualCrossingCap where it
     holds more clauses than the link block: it then sets the memory, and
     below that watched clauses propagate faster than the constraint. At
     k = 2 it never does, with one unit per pair against 8 links. That block
@@ -186,15 +193,16 @@ def encode_outer_quasi(g: Graph, k: int, explicit_cap: bool = True) -> tuple[Cnf
     resolve_class("outer-quasi", k)
     _check_cap("order-axiom", _order_clauses(g.n))
     links = _link_clauses(g.edges)
-    sets = _count_k_sets(g.edges, k, CLAUSE_CAP if explicit_cap else min(links, CLAUSE_CAP))
-    if explicit_cap:
+    sets = _count_k_sets(g.edges, k, CLAUSE_CAP if explicit else min(links, CLAUSE_CAP))
+    if explicit:
         _check_cap("mutual-crossing", sets, f"at least {sets} size-{k} disjoint edge subsets")
     _check_cap("crossing-link", links)
-    cnf, vm = encode_order_axioms(max(g.n, 1))
-    encode_crossing_links(g, cnf, vm)
+    n = max(g.n, 1)
+    cnf, vm = encode_order_axioms(n) if explicit else encode_order_axioms(n, explicit=False)
+    encode_crossing_links(g, cnf, vm, explicit)
     cnf.comments.append("c block mutual-crossing-cap")
     start, native = len(cnf.clauses), sets > links
-    if explicit_cap or not native:
+    if explicit or not native:
         cnf.clauses += _mutual_cap_clauses(g.edges, k, vm.neg_cross)
     vm.cap_block = slice(start, len(cnf.clauses)) if native else None
     return cnf, vm
@@ -283,6 +291,43 @@ def _mutual_cap_clauses(edges: tuple[Edge, ...], k: int, neg: list[list[int]]) -
             for chosen, cand in _disjoint_stems(edges, k) for d in _bits(cand)]
 
 
+class OrderAxioms:
+    """The transitivity block as a CdclSolver constraint. Per vertex it
+    masks the vertices propagated after and before it. When "u before v"
+    is propagated, a w after v and before u is a conflict; else each
+    unassigned "u before w" for a w after v, and "w before v" for a w
+    before u, is forced. Each conflict or reason is the block's clause of a
+    3-cycle, forced literal first; the fixpoint is unit propagation's."""
+
+    def __init__(self, not_before: list[list[int]]):
+        n, self.nb = len(not_before), not_before
+        m = n * (n - 1) // 2  # order variables 1..m; literal -x sits at slot 2m + 1 - x
+        self.literals = [*range(-m, 0), *range(1, m + 1)]
+        self.first, self.second = [0] * (2 * m + 1), [0] * (2 * m + 1)  # "first before second"
+        for u, v in combinations(range(n), 2):
+            x = -not_before[u][v]
+            self.first[x], self.second[x], self.first[-x], self.second[-x] = u, v, v, u
+        self.after, self.before = [0] * n, [0] * n
+
+    def propagate(self, lit: int, lval: list[int]) -> list[list[int]]:
+        u, v, nb, after, before = self.first[lit], self.second[lit], self.nb, self.after, self.before
+        nbu, nbv = nb[u], nb[v]  # nb[a][b]: "a does not come before b"
+        au = after[u] = after[u] | 1 << v
+        bv = before[v] = before[v] | 1 << u
+        for w in _bits(after[v] & before[u]):  # a 3-cycle: the first w is the conflict
+            return [[nbu[v], nbv[w], nb[w][u]]]
+        found = [[nb[w][u], nbu[v], nbv[w]] for w in _bits(after[v] & ~au) if lval[nb[w][u]] < 0]
+        found += ([nbv[w], nb[w][u], nbu[v]] for w in _bits(before[u] & ~bv) if lval[nbv[w]] < 0)
+        return found
+
+    def backtrack(self, undone: list[int]) -> None:
+        first, second, m = self.first, self.second, len(self.first) // 2
+        for lit in undone:
+            if -m <= lit <= m:
+                self.after[first[lit]] &= ~(1 << second[lit])
+                self.before[second[lit]] &= ~(1 << first[lit])
+
+
 class MutualCrossingCap:
     """The cap block as a CdclSolver constraint, for k >= 3. When y_ab is
     propagated, each k-set of pairwise disjoint edges holding edges a and b
@@ -291,15 +336,20 @@ class MutualCrossingCap:
     reason forcing it. Unit propagation on the block reaches the same fixpoint.
     """
 
+    literals = property(lambda self: (y for y, a in enumerate(self.edge_a) if a >= 0))
+
     def __init__(self, edges: tuple[Edge, ...], k: int, neg_cross: list[list[int]]):
         self.k, self.neg = k, neg_cross
         self.disjoint = _disjointness_masks(edges)
         self.true = [0] * len(edges)  # per edge, the edges of its propagated true y's
-        self.literals = {-nl: (a, b) for a, row in enumerate(neg_cross)  # y -> its edges
-                         for b, nl in enumerate(row) if nl and a < b}
+        top = max((-nl for row in neg_cross for nl in row), default=0)
+        self.edge_a, self.edge_b = [-1] * (top + 1), [-1] * (top + 1)  # y -> its edges
+        for a, b in combinations(range(len(edges)), 2):
+            if neg_cross[a][b]:
+                self.edge_a[-neg_cross[a][b]], self.edge_b[-neg_cross[a][b]] = a, b
 
     def propagate(self, y: int, lval: list[int]) -> list[list[int]]:
-        a, b = self.literals[y]
+        a, b = self.edge_a[y], self.edge_b[y]
         true = self.true
         ta = true[a] = true[a] | 1 << b
         tb = true[b] = true[b] | 1 << a
@@ -336,20 +386,21 @@ class MutualCrossingCap:
             found.append(clause)
 
     def backtrack(self, undone: list[int]) -> None:
-        true = self.true
-        for a, b in filter(None, map(self.literals.get, undone)):
-            true[a] &= ~(1 << b)
-            true[b] &= ~(1 << a)
+        true, edge_a, edge_b = self.true, self.edge_a, self.edge_b
+        for y in undone:
+            if 0 < y < len(edge_a) and edge_a[y] >= 0:
+                true[edge_a[y]] &= ~(1 << edge_b[y])
+                true[edge_b[y]] &= ~(1 << edge_a[y])
 
 
 def encode_closed(g: Graph, k: int, variant: str,
-                  explicit_cap: bool = True) -> tuple[CnfFormula, VarMap]:
+                  explicit: bool = True) -> tuple[CnfFormula, VarMap]:
     """Inner encoding plus a Hamiltonian boundary via successor variables."""
     if g.n < 3:
         raise ValueError("closed variants need n >= 3")
     if variant.startswith("closed"):
         raise ValueError(f"unknown inner variant {variant!r}")
-    cnf, vm = encode(g, k, variant, explicit_cap)
+    cnf, vm = encode(g, k, variant, explicit)
     # No cap check: this block's n + 2m(n - 1) - deg(0) clauses pass CLAUSE_CAP at
     # n <= 182 (the order-axiom limit) only if m >= 5,525, and then encode has
     # refused the 8 link clauses of each of at least 14.2M disjoint edge pairs.
@@ -373,20 +424,20 @@ def encode_closed(g: Graph, k: int, variant: str,
         for w in range(n):
             if w != u and w != v:  # nothing between u and v; nothing after u
                 cnf.clauses.append([nvar, nu[w], not_before[w][v]] if v else [nvar, nu[w]])
-    for (u, v), var in s.items():
-        cnf.comments.append(f"c succ {u} {v} {var}")
+    if explicit:
+        cnf.comments += (f"c succ {u} {v} {var}" for (u, v), var in s.items())
     return cnf, vm
 
 
-def encode(g: Graph, k: int, variant: str, explicit_cap: bool = True) -> tuple[CnfFormula, VarMap]:
+def encode(g: Graph, k: int, variant: str, explicit: bool = True) -> tuple[CnfFormula, VarMap]:
     """The encoding of any variant name; closed ones wrap their open one.
-    explicit_cap reaches encode_outer_quasi only."""
+    explicit=False builds the solve path's, with no legend (c ord, cross, aux, succ)."""
     variant = resolve_class(variant, k)
     if variant.startswith("closed-"):
-        return encode_closed(g, k, variant.removeprefix("closed-"), explicit_cap)
+        return encode_closed(g, k, variant.removeprefix("closed-"), explicit)
     if variant == "outer-planar":
-        return encode_outer_planar(g, k)
-    return encode_outer_quasi(g, k, explicit_cap)
+        return encode_outer_planar(g, k, explicit)
+    return encode_outer_quasi(g, k, explicit)
 
 
 def dimacs_text(f: CnfFormula) -> str:
@@ -503,9 +554,9 @@ def search_order(g: Graph, k: int, variant: str, engine: str = "sat",
     The encoding is built once, only when the sat engine runs or emit_cnf
     names a DIMACS file to write. The solver adopts the encoding's lists
     unrepaired and reorders them, so the file is written before the solve.
-    A cap block the encoder hands to MutualCrossingCap (vm.cap_block) is
-    dropped from the solve also when emit_cnf writes it, so the witness
-    does not depend on emit_cnf.
+    The blocks the solver enforces natively (vm.order_block, vm.cap_block)
+    are dropped from the solve also when emit_cnf writes them, so the
+    witness does not depend on emit_cnf.
     An unknown engine, or a timeout_s with the brute engine, is refused as
     in recognize.
 
@@ -518,7 +569,7 @@ def search_order(g: Graph, k: int, variant: str, engine: str = "sat",
     if engine == "brute":  # refuses over its cap before a file is written
         d = brute_force_recognize(g, k, variant)
     if engine == "sat" or emit_cnf:
-        cnf, vm = encode(g, k, variant, explicit_cap=bool(emit_cnf))
+        cnf, vm = encode(g, k, variant, explicit=bool(emit_cnf))
         if emit_cnf:
             emit_dimacs(cnf, emit_cnf)
     if engine == "sat":
@@ -526,9 +577,12 @@ def search_order(g: Graph, k: int, variant: str, engine: str = "sat",
         if vm.cap_block is not None:
             del cnf.clauses[vm.cap_block]
             cap = MutualCrossingCap(g.edges, k, vm.neg_cross)
-        # test for None: an encoding with no variables has the empty model []
-        model = CdclSolver(cnf.num_vars, cnf.clauses, cap).solve(timeout_s=timeout_s)
-        d = None if model is None else decode_model(model, vm, g)
+        del cnf.clauses[vm.order_block]  # before the cap block, so deleted after it
+        solver = CdclSolver(cnf.num_vars, cnf.clauses, OrderAxioms(vm.not_before), cap)
+        cnf.clauses = []  # the solver holds them now
+        model = solver.solve(timeout_s=timeout_s)
+        del solver  # before the witness is decoded and checked
+        d = None if model is None else decode_model(model, vm, g)  # no variables: model []
     if d is None:
         return Recognition(None)
     rep = crossing_report(d)

@@ -24,6 +24,7 @@ from okplanar.recognition import brute_force_recognize, check_refutation
 from okplanar.sat import (
     EncodingTooLarge,
     MutualCrossingCap,
+    OrderAxioms,
     decode_model,
     dimacs_text,
     emit_dimacs,
@@ -523,15 +524,110 @@ def test_cap_block_goes_native_where_it_outweighs_the_links():
     # against 8 links, and 16 vertices hold no 9 disjoint edges
     for g, k, native in ((grid(5, 6), 3, True), (grid(5, 6), 4, True), (grid(4, 4), 3, False),
                          (complete(6), 2, False), (complete(16), 9, False)):
-        explicit, _ = encode_outer_quasi(g, k)
-        cnf, vm = encode_outer_quasi(g, k, explicit_cap=False)
+        explicit, evm = encode_outer_quasi(g, k)
+        cnf, vm = encode_outer_quasi(g, k, explicit=False)
         sets = len(sat._mutual_cap_clauses(g.edges, k, vm.neg_cross))
         assert (sets > sat._link_clauses(g.edges)) == native
+        after_order = explicit.clauses[evm.order_block.stop:]  # the solve path builds no order block
         if native:
             assert vm.cap_block == slice(len(cnf.clauses), len(cnf.clauses))
-            assert explicit.clauses == cnf.clauses + sat._mutual_cap_clauses(g.edges, k, vm.neg_cross)
+            assert after_order == cnf.clauses + sat._mutual_cap_clauses(g.edges, k, vm.neg_cross)
         else:
-            assert vm.cap_block is None and cnf.clauses == explicit.clauses
+            assert vm.cap_block is None and cnf.clauses == after_order
+
+
+def test_native_order_axioms_propagate_what_the_block_propagates():
+    # one solver per n, backtracked to level 0 between random partial
+    # assignments: every clause OrderAxioms returns is a clause of the
+    # transitivity block with all literals false but the first, and its
+    # fixpoint is unit propagation's on that block
+    rng = random.Random(909)
+    forced = conflicts = returned = 0
+    for n in range(3, 10):
+        cnf, vm = encode_order_axioms(n)
+        block = cnf.clauses[vm.order_block]
+        assert len(block) == 2 * comb(n, 3)
+        cycles = {tuple(sorted(c)) for c in block}
+        order = OrderAxioms(vm.not_before)
+
+        def checked(lit, lval):
+            nonlocal returned
+            found = OrderAxioms.propagate(order, lit, lval)
+            for c in found:
+                assert tuple(sorted(c)) in cycles
+                assert all(lval[l] == 0 for l in c[1:]) and lval[c[0]] in (-1, 0)
+            returned += len(found)
+            return found
+
+        order.propagate = checked
+        native = CdclSolver(cnf.num_vars, [], order)
+        xs = range(1, comb(n, 2) + 1)
+        for _ in range(30):
+            assumed = [x if rng.random() < 0.5 else -x for x in rng.sample(xs, rng.randint(1, n))]
+            explicit = propagated(CdclSolver(cnf.num_vars, [c[:] for c in block]), assumed)
+            assert propagated(native, assumed) == explicit, (n, assumed)
+            native._backtrack(0)
+            assert not any(order.after) and not any(order.before)
+            conflicts += explicit is None
+            forced += explicit is not None and len(explicit) > len(assumed)
+    assert forced > 0 and conflicts > 0 and returned > 0
+
+
+def test_solve_path_encoding_leaves_out_the_order_block_and_the_legend():
+    legend = {"ord", "cross", "aux", "succ"}
+    variants = ("outer-planar", "outer-quasi", "closed-outer-planar", "closed-outer-quasi")
+    for g in (complete(6), grid(3, 4), planar_3tree_levels(2), cycle(7)):
+        for variant in variants:
+            k = 1 if variant.endswith("planar") else 2  # no quasi cap block goes native at k = 2
+            explicit, evm = encode(g, k, variant)
+            cnf, vm = encode(g, k, variant, explicit=False)
+            assert len(explicit.clauses) - len(cnf.clauses) == 2 * comb(g.n, 3)
+            assert explicit.clauses[evm.order_block] and not cnf.clauses[vm.order_block]
+            assert cnf.clauses == explicit.clauses[evm.order_block.stop:]
+            assert cnf.num_vars == explicit.num_vars
+            written = {"ord", "cross", "aux" * variant.endswith("planar"),
+                       "succ" * variant.startswith("closed")} - {""}
+            assert {line.split()[1] for line in explicit.comments} & legend == written
+            assert not {line.split()[1] for line in cnf.comments} & legend
+
+
+def solve_path_solvers(monkeypatch):
+    """The CdclSolver of each search_order call, after its solve, with its
+    count of stored clauses before the solve."""
+    solvers = []
+
+    class Recorded(CdclSolver):
+        def solve(self, timeout_s=None):
+            self.given = len(self.clauses)
+            solvers.append(self)
+            return super().solve(timeout_s)
+
+    monkeypatch.setattr(sat, "CdclSolver", Recorded)
+    return solvers
+
+
+def test_learned_literals_get_their_own_watch_lists(monkeypatch):
+    # the native cap's negated crossing literals are in no clause the solver
+    # is given, so they share the one empty watch list until learned
+    g = grid(5, 6)
+    solvers = solve_path_solvers(monkeypatch)
+    assert search_order(g, 3, "outer-quasi").found is not None
+    solver, = solvers
+    assert len(solver.constraints) == 2 and solver.unwatched == []
+    learned = solver.clauses[solver.given:]
+    neg_y = {nl for row in encode(g, 3, "outer-quasi", explicit=False)[1].neg_cross for nl in row if nl}
+    given = set(chain.from_iterable(solver.clauses[:solver.given]))
+    assert {l for c in learned for l in c} - given & neg_y
+    assert all(solver.watches[l] is not solver.unwatched for c in learned for l in c)
+    assert sum(w is solver.unwatched for w in solver.watches) > len(neg_y) // 2
+    solver._backtrack(0)  # a backtrack clears the reason of each variable it undoes
+    assert all(solver.reason[v] is None for v in range(1, solver.nv + 1) if solver.lval[v] < 0)
+
+
+def test_solver_takes_each_literal_from_one_constraint():
+    _, vm = encode_order_axioms(4)
+    with pytest.raises(ValueError, match="watched by two constraints"):
+        CdclSolver(6, [], OrderAxioms(vm.not_before), OrderAxioms(vm.not_before))
 
 
 def test_plain_quasi_solve_builds_no_cap_block(monkeypatch):
@@ -777,6 +873,23 @@ def test_solver_deadline_counts_conflicts_across_restarts(monkeypatch):
     assert CdclSolver(nv, clauses).solve() is None
 
 
+def test_solver_deadline_also_binds_a_search_without_conflicts(monkeypatch):
+    # 300 free variables take 300 decisions and no conflict; the clock is
+    # read at the start and after the 256th decision, which is past it
+    readings = []
+
+    def clock():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 1.0
+
+    monkeypatch.setattr(cdcl.time, "monotonic", clock)
+    with pytest.raises(SolverTimeout, match="after 0 conflicts"):
+        CdclSolver(300, [[1, 2]]).solve(timeout_s=0.5)
+    assert len(readings) == 2
+    monkeypatch.undo()
+    assert len(CdclSolver(300, [[1, 2]]).solve(timeout_s=60)) == 300
+
+
 def pinned_instances():
     """60 seeded instances, n = 5..11, all four variants, then 3tree-3."""
     rng = random.Random(3)
@@ -866,6 +979,45 @@ def test_native_cap_trajectory_is_pinned():
             digest = None if model is None else sha256(" ".join(map(str, model)).encode()).hexdigest()[:16]
             got.append((digest, len(solver.clauses)))
     assert got == PINNED_NATIVE_TRAJECTORIES
+
+
+# the same for search_order's own solver: the solve-path encoding, with
+# OrderAxioms for the transitivity block and MutualCrossingCap where the
+# encoder hands it the cap block
+PINNED_SOLVE_PATH_TRAJECTORIES = [
+    ('376cd4b084d42690', 48), ('68f0870932dd5473', 120), ('8c5d41153e11a606', 235),
+    (None, 105), ('b7b3e9a926127d2a', 274), ('097946ec61a1b16c', 192),
+    ('b4a2dd23f3e249ce', 491), (None, 345), (None, 1062),
+    (None, 328), (None, 1397), (None, 1123),
+    (None, 1801), (None, 1232), (None, 2630),
+    ('07e5a96fcfecf744', 692), (None, 2178), (None, 1152),
+    (None, 2203), (None, 4047), (None, 6636),
+    ('bb94f1c89db505c5', 2992), (None, 6164), (None, 6552),
+    (None, 9269), (None, 3608), (None, 16581),
+    ('e5683a75144a46b6', 8323), (None, 153), ('68f0870932dd5473', 120),
+    ('aaba081155aebe43', 156), ('51dff4c9034b0aed', 98), (None, 400),
+    ('850299ab23765042', 312), (None, 505), ('91c14ba31ca7d3f2', 453),
+    (None, 1454), ('03d363eba652cd96', 409), (None, 2028),
+    ('45ad18fb04d038df', 1093), (None, 3292), (None, 1128),
+    (None, 2158), ('94d3154d46ac9fef', 1276), (None, 2708),
+    ('1f7373e7637f10c0', 1860), (None, 6118), (None, 1995),
+    (None, 9687), (None, 4577), (None, 5354),
+    ('b8ee0ec2111dcd04', 1872), (None, 5046), ('a5498b16290721fd', 2414),
+    (None, 8821), (None, 9854), ('a6f0c16af3a2f09e', 109),
+    (None, 96), ('5bc9ea08c384cd3d', 170), ('e290d5afd57caf0d', 170),
+    ('3723ced0414e3eae', 8902),
+]
+
+
+def test_solve_path_trajectory_is_pinned(monkeypatch):
+    solvers = solve_path_solvers(monkeypatch)
+    models = [search_order(g, k, variant).found for g, k, variant in pinned_instances()]
+    got = []
+    for solver, found in zip(solvers, models):
+        model = [v if solver.lval[v] == 1 else -v for v in range(1, solver.nv + 1)] if found else None
+        digest = None if model is None else sha256(" ".join(map(str, model)).encode()).hexdigest()[:16]
+        got.append((digest, len(solver.clauses)))
+    assert len(solvers) == len(models) and got == PINNED_SOLVE_PATH_TRAJECTORIES
 
 
 def test_solver_rejects_literal_zero():
